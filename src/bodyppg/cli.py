@@ -101,10 +101,20 @@ def _parse_band(text: str) -> tuple[float, float]:
     return (float(lo), float(hi))
 
 
+def _param(params: dict, key: str, default):
+    """``params[key]``, or ``default`` when it is absent or None.
+
+    An explicit zero is kept, so it reaches validation instead of quietly
+    turning into the default.
+    """
+    value = params.get(key)
+    return default if value is None else value
+
+
 def _plan(params: dict, default_length: float, default_stride: float) -> WindowPlan:
     return WindowPlan(
-        length_s=params.get("window_s") or default_length,
-        stride_s=params.get("stride_s") or default_stride,
+        length_s=_param(params, "window_s", default_length),
+        stride_s=_param(params, "stride_s", default_stride),
     )
 
 
@@ -122,8 +132,8 @@ def _manifest_inputs(manifest: SessionManifest) -> list[Path]:
 
 def cmd_synth(params: dict, stage: _OutputStage) -> None:
     cfg = SyntheticSessionConfig(
-        seed=int(params.get("seed") or 7),
-        duration_s=params.get("duration_s") or 60.0,
+        seed=int(_param(params, "seed", 7)),
+        duration_s=_param(params, "duration_s", 60.0),
         corrupt_sites=tuple(params.get("corrupt_sites") or ()),
     )
     build_synthetic_session(stage.out_dir, cfg)
@@ -133,7 +143,7 @@ def cmd_synth(params: dict, stage: _OutputStage) -> None:
 def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
     manifest = SessionManifest.load(params["manifest"])
     bank = manifest.load_sensor_bank(
-        delta_y_bpm=params.get("delta_y_bpm") or DELTA_Y_BPM_DEFAULT
+        delta_y_bpm=_param(params, "delta_y_bpm", DELTA_Y_BPM_DEFAULT)
     )
     plan = _plan(params, 10.0, 0.25)
     fused, diags = fuse_ground_truth_report(bank, plan)
@@ -201,11 +211,11 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     manifest = SessionManifest.load(params["manifest"])
     roi = params.get("roi") or "face"
     grid = manifest.load_grid(roi)
-    plan = _plan(params, 10.0, params.get("window_s") or 10.0)
+    plan = _plan(params, 10.0, _param(params, "window_s", 10.0))
     ref = _reference_rates(manifest, params)
     frames = score_grid(grid, ref, plan)
 
-    factor = int(params.get("grid_cell_px") or grid.cell_px)
+    factor = int(_param(params, "grid_cell_px", grid.cell_px))
     poses = manifest.load_poses()
     target = average_pose(poses) if poses else None
 
@@ -283,8 +293,8 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
     matrix = ptt_matrix(
         waves,
         plan,
-        max_lag_s=params.get("max_lag_s") or DEFAULT_MAX_LAG_S,
-        min_peak_corr=params.get("min_peak_corr") or DEFAULT_MIN_PEAK_CORR,
+        max_lag_s=_param(params, "max_lag_s", DEFAULT_MAX_LAG_S),
+        min_peak_corr=_param(params, "min_peak_corr", DEFAULT_MIN_PEAK_CORR),
     )
     _write_json(stage.path("ptt_matrix.json"), matrix.to_dict())
 

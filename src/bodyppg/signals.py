@@ -146,9 +146,9 @@ class WindowPlan:
 
     def __post_init__(self):
         if not self.length_s > 0:
-            raise ValueError(f"window length must be positive, got {self.length_s}")
+            raise ValueError(f"window length_s must be positive, got {self.length_s}")
         if not self.stride_s > 0:
-            raise ValueError(f"window stride must be positive, got {self.stride_s}")
+            raise ValueError(f"window stride_s must be positive, got {self.stride_s}")
 
     def length_samples(self, sample_rate_hz: float) -> int:
         return int(round(self.length_s * sample_rate_hz))

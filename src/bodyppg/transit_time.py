@@ -4,14 +4,22 @@ Pulse waves arrive at different body sites with small time offsets. Pairwise
 offsets are estimated per sliding window by a normalized cross-correlation
 scan over integer-sample lags, assembled into a skew-symmetric site-by-site
 matrix, and summarized with boxplot statistics.
+
+The scan runs over all site pairs and a chunk of windows at once. Each window
+is centred and scaled; the overlap sums at every lag come from per-window
+prefix sums, and the cross products from one zero-padded real FFT per site
+and window and one inverse FFT per pair, of which only the lags -L..L are
+read (the normalized cross-correlation of Lewis, 1995). Chunks hold at most
+``_CHUNK_SAMPLES`` pair-window samples, a fixed budget that bounds memory.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .signals import Waveform, WindowPlan, windows
 
@@ -33,6 +41,12 @@ DEFAULT_MAX_LAG_S = 0.300
 # Waveform pairs correlating below this in a window are too unreliable for a
 # lag estimate and are excluded from aggregation (counts are reported).
 DEFAULT_MIN_PEAK_CORR = 0.5
+# The lag scan takes windows in chunks of at most this many pair-window
+# samples (one window at the least), which bounds its working set whatever
+# the stride, duration or number of sites.
+_CHUNK_SAMPLES = 1 << 17
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -100,73 +114,82 @@ class LagStats:
     n_windows: int
 
 
-def _pearson_all_lags(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
-    """Pearson correlation of the overlap of x and y at every integer lag.
+def _scan_lags(
+    segs: np.ndarray, first: np.ndarray, second: np.ndarray, max_lag: int, subsample: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best lag and peak correlation for site pairs over a batch of windows.
 
-    Index k + max_lag holds the correlation between ``x[:n-k]`` and ``y[k:]``
-    (k >= 0) or ``x[-k:]`` and ``y[:n+k]`` (k < 0). Lags whose overlap has
-    zero variance on either side come back as -inf.
+    ``segs`` has shape (sites, windows, n); pair p scans site ``first[p]``
+    (x) against site ``second[p]`` (y) in every window. At
+    every integer lag k in [-max_lag, max_lag] the Pearson correlation of the
+    overlap, ``x[:n-k]`` with ``y[k:]`` (k >= 0) or ``x[-k:]`` with
+    ``y[:n+k]`` (k < 0), is evaluated; the highest wins, ties going to the
+    smaller |k| and then to the smaller k.
 
-    Equivalent to a per-lag brute-force scan; the overlap sums are assembled
-    from one cross-correlation pass plus prefix sums.
+    Returns the lag in samples and the peak correlation, each of shape
+    (pairs, windows); both are NaN where every overlap has zero variance on
+    one side.
     """
-    n = x.size
-    # Pearson is invariant to shifting and scaling each input as a whole;
-    # conditioning the prefix-sum variance arithmetic this way keeps the
-    # cancellation error negligible.
-    xs = (x - x.mean()) / (x.std() or 1.0)
-    ys = (y - y.mean()) / (y.std() or 1.0)
-
+    n = segs.shape[-1]
     ks = np.arange(-max_lag, max_lag + 1)
-    m = (n - np.abs(ks)).astype(np.float64)
+    abs_ks = np.abs(ks)
+    leads = ks >= 0
+    m = (n - abs_ks).astype(np.float64)
 
-    # sum over the overlap of xs[i] * ys[i + k]: full cross-correlation
-    # evaluated at lag -k.
-    full = sps.correlate(xs, ys, mode="full")
-    sxy = full[n - 1 - ks]
+    # Pearson is invariant to shifting and scaling each window as a whole;
+    # conditioning every window this way keeps the cancellation error of the
+    # prefix-sum variances negligible, whatever DC offset the signal carries.
+    std = segs.std(axis=-1, keepdims=True)
+    z = (segs - segs.mean(axis=-1, keepdims=True)) / np.where(std == 0.0, 1.0, std)
 
-    cum_x = np.concatenate([[0.0], np.cumsum(xs)])
-    cum_x2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
-    cum_y = np.concatenate([[0.0], np.cumsum(ys)])
-    cum_y2 = np.concatenate([[0.0], np.cumsum(ys * ys)])
+    def overlap_sums(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Per-window prefix sums give the sum over the overlap at every lag:
+        # the first n - |k| samples of x and the last n - |k| of y for k >= 0,
+        # the other way round for k < 0. Returns the sums for the x and the y
+        # role of each site.
+        cum = np.zeros(v.shape[:-1] + (n + 1,))
+        np.cumsum(v, axis=-1, out=cum[..., 1:])
+        head = cum[..., n - abs_ks]
+        tail = cum[..., n:] - cum[..., abs_ks]
+        return np.where(leads, head, tail), np.where(leads, tail, head)
 
-    pos = ks >= 0
-    mi = m.astype(int)
-    sx = np.where(pos, cum_x[mi], cum_x[n] - cum_x[np.abs(ks)])
-    sx2 = np.where(pos, cum_x2[mi], cum_x2[n] - cum_x2[np.abs(ks)])
-    sy = np.where(pos, cum_y[n] - cum_y[np.abs(ks)], cum_y[mi])
-    sy2 = np.where(pos, cum_y2[n] - cum_y2[np.abs(ks)], cum_y2[mi])
+    s_x, s_y = overlap_sums(z)
+    q_x, q_y = overlap_sums(z * z)
+    sx, sy = s_x[first], s_y[second]
+    var_x = (q_x - s_x * s_x / m)[first]
+    var_y = (q_y - s_y * s_y / m)[second]
 
-    var_x = sx2 - sx * sx / m
-    var_y = sy2 - sy * sy / m
+    # Sum of x[i] * y[i + k] over the overlap, from one spectrum per site and
+    # window. Zero-padding to at least n + max_lag keeps the circular
+    # correlation free of wrap-around at the lags that are read.
+    n_fft = next_fast_len(n + max_lag, real=True)
+    spec = rfft(z, n_fft, axis=-1)
+    cross = spec[first]
+    np.conjugate(cross, out=cross)
+    cross *= spec[second]
+    sxy = irfft(cross, n_fft, axis=-1)[..., ks % n_fft]
+
     cov = sxy - sx * sy / m
     eps = 1e-12 * m
     valid = (var_x > eps) & (var_y > eps)
-    corr = np.full(ks.size, -np.inf)
-    corr[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
-    return corr
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(valid, cov / np.sqrt(var_x * var_y), -np.inf)
 
+    order = np.lexsort((ks, abs_ks))
+    best = order[np.argmax(corr[..., order], axis=-1)]
+    peak = np.take_along_axis(corr, best[..., None], axis=-1)[..., 0]
+    lag = ks[best].astype(np.float64)
+    if subsample:
+        lo = np.take_along_axis(corr, np.maximum(best - 1, 0)[..., None], axis=-1)[..., 0]
+        hi = np.take_along_axis(corr, np.minimum(best + 1, ks.size - 1)[..., None], axis=-1)[..., 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            denom = lo - 2.0 * peak + hi
+            inner = (abs_ks[best] < max_lag) & np.isfinite(lo) & np.isfinite(hi) & (denom < 0.0)
+            lag = np.where(inner, lag + 0.5 * (lo - hi) / denom, lag)
 
-def _best_lag(
-    x: np.ndarray, y: np.ndarray, max_lag: int, subsample: bool
-) -> tuple[float, float]:
-    """Lag (in samples) and peak correlation; ties go to the smaller |k|."""
-    corr = _pearson_all_lags(x, y, max_lag)
-    if not np.any(np.isfinite(corr)):
-        raise ValueError("zero variance in every tested overlap; no lag defined")
-    ks = np.arange(-max_lag, max_lag + 1)
-    order = np.lexsort((ks, np.abs(ks)))
-    best = order[int(np.argmax(corr[order]))]
-    k = int(ks[best])
-    peak = float(np.clip(corr[best], -1.0, 1.0))
-
-    lag = float(k)
-    if subsample and -max_lag < k < max_lag:
-        c_lo, c_mid, c_hi = corr[best - 1], corr[best], corr[best + 1]
-        if np.isfinite(c_lo) and np.isfinite(c_hi):
-            denom = c_lo - 2.0 * c_mid + c_hi
-            if denom < 0.0:
-                lag += 0.5 * (c_lo - c_hi) / denom
+    failed = ~valid.any(axis=-1)
+    lag[failed] = np.nan
+    peak = np.where(failed, np.nan, np.clip(peak, -1.0, 1.0))
     return lag, peak
 
 
@@ -182,6 +205,10 @@ def xcorr_lag(
     refines the lag below one sample (off by default; integer-sample
     resolution is the documented behavior).
 
+    This is the batched scan of :func:`ptt_matrix` run on one window and one
+    pair: the overlap sums come from prefix sums and the cross products from
+    one zero-padded FFT per waveform, and only the lags -L..L are read off.
+
     Raises:
         ValueError: on mismatched rates/lengths, a max lag of at least half
             the duration, or zero variance at every tested alignment.
@@ -195,12 +222,15 @@ def xcorr_lag(
         raise ValueError(
             f"max_lag_s must sit in (0, {x.duration_s / 2.0:g}) s, got {max_lag_s}"
         )
-    lag_samples, peak = _best_lag(
-        x.samples, y.samples, int(round(max_lag_s * fs)), subsample
+    segs = np.stack([x.samples, y.samples])[:, None, :]
+    lag, peak = _scan_lags(
+        segs, np.array([0]), np.array([1]), int(round(max_lag_s * fs)), subsample
     )
+    if np.isnan(lag[0, 0]):
+        raise ValueError("zero variance in every tested overlap; no lag defined")
     return LagEstimate(
-        lag_s=lag_samples / fs,
-        peak_corr=peak,
+        lag_s=float(lag[0, 0]) / fs,
+        peak_corr=float(peak[0, 0]),
         window_center_time_s=x.start_time_s + x.duration_s / 2.0,
     )
 
@@ -218,7 +248,10 @@ def ptt_matrix(
     negation, so every per-window matrix and the mean matrix are exactly
     skew-symmetric. Windows whose peak correlation falls below
     ``min_peak_corr``, or where a pair has zero variance, are dropped for that
-    pair only, with counts reported.
+    pair only, with counts reported and logged.
+
+    All pairs are scanned together over chunks of windows holding at most
+    ``_CHUNK_SAMPLES`` pair-window samples; see :func:`xcorr_lag`.
     """
     if plan is None:
         plan = DEFAULT_PTT_PLAN
@@ -239,64 +272,56 @@ def ptt_matrix(
 
     spans = windows(waves[0][1], plan)
     max_lag = int(round(max_lag_s * fs))
-    n_sites = len(sites)
-    n_windows = len(spans)
-    arrays = [wave.samples for _, wave in waves]
+    n_sites, n_windows = len(sites), len(spans)
+    n_len = plan.length_samples(fs)
+    times = np.array([seg.start_time_s for _, seg in spans]) + plan.length_s / 2.0
+    starts = np.array([start for start, _ in spans], dtype=np.intp)
+    signals = np.stack([wave.samples for _, wave in waves])
+    first, second = np.triu_indices(n_sites, 1)
+
+    lag = np.empty((first.size, n_windows))
+    peak = np.empty((first.size, n_windows))
+    chunk = max(1, _CHUNK_SAMPLES // (first.size * n_len))
+    offsets = np.arange(n_len)
+    for c in range(0, n_windows, chunk):
+        segs = signals[:, starts[c : c + chunk, None] + offsets]
+        lag[:, c : c + chunk], peak[:, c : c + chunk] = _scan_lags(
+            segs, first, second, max_lag, subsample
+        )
+
+    failed = np.isnan(lag)
+    low = peak < min_peak_corr  # False where failed: NaN compares False
+    keep = ~(failed | low)
+    lag_s = np.where(keep, lag / fs, np.nan)
+    logger.info(
+        "ptt scored %d pairs x %d windows: %d below min_peak_corr %g, %d zero-variance",
+        first.size, n_windows, int(low.sum()), min_peak_corr, int(failed.sum()),
+    )
+
+    def mirrored(upper: np.ndarray, diagonal, sign=1) -> np.ndarray:
+        out = np.full((n_sites, n_sites), diagonal, dtype=upper.dtype)
+        out[first, second] = upper
+        out[second, first] = sign * upper
+        return out
 
     per_window = np.full((n_windows, n_sites, n_sites), np.nan)
-    corr_sum = np.zeros((n_sites, n_sites))
-    corr_count = np.zeros((n_sites, n_sites), dtype=int)
-    n_excluded = np.zeros((n_sites, n_sites), dtype=int)
-    n_failed = np.zeros((n_sites, n_sites), dtype=int)
-    times = np.empty(n_windows)
-
-    n_len = len(spans[0][1]) if spans else 0
-    for widx, (start, first_seg) in enumerate(spans):
-        times[widx] = first_seg.start_time_s + plan.length_s / 2.0
-        per_window[widx][np.diag_indices(n_sites)] = 0.0
-        segs = [arr[start : start + n_len] for arr in arrays]
-        for i in range(n_sites):
-            for j in range(i + 1, n_sites):
-                try:
-                    lag_samples, peak = _best_lag(segs[i], segs[j], max_lag, subsample)
-                except ValueError:
-                    n_failed[i, j] += 1
-                    n_failed[j, i] += 1
-                    continue
-                if peak < min_peak_corr:
-                    n_excluded[i, j] += 1
-                    n_excluded[j, i] += 1
-                    continue
-                lag_s = lag_samples / fs
-                per_window[widx, i, j] = lag_s
-                per_window[widx, j, i] = -lag_s
-                corr_sum[i, j] += peak
-                corr_sum[j, i] += peak
-                corr_count[i, j] += 1
-                corr_count[j, i] += 1
-
-    mean_lag = np.zeros((n_sites, n_sites))
-    mean_corr = np.eye(n_sites)
-    for i in range(n_sites):
-        for j in range(i + 1, n_sites):
-            lags = per_window[:, i, j]
-            lags = lags[np.isfinite(lags)]
-            if lags.size:
-                m = float(np.mean(lags))
-                mean_lag[i, j] = m
-                mean_lag[j, i] = -m
-                mean_corr[i, j] = mean_corr[j, i] = corr_sum[i, j] / corr_count[i, j]
-            else:
-                mean_corr[i, j] = mean_corr[j, i] = np.nan
+    per_window[:, np.arange(n_sites), np.arange(n_sites)] = 0.0
+    per_window[:, first, second] = lag_s.T
+    per_window[:, second, first] = -lag_s.T
+    # np.mean over each pair's retained lags alone: a sum over the zero-filled
+    # row would group the terms differently and change the last bits.
+    mean_lag = np.array([row[ok].mean() if ok.any() else 0.0 for row, ok in zip(lag_s, keep)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_corr = np.where(keep, peak, 0.0).sum(axis=1) / keep.sum(axis=1)
 
     return PTTMatrix(
         sites=sites,
-        mean_lag_s=mean_lag,
+        mean_lag_s=mirrored(mean_lag, 0.0, sign=-1),
         per_window_lag_s=per_window,
         window_times_s=times,
-        peak_corr=mean_corr,
-        n_excluded_low_corr=n_excluded,
-        n_failed=n_failed,
+        peak_corr=mirrored(mean_corr, 1.0),
+        n_excluded_low_corr=mirrored(low.sum(axis=1), 0),
+        n_failed=mirrored(failed.sum(axis=1), 0),
         min_peak_corr=min_peak_corr,
     )
 

@@ -175,3 +175,44 @@ class TestDeterminism:
         pipeline()
         second = digest_tree(root)
         assert first == second
+
+
+class TestExplicitZeroFlags:
+    """A flag given as 0 is used as 0, never replaced by the default."""
+
+    def test_seed_zero_is_not_seed_seven(self, tmp_path):
+        for seed in ("0", "7"):
+            assert main(["synth", "--out-dir", str(tmp_path / seed), "--seed", seed,
+                         "--duration-s", "12"]) == 0
+        zero, seven = digest_tree(tmp_path / "0"), digest_tree(tmp_path / "7")
+        assert zero["sensor_neck.csv"] != seven["sensor_neck.csv"]
+        echo = json.loads((tmp_path / "0" / "synth_config.json").read_text())
+        assert echo["parameters"]["seed"] == 0
+        manifest = json.loads((tmp_path / "0" / "manifest.json").read_text())
+        assert manifest["session_id"] == "synthetic-0"
+
+    def test_min_peak_corr_zero_excludes_nothing(self, session, tmp_path):
+        out = tmp_path / "ptt"
+        assert main(["ptt", "--manifest", str(session / "manifest.json"), "--out-dir", str(out),
+                     "--stride-s", "1.0", "--min-peak-corr", "0"]) == 0
+        doc = json.loads((out / "ptt_matrix.json").read_text())
+        assert doc["min_peak_corr"] == 0.0
+        assert np.all(np.array(doc["n_excluded_low_corr"]) == 0)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["ptt", "--stride-s", "1.0", "--max-lag-s", "0"], "max_lag_s"),
+            (["fuse-gt", "--delta-y-bpm", "0"], "delta_y_bpm"),
+            (["ptt", "--stride-s", "0"], "stride_s"),
+            (["fuse-gt", "--stride-s", "0"], "stride_s"),
+        ],
+    )
+    def test_zero_reaches_validation(self, session, tmp_path, capsys, argv, name):
+        out = tmp_path / "zero"
+        rc = main(argv + ["--manifest", str(session / "manifest.json"), "--out-dir", str(out)])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"]["type"] == "ValueError"
+        assert name in report["error"]["message"]
+        assert not out.exists() or not any(out.iterdir())

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyppg import (
     Waveform,
@@ -10,6 +14,7 @@ from bodyppg import (
     xcorr_lag,
 )
 from bodyppg.transit_time import DEFAULT_MAX_LAG_S, DEFAULT_MIN_PEAK_CORR, DEFAULT_PTT_PLAN, PTTMatrix
+from bodyppg.signals import windows
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
 
 FS = 400.0
@@ -43,6 +48,15 @@ def brute_force_lag(x, y, max_lag):
         if c > best_c:
             best_c, best_k = c, k
     return best_k, best_c
+
+
+def brute_force_corr(x, y, k):
+    """Pearson correlation of the overlap at lag k, as in brute_force_lag."""
+    n = len(x)
+    xs, ys = (x[: n - k], y[k:]) if k >= 0 else (x[-k:], y[: n + k])
+    if np.std(xs) == 0 or np.std(ys) == 0:
+        return -np.inf
+    return np.corrcoef(xs, ys)[0, 1]
 
 
 class TestXcorrLag:
@@ -235,3 +249,134 @@ class TestLagStats:
     def test_too_few_windows_rejected(self):
         with pytest.raises(ValueError):
             lag_distribution_stats(self.make_matrix([0.01] * 4), ("a", "b"))
+
+
+class TestPttMatrixOracle:
+    """ptt_matrix against a brute-force scan of every window slice."""
+
+    @staticmethod
+    def sensor_like_waves(fs):
+        # Three sites 30 ms apart on the 5000-count offset the sensor CSVs
+        # carry; the middle site drops out flat for longer than one window and
+        # the last turns to noise for a stretch, so windows fail and fall
+        # below the correlation threshold as well as pass.
+        duration_s = 12.0
+        waves = []
+        for i in range(3):
+            samples = 5000.0 + 40.0 * noisy_pulse(
+                duration_s, seed=40 + i, fs=fs, delay_s=0.03 * i, noise=0.2
+            ).samples
+            waves.append(samples)
+        t = np.arange(waves[0].size) / fs
+        waves[1][(t >= 4.0) & (t < 6.2)] = 5000.0
+        burst = (t >= 8.0) & (t < 10.0)
+        waves[2][burst] = 5000.0 + 40.0 * np.random.default_rng(41).standard_normal(burst.sum())
+        return [(f"site{i}", Waveform(w, fs)) for i, w in enumerate(waves)]
+
+    @pytest.mark.parametrize("fs, max_lag", [(400.0, 120), (90.0, 27)])
+    @pytest.mark.parametrize("subsample", [False, True])
+    def test_every_window_matches_brute_force(self, fs, max_lag, subsample):
+        waves = self.sensor_like_waves(fs)
+        plan = WindowPlan(1.5, 0.75)
+        min_peak_corr = 0.5
+        mtx = ptt_matrix(waves, plan, max_lag_s=0.3, min_peak_corr=min_peak_corr,
+                         subsample=subsample)
+        spans = windows(waves[0][1], plan)
+        assert mtx.per_window_lag_s.shape == (len(spans), 3, 3)
+        n_len = plan.length_samples(fs)
+        n_failed = np.zeros((3, 3), dtype=int)
+        n_excluded = np.zeros((3, 3), dtype=int)
+        peaks = {(0, 1): [], (0, 2): [], (1, 2): []}
+        for widx, (start, _) in enumerate(spans):
+            for i, j in peaks:
+                x = waves[i][1].samples[start : start + n_len]
+                y = waves[j][1].samples[start : start + n_len]
+                k, c = brute_force_lag(x, y, max_lag)
+                got = mtx.per_window_lag_s[widx, i, j]
+                if k is None:
+                    n_failed[i, j] += 1
+                    assert np.isnan(got)
+                    continue
+                if c < min_peak_corr:
+                    n_excluded[i, j] += 1
+                    assert np.isnan(got)
+                    continue
+                expected = float(k)
+                if subsample and abs(k) < max_lag:
+                    lo, mid, hi = (brute_force_corr(x, y, k + d) for d in (-1, 0, 1))
+                    denom = lo - 2.0 * mid + hi
+                    if np.isfinite(lo) and np.isfinite(hi) and denom < 0.0:
+                        expected += 0.5 * (lo - hi) / denom
+                if subsample:
+                    assert got * fs == pytest.approx(expected, abs=1e-6)
+                else:
+                    assert got == k / fs
+                peaks[i, j].append(c)
+        assert n_failed.sum() > 0 and n_excluded.sum() > 0
+        np.testing.assert_array_equal(mtx.n_failed, n_failed + n_failed.T)
+        np.testing.assert_array_equal(mtx.n_excluded_low_corr, n_excluded + n_excluded.T)
+        for (i, j), retained in peaks.items():
+            assert mtx.peak_corr[i, j] == pytest.approx(np.mean(retained), abs=1e-9)
+            assert mtx.peak_corr[j, i] == mtx.peak_corr[i, j]
+
+
+FS_PROP = 90.0
+MAX_LAG_PROP = 27  # 0.3 s at 90 Hz
+_BASE_PROP = noisy_pulse(14.0, seed=77, fs=FS_PROP, noise=0.1).samples
+
+
+def delayed_sites(delays):
+    """Sites cut from one pulse so that site s lags the base by delays[s] samples."""
+    n = int(10.0 * FS_PROP)
+    off = 2 * MAX_LAG_PROP
+    return [
+        (f"s{s}", Waveform(_BASE_PROP[off - d : off - d + n], FS_PROP))
+        for s, d in enumerate(delays)
+    ]
+
+
+_PROP_PLAN = WindowPlan(3.0, 1.0)
+_delays = st.lists(st.integers(0, MAX_LAG_PROP), min_size=2, max_size=5)
+
+
+class TestPttProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(delays=_delays)
+    def test_shift_theorem_and_skew_symmetry(self, delays):
+        mtx = ptt_matrix(delayed_sites(delays), _PROP_PLAN)
+        expected = np.subtract.outer(delays, delays).T / FS_PROP
+        per = mtx.per_window_lag_s
+        assert np.all(per == expected)
+        assert np.all(mtx.mean_lag_s == expected)
+        assert np.all(per + np.transpose(per, (0, 2, 1)) == 0.0)
+        assert np.all(mtx.mean_lag_s + mtx.mean_lag_s.T == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(delays=_delays, data=st.data())
+    def test_permuting_sites_permutes_matrix(self, delays, data):
+        perm = data.draw(st.permutations(range(len(delays))))
+        waves = delayed_sites(delays)
+        base = ptt_matrix(waves, _PROP_PLAN)
+        shuffled = ptt_matrix([waves[p] for p in perm], _PROP_PLAN)
+        idx = np.ix_(perm, perm)
+        assert shuffled.sites == tuple(base.sites[p] for p in perm)
+        np.testing.assert_array_equal(shuffled.per_window_lag_s, base.per_window_lag_s[:, perm][:, :, perm])
+        np.testing.assert_array_equal(shuffled.mean_lag_s, base.mean_lag_s[idx])
+        np.testing.assert_allclose(shuffled.peak_corr, base.peak_corr[idx], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(shuffled.n_failed, base.n_failed[idx])
+
+
+def test_ptt_matrix_logs_a_run_summary(caplog):
+    good = noisy_pulse(30.0, seed=12)
+    noise = Waveform(np.random.default_rng(10).standard_normal(len(good)), FS)
+    dead = Waveform(np.zeros(len(good)), FS)
+    waves = [("pulse", good), ("noise", noise), ("dead", dead)]
+    with caplog.at_level(logging.INFO, logger="bodyppg.transit_time"):
+        mtx = ptt_matrix(waves, WindowPlan(5.0, 1.0))
+    n_windows = mtx.per_window_lag_s.shape[0]
+    records = [r for r in caplog.records if r.name == "bodyppg.transit_time"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    assert f"3 pairs x {n_windows} windows" in message
+    assert f"{mtx.n_excluded_low_corr[0, 1]} below min_peak_corr" in message
+    assert f"{2 * n_windows} zero-variance" in message
