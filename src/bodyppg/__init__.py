@@ -16,6 +16,7 @@ from .signals import (
     divide_by_envelope,
     hilbert_envelope,
     resample_linear,
+    window_starts,
     windows,
     z_normalize,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "hilbert_envelope",
     "divide_by_envelope",
     "resample_linear",
+    "window_starts",
     "windows",
     "RGBTrace",
     "MethodConfig",

@@ -118,6 +118,23 @@ def _crop_to_common_span(bank: SensorBank) -> list[tuple[str, Waveform]]:
     return [(site, wave if len(wave) == n else wave.slice(0, n)) for site, wave in out]
 
 
+def _warn_if_oximeter_short(ox_times: np.ndarray, sensors: Waveform) -> None:
+    """Warn when the oximeter misses part of the sensors' common span.
+
+    Beyond its first and last sample the interpolated oximeter rate is held
+    constant. A gap of up to one oximeter sample interval at either end is
+    how a sampled stream ends; anything longer means the stream is short.
+    """
+    interval = float(np.median(np.diff(ox_times))) if ox_times.size > 1 else 0.0
+    last_sample_s = sensors.start_time_s + (len(sensors) - 1) / sensors.sample_rate_hz
+    if ox_times[0] - sensors.start_time_s > interval or last_sample_s - ox_times[-1] > interval:
+        logger.warning(
+            "oximeter stream covers %.3f-%.3f s, less than the sensors' common span "
+            "%.3f-%.3f s; its end rates are held constant outside its span",
+            ox_times[0], ox_times[-1], sensors.start_time_s, sensors.end_time_s,
+        )
+
+
 def fuse_ground_truth_report(
     bank: SensorBank, plan: WindowPlan | None = None
 ) -> tuple[Waveform, FusionDiagnostics]:
@@ -141,6 +158,7 @@ def fuse_ground_truth_report(
     # Oximeter rate resampled onto the sensor grid; window centers then read
     # the nearest grid sample.
     grid_times = first.times()
+    _warn_if_oximeter_short(bank.oximeter_rate.times_s, first)
     ox = np.interp(grid_times, bank.oximeter_rate.times_s, bank.oximeter_rate.rates_bpm)
 
     diags = FusionDiagnostics()
@@ -158,22 +176,25 @@ def fuse_ground_truth_report(
         high = min(y_bpm + bank.delta_y_bpm, 0.99 * nyquist_bpm)
         coeffs = design_bandpass(BandpassSpec(FUSION_FILTER_ORDER, low, high), fs)
 
-        window_sum = np.zeros(n_len)
-        any_ok = False
-        for site, wave in channels:
-            seg = wave.samples[start : start + n_len]
-            std = float(np.std(seg))
-            if std == 0.0:
+        segs = np.stack([wave.samples[start : start + n_len] for _, wave in channels])
+        std = segs.std(axis=-1)
+        live = std != 0.0
+        for (site, _), ok in zip(channels, live):
+            if not ok:
                 diags.skipped_channel_windows[site] = (
                     diags.skipped_channel_windows.get(site, 0) + 1
                 )
-                continue
-            z = (seg - np.mean(seg)) / std
-            window_sum += sps.filtfilt(
-                coeffs.b, coeffs.a, z, padtype="odd", padlen=coeffs.pad_length
-            )
-            any_ok = True
-        if not any_ok:
+        window_sum = np.zeros(n_len)
+        if live.any():
+            segs = segs[live]
+            z = (segs - segs.mean(axis=-1, keepdims=True)) / std[live, None]
+            # One forward-backward pass over the live channels; the rows are
+            # then added in channel order, as one channel at a time would.
+            for row in sps.filtfilt(
+                coeffs.b, coeffs.a, z, axis=-1, padtype="odd", padlen=coeffs.pad_length
+            ):
+                window_sum += row
+        else:
             diags.empty_window_times_s.append(first.start_time_s + center / fs)
         accum[start : start + n_len] += window_sum
         counts[start : start + n_len] += 1.0

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import snr_harmonics
-from .pulse_rate import PulseRateSeries, stft_pulse_rate
+from .metrics import harmonic_snrs
+from .pulse_rate import PulseRateSeries, spectral_peaks
+# Not called here: score_grid batches what these do for one pulse. The names
+# stay importable from this module because perfbench's tracer wraps them here.
+from .metrics import snr_harmonics  # noqa: F401
+from .pulse_rate import stft_pulse_rate  # noqa: F401
 from .rppg import MethodConfig, RGBTrace, pos
-from .signals import Waveform, WindowPlan
+from .signals import Waveform, WindowPlan, window_starts
 
 __all__ = [
     "SubregionGrid",
@@ -86,12 +90,16 @@ class SubregionGrid:
     def duration_s(self) -> float:
         return self.n_frames / self.sample_rate_hz
 
-    def cell_trace(self, row: int, col: int) -> RGBTrace:
-        rgb = self.values[:, row, col, :]
+    def cell_trace(
+        self, row: int, col: int, start: int = 0, stop: int | None = None
+    ) -> RGBTrace:
+        """RGB trace of one cell over frames ``start`` to ``stop`` (default: all)."""
+        rgb = self.values[start:stop, row, col, :]
+        start_time_s = self.start_time_s + start / self.sample_rate_hz
         return RGBTrace(
-            Waveform(rgb[:, 0], self.sample_rate_hz, self.start_time_s),
-            Waveform(rgb[:, 1], self.sample_rate_hz, self.start_time_s),
-            Waveform(rgb[:, 2], self.sample_rate_hz, self.start_time_s),
+            Waveform(rgb[:, 0], self.sample_rate_hz, start_time_s),
+            Waveform(rgb[:, 1], self.sample_rate_hz, start_time_s),
+            Waveform(rgb[:, 2], self.sample_rate_hz, start_time_s),
             roi_label=f"cell-{row}-{col}",
         )
 
@@ -194,44 +202,44 @@ def score_grid(
     MAE map and the harmonic SNR the SNR map. Cells below the skin-fraction
     threshold, or with an unusable window, stay NaN. Cells never interact, so
     perturbing one cell's trace changes only that cell's scores.
+
+    POS runs once per skin cell and window; the pulses of one window are then
+    rated and scored as the rows of one batch, exactly as
+    :func:`stft_pulse_rate` and :func:`snr_harmonics` rate and score a
+    single-window pulse. A band outside (0, Nyquist) leaves every cell NaN.
     """
     if plan is None:
         plan = WindowPlan(10.0, 10.0)
-    n_len = plan.length_samples(grid.sample_rate_hz)
+    fs = grid.sample_rate_hz
+    n_len = plan.length_samples(fs)
     frames: list[ErrorFrame] = []
     skin_mask = grid.skin_fraction >= SKIN_FRACTION_THRESHOLD
+    cells = np.argwhere(skin_mask)
     cfg = MethodConfig(method="pos", internal_window_s=plan.length_s)
-    window_plan_inner = WindowPlan(plan.length_s, plan.length_s)
 
-    starts = []
-    k = 0
-    while True:
-        start = int(round(k * plan.stride_s * grid.sample_rate_hz))
-        if start + n_len > grid.n_frames:
-            break
-        starts.append(start)
-        k += 1
-
-    for widx, start in enumerate(starts):
+    for widx, start in enumerate(window_starts(grid.n_frames, fs, plan).tolist()):
+        window_start_s = grid.start_time_s + start / fs
+        ref_bpm = ref_rate.rate_at(window_start_s + plan.length_s / 2.0)
+        pulses = np.zeros((len(cells), n_len))
+        extracted = np.zeros(len(cells), dtype=bool)
+        for i, (row, col) in enumerate(cells.tolist()):
+            trace = grid.cell_trace(row, col, start, start + n_len)
+            try:
+                pulses[i] = pos(trace, cfg).samples
+            except ValueError:
+                continue
+            extracted[i] = True
+        rates = np.full(len(cells), np.nan)
+        try:
+            rates[extracted] = spectral_peaks(pulses[extracted], fs, band_bpm)
+        except ValueError:
+            pass  # the band admits no rate at this sample rate: no cell is scored
+        scored = np.isfinite(rates)
         mae_map = np.full((grid.rows, grid.cols), np.nan)
         snr_map = np.full((grid.rows, grid.cols), np.nan)
-        window_start_s = grid.start_time_s + start / grid.sample_rate_hz
-        center = window_start_s + plan.length_s / 2.0
-        ref_bpm = ref_rate.rate_at(center)
-        for row in range(grid.rows):
-            for col in range(grid.cols):
-                if not skin_mask[row, col]:
-                    continue
-                trace = grid.cell_trace(row, col).slice(start, start + n_len)
-                try:
-                    pulse = pos(trace, cfg)
-                    series = stft_pulse_rate(pulse, window_plan_inner, band_bpm)
-                except ValueError:
-                    continue
-                if len(series) == 0:
-                    continue
-                mae_map[row, col] = abs(series.rates_bpm[0] - ref_bpm)
-                snr_map[row, col] = snr_harmonics(pulse, ref_rate, plan=window_plan_inner)
+        rows, cols = cells[scored].T
+        mae_map[rows, cols] = np.abs(rates[scored] - ref_bpm)
+        snr_map[rows, cols] = harmonic_snrs(pulses[scored], fs, ref_bpm)
         frames.append(
             ErrorFrame(
                 window_index=widx,

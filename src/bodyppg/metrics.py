@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .pulse_rate import PulseRateSeries
+from .pulse_rate import PulseRateSeries, tapered_spectra
 from .signals import Waveform, WindowPlan, windows
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "mae",
     "pearson_r",
     "snr_harmonics",
+    "harmonic_snrs",
     "score_series",
     "pooled_score",
     "NOISE_BAND_BPM",
@@ -93,6 +95,45 @@ def pearson_r(pred: PulseRateSeries, ref: PulseRateSeries) -> float:
     return float(np.corrcoef(p, r)[0, 1])
 
 
+def harmonic_snrs(
+    rows: np.ndarray | Sequence[np.ndarray],
+    sample_rate_hz: float,
+    rates_bpm: float | Sequence[float] | np.ndarray,
+    half_band_bpm: float = 6.0,
+) -> np.ndarray:
+    """Harmonic SNR in dB of every row against its own reference rate.
+
+    Rows are mean-removed and Hann-tapered (:func:`tapered_spectra`, no
+    zero-padding); spectral power within +-half_band_bpm of the row's rate
+    and of its second harmonic counts as signal, everything else inside
+    NOISE_BAND_BPM as noise. Results are clipped to +-SNR_CAP_DB.
+    ``rates_bpm`` is one rate per row, or one rate for all rows.
+    """
+    rates = np.broadcast_to(np.asarray(rates_bpm, dtype=np.float64), (len(rows),))
+    out = np.empty(len(rows))
+    if len(rows) == 0:
+        return out
+    f_bpm = np.fft.rfftfreq(len(rows[0]), 1.0 / sample_rate_hz) * 60.0
+    support = (f_bpm >= NOISE_BAND_BPM[0] - 1e-9) & (f_bpm <= NOISE_BAND_BPM[1] + 1e-9)
+    for i, magnitude, _ in tapered_spectra(rows):
+        for k, power in enumerate(magnitude**2, start=i):
+            sig = (np.abs(f_bpm - rates[k]) <= half_band_bpm + 1e-9) | (
+                np.abs(f_bpm - 2.0 * rates[k]) <= half_band_bpm + 1e-9
+            )
+            # Per-row sums keep the summation order of a single window.
+            signal_power = float(np.sum(power[sig]))
+            noise_power = float(np.sum(power[support & ~sig]))
+            if signal_power <= 0.0:
+                out[k] = -SNR_CAP_DB
+            elif noise_power <= 0.0:
+                out[k] = SNR_CAP_DB
+            else:
+                out[k] = np.clip(
+                    10.0 * np.log10(signal_power / noise_power), -SNR_CAP_DB, SNR_CAP_DB
+                )
+    return out
+
+
 def snr_harmonics(
     w: Waveform,
     ref_rate: PulseRateSeries,
@@ -104,7 +145,8 @@ def snr_harmonics(
     Per window, spectral power within +-half_band_bpm of the reference rate
     and of its second harmonic counts as signal; everything else inside
     NOISE_BAND_BPM counts as noise. Window SNRs in dB are clipped to
-    +-SNR_CAP_DB and averaged.
+    +-SNR_CAP_DB and averaged; the windows go through :func:`harmonic_snrs`
+    as the rows of one batch.
     """
     if plan is None:
         plan = WindowPlan(10.0, 10.0)
@@ -115,30 +157,9 @@ def snr_harmonics(
         raise ValueError(
             f"waveform of {w.duration_s:g} s is shorter than one {plan.length_s:g} s window"
         )
-    n_len = len(segs[0][1])
-    taper = np.hanning(n_len)
-    f_bpm = np.fft.rfftfreq(n_len, 1.0 / w.sample_rate_hz) * 60.0
-    support = (f_bpm >= NOISE_BAND_BPM[0] - 1e-9) & (f_bpm <= NOISE_BAND_BPM[1] + 1e-9)
-
-    out = []
-    for _, seg in segs:
-        rate = ref_rate.rate_at(seg.start_time_s + 0.5 * plan.length_s)
-        x = seg.samples - np.mean(seg.samples)
-        power = np.abs(np.fft.rfft(x * taper)) ** 2
-        sig = (np.abs(f_bpm - rate) <= half_band_bpm + 1e-9) | (
-            np.abs(f_bpm - 2.0 * rate) <= half_band_bpm + 1e-9
-        )
-        signal_power = float(np.sum(power[sig]))
-        noise_power = float(np.sum(power[support & ~sig]))
-        if signal_power <= 0.0:
-            out.append(-SNR_CAP_DB)
-        elif noise_power <= 0.0:
-            out.append(SNR_CAP_DB)
-        else:
-            out.append(
-                float(np.clip(10.0 * np.log10(signal_power / noise_power), -SNR_CAP_DB, SNR_CAP_DB))
-            )
-    return float(np.mean(out))
+    rates = [ref_rate.rate_at(seg.start_time_s + 0.5 * plan.length_s) for _, seg in segs]
+    snrs = harmonic_snrs([seg.samples for _, seg in segs], w.sample_rate_hz, rates, half_band_bpm)
+    return float(np.mean(snrs))
 
 
 def score_series(

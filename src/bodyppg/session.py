@@ -62,6 +62,8 @@ _FRAME_DUMP_HEADER = struct.Struct("<4sIII d")  # magic, width, height, frames, 
 _FRAME_DUMP_HEADER_SIZE = 32
 
 _FLOAT_FMT = "%.12g"
+# Grid CSVs are checked in blocks of whole frames of about this many lines.
+_GRID_CHECK_LINES = 1 << 15
 
 
 def _check_rate(inferred: float, declared: float | None, path: Path | str) -> float:
@@ -312,13 +314,64 @@ def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid)
         fh.write("\n")
 
 
+def _check_grid_order(data: np.ndarray, rows: int, cols: int, path: Path | str) -> None:
+    """Reject grid CSV rows that are not in the order :func:`write_grid` writes.
+
+    That order is frame-major, then row-major within a frame: every frame
+    holds rows x cols lines with ``row``/``col`` counting 0,0 0,1 ... , one
+    ``time_s`` shared by the frame, and frame times increasing. Errors name
+    the first offending line (line 1 is the header).
+    """
+    cells = rows * cols
+    if data.shape[0] % cells:
+        first = data.shape[0] - data.shape[0] % cells
+        raise ValueError(
+            f"{path}: {data.shape[0]} data lines do not fill whole frames of "
+            f"{rows}x{cols} cells; the frame starting at line {first + 2} is incomplete"
+        )
+    frames = data.reshape(-1, rows, cols, 6)
+    frame_t = frames[:, 0, 0, 0]
+    late = np.flatnonzero(~(frame_t[1:] > frame_t[:-1]))
+    late_line = (int(late[0]) + 1) * cells if late.size else data.shape[0]
+    # Blocks of whole frames keep the comparison temporaries small next to
+    # the parsed file, so checking adds nothing to peak memory.
+    step = max(1, _GRID_CHECK_LINES // cells)
+    for f0 in range(0, min(len(frames), late_line // cells + 1), step):
+        block = frames[f0 : f0 + step]
+        t = block[..., 0]
+        bad_cell = (block[..., 1] != np.arange(rows)[:, None]) | (block[..., 2] != np.arange(cols))
+        bad = (bad_cell | (t != t[:, :1, :1])).ravel()
+        if not bad.any():
+            continue
+        j = int(np.argmax(bad))
+        i = f0 * cells + j
+        if i > late_line:
+            break
+        if bad_cell.flat[j]:
+            raise ValueError(
+                f"{path}, line {i + 2}: expected row {i % cells // cols}, col {i % cols} "
+                f"(frames hold cells in row-major order), found row {data[i, 1]:g}, "
+                f"col {data[i, 2]:g}"
+            )
+        raise ValueError(
+            f"{path}, line {i + 2}: time_s {data[i, 0]:.12g} differs from its frame's "
+            f"time_s {data[i - i % cells, 0]:.12g}"
+        )
+    if late.size:
+        raise ValueError(
+            f"{path}, line {late_line + 2}: frame time_s {data[late_line, 0]:.12g} does not "
+            f"increase past the previous frame's {data[late_line - cells, 0]:.12g}"
+        )
+
+
 def read_grid(path_csv: Path | str, path_meta: Path | str) -> SubregionGrid:
+    """Grid written by :func:`write_grid`; lines out of its order are rejected."""
     with open(path_meta) as fh:
         meta = json.load(fh)
     data = _load_csv(path_csv, 6)
     rows, cols = meta["rows"], meta["cols"]
-    n = data.shape[0] // (rows * cols)
-    values = data[:, 3:6].reshape(n, rows, cols, 3)
+    _check_grid_order(data, rows, cols, path_csv)
+    values = data[:, 3:6].reshape(-1, rows, cols, 3)
     return SubregionGrid(
         values=values,
         sample_rate_hz=meta["sample_rate_hz"],

@@ -7,6 +7,7 @@ real-valued signal carrying its sample rate and a session-clock start time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "hilbert_envelope",
     "divide_by_envelope",
     "resample_linear",
+    "window_starts",
     "windows",
 ]
 
@@ -115,12 +117,22 @@ class BandpassSpec:
 
 @dataclass(frozen=True)
 class FilterCoefficients:
-    """Digital IIR transfer-function coefficients tied to a sample rate."""
+    """Digital IIR transfer-function coefficients tied to a sample rate.
+
+    ``b`` and ``a`` are read-only, so one design can be shared by every
+    caller that asks for it.
+    """
 
     b: np.ndarray
     a: np.ndarray
     sample_rate_hz: float
     spec: BandpassSpec
+
+    def __post_init__(self):
+        for name in ("b", "a"):
+            coeffs = np.array(getattr(self, name), dtype=np.float64)
+            coeffs.flags.writeable = False
+            object.__setattr__(self, name, coeffs)
 
     def poles(self) -> np.ndarray:
         return np.roots(self.a)
@@ -154,12 +166,14 @@ class WindowPlan:
         return int(round(self.length_s * sample_rate_hz))
 
 
+@functools.lru_cache(maxsize=256)
 def design_bandpass(spec: BandpassSpec, sample_rate_hz: float) -> FilterCoefficients:
     """Design a digital Butterworth band-pass for the given sample rate.
 
     The analog Butterworth prototype is mapped through the bilinear transform
     with frequency pre-warping, so the magnitude response crosses -3 dB at
-    each cutoff.
+    each cutoff. Designs are cached on the exact (spec, rate) pair; the
+    coefficients are read-only, so sharing them is safe.
 
     Raises:
         ValueError: if the high cutoff reaches the Nyquist frequency.
@@ -252,25 +266,39 @@ def resample_linear(w: Waveform, new_rate_hz: float) -> Waveform:
     return Waveform(out, new_rate_hz, w.start_time_s)
 
 
+def window_starts(n: int, sample_rate_hz: float, plan: WindowPlan) -> np.ndarray:
+    """Start indices of the sliding windows over ``n`` samples.
+
+    Window k starts at sample ``round(k * step)`` (half to even), where
+    ``step = stride_s * sample_rate_hz``, and holds
+    ``plan.length_samples(sample_rate_hz)`` samples; a window that would run
+    past sample ``n`` ends the schedule, so fewer than one window's worth of
+    samples yields no starts.
+
+    Raises:
+        ValueError: if the window holds no samples at this rate.
+    """
+    n_len = plan.length_samples(sample_rate_hz)
+    if n_len < 1:
+        raise ValueError(f"window of {plan.length_s} s is empty at {sample_rate_hz} Hz")
+    step = plan.stride_s * sample_rate_hz
+    # Starts never decrease in k, so the windows that fit are a prefix of any
+    # range of k reaching one past the last start at or below n - n_len.
+    k_max = int(np.floor((n - n_len + 0.5) / step)) + 2 if n >= n_len else 0
+    starts = np.rint(np.arange(k_max) * step).astype(np.int64)
+    return starts[starts <= n - n_len]
+
+
 def windows(w: Waveform, plan: WindowPlan) -> list[tuple[int, Waveform]]:
     """Enumerate sliding windows as (start_index, waveform) pairs.
 
-    Window k starts at ``start_time_s + k * stride_s`` (rounded to the sample
-    grid) and holds exactly ``round(length_s * sample_rate_hz)`` samples.
-    Windows that would run past the end of the signal are dropped, so a signal
-    shorter than the window yields an empty list.
+    Starts follow :func:`window_starts`; each window holds exactly
+    ``round(length_s * sample_rate_hz)`` samples and windows that would run
+    past the end of the signal are dropped, so a signal shorter than the
+    window yields an empty list.
     """
-    n = len(w)
     n_len = plan.length_samples(w.sample_rate_hz)
-    if n_len < 1:
-        raise ValueError(f"window of {plan.length_s} s is empty at {w.sample_rate_hz} Hz")
-    step = plan.stride_s * w.sample_rate_hz
-    out: list[tuple[int, Waveform]] = []
-    k = 0
-    while True:
-        start = int(round(k * step))
-        if start + n_len > n:
-            break
-        out.append((start, w.slice(start, start + n_len)))
-        k += 1
-    return out
+    return [
+        (start, w.slice(start, start + n_len))
+        for start in window_starts(len(w), w.sample_rate_hz, plan).tolist()
+    ]

@@ -18,6 +18,8 @@ from bodyppg import (
 )
 from bodyppg.synth import Burst, PulseModel, constant_rate, motion_burst_noise, ramp_rate, synth_pulse
 
+import loop_reference
+
 FS = 400.0
 
 
@@ -152,6 +154,53 @@ class TestFusion:
         half_window = int(5.0 * FS)
         d = fine.samples[half_window:-half_window] - coarse.samples[half_window:-half_window]
         assert np.sqrt(np.mean(d**2)) < 1e-3
+
+
+class TestFusionOracle:
+    """Batched per-window filtering equals the per-channel loop exactly."""
+
+    def test_equals_per_channel_loop(self):
+        bank = make_bank(n_channels=4, duration_s=40.0, corrupt=(2,), seed0=500)
+        channels = [wave.samples.copy() for _, wave in bank.channels]
+        channels[1][int(5 * FS) : int(20 * FS)] = 3.0  # flat for 15 s
+        for c in channels:  # every channel flat from 24 s to 36 s
+            c[int(24 * FS) : int(36 * FS)] = -1.5
+        times = np.arange(0.0, 40.0, 1.0 / 60.0)
+        oximeter = PulseRateSeries(times, np.linspace(60.0, 110.0, times.size), 0.0, (30.0, 240.0))
+        bank = SensorBank(
+            channels=tuple(
+                (site, Waveform(c, FS, 0.5))
+                for (site, _), c in zip(bank.channels, channels)
+            ),
+            oximeter_rate=oximeter,
+        )
+        plan = WindowPlan(10.0, 0.25)
+        fused, diags = fuse_ground_truth_report(bank, plan)
+        want, want_diags = loop_reference.fuse_ground_truth_report(bank, plan)
+        np.testing.assert_array_equal(fused.samples, want.samples)
+        assert fused.start_time_s == want.start_time_s
+        assert diags.to_dict() == want_diags.to_dict()
+        assert diags.skipped_channel_windows["site1"] > len(diags.empty_window_times_s) > 0
+
+
+class TestOximeterCoverage:
+    def test_short_stream_warns_naming_both_spans(self, caplog):
+        bank = make_bank(n_channels=2, duration_s=30.0)
+        short = SensorBank(bank.channels, oximeter_series(72.0, 10.0))
+        with caplog.at_level("WARNING", logger="bodyppg.fusion"):
+            fused, diags = fuse_ground_truth_report(short)
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(messages) == 1
+        assert "oximeter stream covers 0.000-9.983 s" in messages[0]
+        assert "sensors' common span 0.000-30.000 s" in messages[0]
+        # the diagnostics are the same as with a full-length stream
+        _, full_diags = fuse_ground_truth_report(bank)
+        assert diags.to_dict() == full_diags.to_dict()
+
+    def test_full_stream_is_silent(self, caplog):
+        with caplog.at_level("WARNING", logger="bodyppg.fusion"):
+            fuse_ground_truth_report(make_bank(n_channels=2, duration_s=30.0))
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestReferencePulseRate:

@@ -16,6 +16,8 @@ from bodyppg import (
 from bodyppg.grid import ErrorFrame, grid_geometry, grid_traces
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
 
+import loop_reference
+
 FS = 90.0
 
 
@@ -128,6 +130,49 @@ class TestScoreGrid:
     def test_short_signal_empty(self):
         grid = make_grid(duration_s=8.0)
         assert score_grid(grid, flat_reference(72.0, 30.0)) == []
+
+
+class TestScoreGridOracle:
+    """Batched scoring equals the per-cell loop exactly, edge cells included."""
+
+    @staticmethod
+    def edge_grid(start_time_s=0.0):
+        grid = make_grid(rows=3, cols=4, duration_s=40.0, noise_cells=((1, 0),), seed=3)
+        values = grid.values.copy()
+        values[:, 0, 0, 0] = 0.0  # zero red mean: POS raises in every window
+        values[:, 0, 1, :] = (0.5, 0.4, 0.3)  # constant: an all-zero pulse
+        values[: int(12 * FS), 2, 3, 1] = 0.0  # zero green mean in early windows only
+        fraction = np.ones((3, 4))
+        fraction[0, 2] = 0.3  # below the skin threshold
+        return SubregionGrid(values, FS, start_time_s, (0, 0), 20, fraction)
+
+    @staticmethod
+    def assert_frames_equal(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.window_index, g.window_start_s) == (w.window_index, w.window_start_s)
+            np.testing.assert_array_equal(g.mae_map, w.mae_map)
+            np.testing.assert_array_equal(g.snr_map, w.snr_map)
+            np.testing.assert_array_equal(g.skin_mask, w.skin_mask)
+
+    @pytest.mark.parametrize("plan", [None, WindowPlan(10.0, 4.0), WindowPlan(7.3, 3.1)])
+    def test_equals_per_cell_loop(self, plan):
+        grid = self.edge_grid(start_time_s=2.5)
+        times = np.arange(5.0, 45.0, 1.0)
+        ref = PulseRateSeries(times, np.linspace(65.0, 80.0, times.size), 10.0, (40.0, 180.0))
+        got = score_grid(grid, ref, plan)
+        self.assert_frames_equal(got, loop_reference.score_grid(grid, ref, plan))
+        assert np.isnan(got[0].mae_map[[0, 0, 0, 2], [0, 1, 2, 3]]).all()
+        assert np.isfinite(got[-1].mae_map[2, 3])
+
+    def test_band_beyond_nyquist_leaves_every_cell_undefined(self):
+        grid = self.edge_grid()
+        ref = flat_reference(72.0, 40.0)
+        band = (40.0, 3000.0)  # Nyquist is 2700 bpm at 90 Hz
+        got = score_grid(grid, ref, band_bpm=band)
+        self.assert_frames_equal(got, loop_reference.score_grid(grid, ref, band_bpm=band))
+        assert len(got) == 4
+        assert all(np.isnan(f.mae_map).all() and np.isnan(f.snr_map).all() for f in got)
 
 
 class TestUpsample:

@@ -1,9 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bodyppg import Waveform, WindowPlan, spectral_peak, stft_pulse_rate
-from bodyppg.pulse_rate import PulseRateSeries
+from bodyppg import Waveform, WindowPlan, snr_harmonics, spectral_peak, stft_pulse_rate
+from bodyppg.metrics import harmonic_snrs
+from bodyppg.pulse_rate import PulseRateSeries, spectral_peaks
 from bodyppg.synth import PulseModel, ramp_rate, synth_pulse
+
+import loop_reference
 
 
 def make_tone(bpm, fs=90.0, duration_s=60.0):
@@ -110,3 +117,52 @@ class TestPulseRateSeries:
         )
         assert s.rate_at(2.2) == 70.0
         assert s.rate_at(-5.0) == 60.0
+
+
+class TestBatchedSpectralKernel:
+    """Rows rated and scored in one batch equal the per-window loops exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 24),
+        n_len=st.integers(16, 400),
+        fs=st.sampled_from([30.0, 90.0, 400.0]),
+        offset=st.sampled_from([0.0, 1.0, 5000.0]),
+        chunk_samples=st.sampled_from([1, 3 * 2**14, 2**18]),
+    )
+    def test_rows_equal_per_window_loops(self, seed, n_rows, n_len, fs, offset, chunk_samples):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n_len) / fs
+        rates = rng.uniform(40.0, 180.0, n_rows)
+        tones = np.sin(2 * np.pi * rates[:, None] / 60.0 * t)
+        rows = offset + tones + rng.normal(0.0, 0.5, (n_rows, n_len))
+        rows[rng.random(n_rows) < 0.2] = offset  # constant rows have no rate
+        band = (40.0, 180.0)
+        with mock.patch("bodyppg.pulse_rate._CHUNK_SAMPLES", chunk_samples):
+            peaks = spectral_peaks(rows, fs, band)
+            snrs = harmonic_snrs(rows, fs, rates)
+        np.testing.assert_array_equal(
+            peaks, [loop_reference.window_peak_rate(r, fs, band) for r in rows]
+        )
+        np.testing.assert_array_equal(
+            snrs, [loop_reference.window_snr(r, fs, rate) for r, rate in zip(rows, rates)]
+        )
+
+        # stft_pulse_rate and snr_harmonics take the windows of one signal as rows
+        w = Waveform(rows.ravel(), fs, start_time_s=2.0)
+        plan = WindowPlan(n_len / fs, 0.37 * n_len / fs)
+        segs = [w.samples[s : s + n_len] for s in loop_reference.window_starts(len(w), fs, plan)]
+        want = np.array([loop_reference.window_peak_rate(x, fs, band) for x in segs])
+        series = stft_pulse_rate(w, plan, band)
+        np.testing.assert_array_equal(series.rates_bpm, want[np.isfinite(want)])
+        assert series.n_skipped == np.count_nonzero(np.isnan(want))
+        ref = PulseRateSeries(np.array([0.0, 1e4]), np.array([72.0, 90.0]), plan.length_s, band)
+        centers = [
+            w.start_time_s + s / fs + 0.5 * plan.length_s
+            for s in loop_reference.window_starts(len(w), fs, plan)
+        ]
+        want_snr = [
+            loop_reference.window_snr(x, fs, ref.rate_at(c)) for x, c in zip(segs, centers)
+        ]
+        assert snr_harmonics(w, ref, plan=plan) == float(np.mean(want_snr))

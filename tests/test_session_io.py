@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bodyppg import PoseKeypoints, PulseRateSeries, RGBTrace, Waveform
+from bodyppg import PoseKeypoints, PulseRateSeries, RGBTrace, SubregionGrid, Waveform, session
 from bodyppg.session import (
     SessionManifest,
     extract_traces,
     read_frame_dump,
+    read_grid,
     read_oximeter_csv,
     read_pgm,
     read_rate_csv,
@@ -13,6 +14,7 @@ from bodyppg.session import (
     read_trace_csv,
     read_waveform_csv,
     write_frame_dump,
+    write_grid,
     write_pgm,
     write_rate_csv,
     write_trace_csv,
@@ -102,6 +104,78 @@ class TestOtherCsv:
         write_trace_csv(path, trace)
         back = read_trace_csv(path, roi_label="face", declared_rate_hz=90.0)
         assert np.allclose(back.channel_matrix(), trace.channel_matrix(), atol=1e-9)
+
+
+class TestGridCsv:
+    """Grid CSVs must hold whole frames, cells in row-major order, one time per frame."""
+
+    @pytest.fixture(autouse=True, params=[None, 6, 12], ids=["default", "1-frame", "2-frame"])
+    def check_block(self, request, monkeypatch):
+        # The check walks blocks of whole frames; small blocks put each error
+        # case into a later block.
+        if request.param is not None:
+            monkeypatch.setattr(session, "_GRID_CHECK_LINES", request.param)
+
+    @staticmethod
+    def write(tmp_path, n_frames=4, rows=2, cols=3):
+        rng = np.random.default_rng(5)
+        grid = SubregionGrid(
+            rng.uniform(0.2, 0.8, (n_frames, rows, cols, 3)), 30.0, 1.5, (4, 8), 20,
+            rng.uniform(0.0, 1.0, (rows, cols)),
+        )
+        write_grid(tmp_path / "grid.csv", tmp_path / "grid.json", grid)
+        lines = (tmp_path / "grid.csv").read_text().splitlines()
+        return grid, lines
+
+    @staticmethod
+    def read(tmp_path, lines):
+        (tmp_path / "grid.csv").write_text("\n".join(lines) + "\n")
+        return read_grid(tmp_path / "grid.csv", tmp_path / "grid.json")
+
+    def test_round_trip(self, tmp_path):
+        grid, lines = self.write(tmp_path)
+        back = self.read(tmp_path, lines)
+        np.testing.assert_allclose(back.values, grid.values, rtol=1e-11)
+        np.testing.assert_array_equal(back.skin_fraction, grid.skin_fraction)
+        assert (back.sample_rate_hz, back.start_time_s) == (30.0, 1.5)
+
+    def test_short_file_names_the_incomplete_frame(self, tmp_path):
+        _, lines = self.write(tmp_path)
+        with pytest.raises(ValueError, match=r"grid\.csv: 22 data lines do not fill whole "
+                           r"frames of 2x3 cells; the frame starting at line 20 is incomplete"):
+            self.read(tmp_path, lines[:-2])
+
+    def test_swapped_cell_rows_rejected(self, tmp_path):
+        _, lines = self.write(tmp_path)
+        lines[9], lines[10] = lines[10], lines[9]  # frame 1, cells (0, 2) and (1, 0)
+        with pytest.raises(
+            ValueError, match=r"grid\.csv, line 10: expected row 0, col 2 .* found row 1, col 0$"
+        ):
+            self.read(tmp_path, lines)
+
+    def test_wrong_col_value_rejected(self, tmp_path):
+        _, lines = self.write(tmp_path)
+        fields = lines[15].split(",")
+        fields[2] = "7"
+        lines[15] = ",".join(fields)
+        wanted = r"line 16: expected row 0, col 2 .* found row 0, col 7$"
+        with pytest.raises(ValueError, match=wanted):
+            self.read(tmp_path, lines)
+
+    def test_time_must_be_constant_within_a_frame(self, tmp_path):
+        _, lines = self.write(tmp_path)
+        fields = lines[5].split(",")
+        fields[0] = "1.51"
+        lines[5] = ",".join(fields)
+        wanted = r"line 6: time_s 1.51 differs from its frame's time_s 1.5$"
+        with pytest.raises(ValueError, match=wanted):
+            self.read(tmp_path, lines)
+
+    def test_frame_times_must_increase(self, tmp_path):
+        _, lines = self.write(tmp_path)
+        lines[1:7], lines[7:13] = lines[7:13], lines[1:7]  # frames 0 and 1 swapped
+        with pytest.raises(ValueError, match=r"line 8: frame time_s 1.5 does not increase"):
+            self.read(tmp_path, lines)
 
 
 class TestRasters:

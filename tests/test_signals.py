@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal as sps
 
 from bodyppg import (
     BandpassSpec,
@@ -10,9 +13,12 @@ from bodyppg import (
     divide_by_envelope,
     hilbert_envelope,
     resample_linear,
+    window_starts,
     windows,
     z_normalize,
 )
+
+import loop_reference
 
 
 class TestWaveform:
@@ -67,6 +73,18 @@ class TestDesignBandpass:
             for fs in (60.0, 90.0, 400.0):
                 coeffs = design_bandpass(BandpassSpec(order, 40.0, 180.0), fs)
                 assert np.max(np.abs(coeffs.poles())) < 1.0
+
+
+    def test_designs_are_shared_and_read_only(self):
+        spec = BandpassSpec(4, 40.0, 180.0)
+        coeffs = design_bandpass(spec, 90.0)
+        assert design_bandpass(BandpassSpec(4, 40.0, 180.0), 90.0) is coeffs
+        b, a = sps.butter(4, [40.0 / 60.0, 3.0], btype="bandpass", fs=90.0)
+        np.testing.assert_array_equal(coeffs.b, b)
+        np.testing.assert_array_equal(coeffs.a, a)
+        for arr in (coeffs.b, coeffs.a):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestZeroPhaseFilter:
@@ -246,3 +264,22 @@ class TestWindows:
         assert [seg.start_time_s for _, seg in wins] == pytest.approx(
             [3.0, 4.5, 6.0, 7.5, 9.0, 10.5]
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 5000),
+        fs=st.sampled_from([30.0, 60.0, 90.0, 400.0, 29.97]),
+        length_s=st.floats(0.01, 12.0),
+        stride_s=st.floats(0.001, 5.0),
+    )
+    def test_window_starts_follow_the_rounding_loop(self, n, fs, length_s, stride_s):
+        plan = WindowPlan(length_s, stride_s)
+        if plan.length_samples(fs) < 1:
+            with pytest.raises(ValueError, match="empty"):
+                window_starts(n, fs, plan)
+            return
+        got = window_starts(n, fs, plan)
+        assert got.tolist() == loop_reference.window_starts(n, fs, plan)
+        if n:
+            w = Waveform(np.zeros(n), fs)
+            assert [start for start, _ in windows(w, plan)] == got.tolist()
