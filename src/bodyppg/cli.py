@@ -34,17 +34,18 @@ from .metrics import score_series
 from .pulse_rate import DEFAULT_BAND_BPM, stft_pulse_rate
 from .rppg import MethodConfig, extract_pulse
 from .session import (
+    _FLOAT_FMT,
     SessionManifest,
     read_rate_csv,
     read_waveform_csv,
+    write_csv,
+    write_json,
     write_rate_csv,
     write_waveform_csv,
 )
 from .signals import WindowPlan
 from .synthetic_session import SyntheticSessionConfig, build_synthetic_session
-from .transit_time import DEFAULT_MAX_LAG_S, DEFAULT_MIN_PEAK_CORR, ptt_matrix
-
-_FLOAT_FMT = "%.12g"
+from .transit_time import DEFAULT_MAX_LAG_S, DEFAULT_MIN_PEAK_CORR, PTTMatrix, ptt_matrix
 
 
 class _OutputStage:
@@ -76,12 +77,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _config_echo(
     stage: _OutputStage, command: str, params: dict, inputs: list[Path]
 ) -> None:
@@ -93,7 +88,7 @@ def _config_echo(
         "parameters": {k: v for k, v in sorted(params.items()) if k != "out_dir"},
         "inputs": {p.name: _sha256(p) for p in sorted(set(inputs))},
     }
-    _write_json(stage.path(f"{command.replace('-', '_')}_config.json"), echo)
+    write_json(stage.path(f"{command.replace('-', '_')}_config.json"), echo)
 
 
 def _parse_band(text: str) -> tuple[float, float]:
@@ -150,7 +145,7 @@ def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
     write_waveform_csv(stage.path("fused.csv"), fused)
     rates = reference_pulse_rate(fused)
     write_rate_csv(stage.path("fused_rates.csv"), rates)
-    _write_json(stage.path("fused_diagnostics.json"), diags.to_dict())
+    write_json(stage.path("fused_diagnostics.json"), diags.to_dict())
     _config_echo(stage, "fuse-gt", params, _manifest_inputs(manifest))
 
 
@@ -176,7 +171,7 @@ def cmd_estimate(params: dict, stage: _OutputStage) -> None:
     report = score_series(rates, ref, waveform=pulse)
     write_waveform_csv(stage.path(f"pulse_{roi}_{method}.csv"), pulse)
     write_rate_csv(stage.path(f"rates_{roi}_{method}.csv"), rates)
-    _write_json(
+    write_json(
         stage.path(f"score_{roi}_{method}.json"),
         {
             "roi": roi,
@@ -203,7 +198,7 @@ def cmd_score(params: dict, stage: _OutputStage) -> None:
     pred = read_rate_csv(params["pred"])
     ref = read_rate_csv(params["ref"])
     report = score_series(pred, ref)
-    _write_json(stage.path("score.json"), report.to_dict())
+    write_json(stage.path("score.json"), report.to_dict())
     _config_echo(stage, "score", params, [Path(params["pred"]), Path(params["ref"])])
 
 
@@ -221,18 +216,8 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
 
     mae_maps, snr_maps = [], []
     for frame in frames:
-        np.savetxt(
-            stage.path(f"frame_{frame.window_index:03d}_mae.csv"),
-            frame.mae_map,
-            delimiter=",",
-            fmt=_FLOAT_FMT,
-        )
-        np.savetxt(
-            stage.path(f"frame_{frame.window_index:03d}_snr.csv"),
-            frame.snr_map,
-            delimiter=",",
-            fmt=_FLOAT_FMT,
-        )
+        write_csv(stage.path(f"frame_{frame.window_index:03d}_mae.csv"), [frame.mae_map])
+        write_csv(stage.path(f"frame_{frame.window_index:03d}_snr.csv"), [frame.snr_map])
         up = upsample_frame(frame, factor)
         mae_px = np.where(up["mask"], up["mae"], np.nan)
         snr_px = np.where(up["mask"], up["snr"], np.nan)
@@ -250,10 +235,10 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
 
     mae_mean, count = aggregate_heatmap(mae_maps)
     snr_mean, _ = aggregate_heatmap(snr_maps)
-    np.savetxt(stage.path("aggregate_mae.csv"), mae_mean, delimiter=",", fmt=_FLOAT_FMT)
-    np.savetxt(stage.path("aggregate_snr.csv"), snr_mean, delimiter=",", fmt=_FLOAT_FMT)
-    np.savetxt(stage.path("aggregate_count.csv"), count, delimiter=",", fmt="%d")
-    _write_json(
+    write_csv(stage.path("aggregate_mae.csv"), [mae_mean])
+    write_csv(stage.path("aggregate_snr.csv"), [snr_mean])
+    write_csv(stage.path("aggregate_count.csv"), [count], fmt="%d")
+    write_json(
         stage.path("grid_meta.json"),
         {
             "roi": roi,
@@ -271,20 +256,25 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     _config_echo(stage, "grid-map", params, _manifest_inputs(manifest))
 
 
+def ptt_window_rows(matrix: PTTMatrix) -> np.ndarray:
+    """``ptt_windows.csv`` rows (window center time, site a < site b, lag ms) in C order."""
+    lags = matrix.per_window_lag_s
+    upper = np.triu(np.ones(lags.shape[1:], dtype=bool), k=1)
+    widx, i, j = np.nonzero(np.isfinite(lags) & upper)
+    return np.column_stack([matrix.window_times_s[widx], i, j, lags[widx, i, j] * 1000.0])
+
+
 def cmd_ptt(params: dict, stage: _OutputStage) -> None:
     manifest = SessionManifest.load(params["manifest"])
     source = params.get("source") or "sensors"
     if source == "sensors":
-        waves = [
-            (site, wave)
-            for site, wave in manifest.load_sensor_bank().channels
-        ]
+        waves = list(manifest.load_sensor_bank().channels)
         plan = _plan(params, 5.0, 0.010)
     elif source == "rppg":
         cfg = MethodConfig(method=params.get("method") or "pos")
         waves = [
-            (roi, extract_pulse(manifest.load_trace(roi), cfg))
-            for roi in sorted(manifest.trace_paths)
+            (roi, extract_pulse(trace, cfg))
+            for roi, trace in manifest.load_traces(manifest.trace_rois()).items()
         ]
         plan = _plan(params, 5.0, 1.0 / manifest.fps)
     else:
@@ -296,25 +286,12 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
         max_lag_s=_param(params, "max_lag_s", DEFAULT_MAX_LAG_S),
         min_peak_corr=_param(params, "min_peak_corr", DEFAULT_MIN_PEAK_CORR),
     )
-    _write_json(stage.path("ptt_matrix.json"), matrix.to_dict())
+    write_json(stage.path("ptt_matrix.json"), matrix.to_dict())
 
-    rows = []
-    n_sites = len(matrix.sites)
-    for widx in range(matrix.per_window_lag_s.shape[0]):
-        for i in range(n_sites):
-            for j in range(i + 1, n_sites):
-                lag = matrix.per_window_lag_s[widx, i, j]
-                if np.isfinite(lag):
-                    rows.append(
-                        (matrix.window_times_s[widx], i, j, lag * 1000.0)
-                    )
-    table = np.asarray(rows) if rows else np.empty((0, 4))
-    np.savetxt(
+    write_csv(
         stage.path("ptt_windows.csv"),
-        table,
-        delimiter=",",
-        header="window_center_time_s,site_a_index,site_b_index,lag_ms",
-        comments="",
+        [ptt_window_rows(matrix)],
+        "window_center_time_s,site_a_index,site_b_index,lag_ms",
         fmt=[_FLOAT_FMT, "%d", "%d", _FLOAT_FMT],
     )
     _config_echo(stage, "ptt", params, _manifest_inputs(manifest))

@@ -156,6 +156,21 @@ def grid_geometry(bbox_w: int, bbox_h: int, cell_px: int = DEFAULT_CELL_PX) -> t
     return bbox_w // cell_px, bbox_h // cell_px
 
 
+def _check_frame_indices(idx: np.ndarray, n_frames: int) -> None:
+    if len(idx) != n_frames:
+        raise ValueError(f"{len(idx)} frame indices for {n_frames} frames of cell means")
+    wanted = np.arange(idx[0], idx[0] + n_frames)
+    bad = np.flatnonzero(idx != wanted)
+    if bad.size:
+        k = int(bad[0])
+        # idx[:k] holds idx[0] .. wanted[k] - 1, so a smaller index repeats one of them.
+        if idx[0] <= idx[k] < wanted[k]:
+            raise ValueError(f"duplicate frame index {idx[k]} at position {k}")
+        if np.any(idx[k + 1 :] == wanted[k]):
+            raise ValueError(f"frames out of order: position {k} holds {idx[k]}, not {wanted[k]}")
+        raise ValueError(f"missing frames: {wanted[k]} is absent (position {k} holds {idx[k]})")
+
+
 def grid_traces(
     cell_means: np.ndarray,
     sample_rate_hz: float,
@@ -167,16 +182,13 @@ def grid_traces(
 ) -> SubregionGrid:
     """Assemble per-cell traces from per-frame, per-cell RGB means.
 
-    ``frame_indices``, when given, must be contiguous; gaps raise an error
-    listing the missing frames.
+    ``frame_indices``, when given, must count up by one from its first entry,
+    one per row of ``cell_means``; the error names the first duplicate,
+    out-of-order or missing index.
     """
     cell_means = np.asarray(cell_means, dtype=np.float64)
     if frame_indices is not None:
-        idx = np.asarray(frame_indices)
-        expected = np.arange(idx[0], idx[0] + len(idx))
-        missing = sorted(set(expected.tolist()) - set(idx.tolist()))
-        if missing:
-            raise ValueError(f"missing frames: {missing}")
+        _check_frame_indices(np.asarray(frame_indices), cell_means.shape[0])
     if skin_fraction is None:
         skin_fraction = np.ones(cell_means.shape[1:3])
     return SubregionGrid(

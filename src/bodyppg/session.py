@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,9 @@ __all__ = [
     "read_waveform_csv",
     "write_waveform_csv",
     "read_sensor_csv",
+    "write_sensor_csv",
     "read_oximeter_csv",
+    "write_oximeter_csv",
     "read_rate_csv",
     "write_rate_csv",
     "read_trace_csv",
@@ -51,6 +53,8 @@ __all__ = [
     "read_grid",
     "write_grid",
     "extract_traces",
+    "write_csv",
+    "write_json",
     "RATE_TOLERANCE",
 ]
 
@@ -61,20 +65,10 @@ _FRAME_DUMP_MAGIC = b"RFD1"
 _FRAME_DUMP_HEADER = struct.Struct("<4sIII d")  # magic, width, height, frames, fps
 _FRAME_DUMP_HEADER_SIZE = 32
 
+# Every float this package writes to CSV uses this format.
 _FLOAT_FMT = "%.12g"
 # Grid CSVs are checked in blocks of whole frames of about this many lines.
 _GRID_CHECK_LINES = 1 << 15
-
-
-def _check_rate(inferred: float, declared: float | None, path: Path | str) -> float:
-    if declared is None:
-        return inferred
-    if abs(inferred - declared) > RATE_TOLERANCE * declared:
-        raise ValueError(
-            f"{path}: inferred sample rate {inferred:.6g} Hz deviates more than "
-            f"{RATE_TOLERANCE:.1%} from the declared {declared:.6g} Hz"
-        )
-    return declared
 
 
 def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
@@ -86,24 +80,51 @@ def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
     return data
 
 
-def _infer_rate(times: np.ndarray, path: Path | str) -> float:
+def _load_uniform_csv(
+    path: Path | str, expected_columns: int, declared: float | None
+) -> tuple[np.ndarray, float]:
+    """A uniformly sampled CSV and its sample rate, inferred from the time
+    column; a declared rate wins when the two agree within RATE_TOLERANCE."""
+    data = _load_csv(path, expected_columns)
+    times = data[:, 0]
     if times.size < 2:
         raise ValueError(f"{path}: need at least two samples to infer a rate")
     span = times[-1] - times[0]
     if span <= 0:
         raise ValueError(f"{path}: timestamps must increase")
-    return (times.size - 1) / span
+    inferred = (times.size - 1) / span
+    if declared is None:
+        return data, inferred
+    if abs(inferred - declared) > RATE_TOLERANCE * declared:
+        raise ValueError(
+            f"{path}: inferred sample rate {inferred:.6g} Hz deviates more than "
+            f"{RATE_TOLERANCE:.1%} from the declared {declared:.6g} Hz"
+        )
+    return data, declared
+
+
+def write_csv(path: Path | str, columns: list, header: str = "", fmt=_FLOAT_FMT) -> None:
+    """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV;
+    no header line when ``header`` is empty."""
+    np.savetxt(
+        path, np.column_stack(columns), delimiter=",", header=header, comments="", fmt=fmt
+    )
+
+
+def write_json(path: Path | str, doc: dict) -> None:
+    """JSON with sorted keys, two-space indent and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_waveform_csv(path: Path | str, declared_rate_hz: float | None = None) -> Waveform:
-    data = _load_csv(path, 2)
-    rate = _check_rate(_infer_rate(data[:, 0], path), declared_rate_hz, path)
+    data, rate = _load_uniform_csv(path, 2, declared_rate_hz)
     return Waveform(data[:, 1], rate, float(data[0, 0]))
 
 
 def write_waveform_csv(path: Path | str, w: Waveform) -> None:
-    out = np.column_stack([w.times(), w.samples])
-    np.savetxt(path, out, delimiter=",", header="time_s,value", comments="", fmt=_FLOAT_FMT)
+    write_csv(path, [w.times(), w.samples], "time_s,value")
 
 
 def read_sensor_csv(
@@ -113,23 +134,33 @@ def read_sensor_csv(
     columns = {"red": 1, "ir": 2}
     if channel not in columns:
         raise ValueError(f"unknown sensor channel {channel!r}; expected one of {sorted(columns)}")
-    data = _load_csv(path, 3)
-    rate = _check_rate(_infer_rate(data[:, 0], path), declared_rate_hz, path)
+    data, rate = _load_uniform_csv(path, 3, declared_rate_hz)
     return Waveform(data[:, columns[channel]], rate, float(data[0, 0]))
+
+
+def write_sensor_csv(
+    path: Path | str, times_s: np.ndarray, red: np.ndarray, ir: np.ndarray
+) -> None:
+    write_csv(path, [times_s, red, ir], "time_s,red,ir")
 
 
 def read_oximeter_csv(
     path: Path | str, declared_rate_hz: float | None = None
 ) -> PulseRateSeries:
     """Fingertip oximeter pulse-rate stream; the SpO2 column is ignored."""
-    data = _load_csv(path, 3)
-    _check_rate(_infer_rate(data[:, 0], path), declared_rate_hz, path)
+    data, _ = _load_uniform_csv(path, 3, declared_rate_hz)
     return PulseRateSeries(
         times_s=data[:, 0],
         rates_bpm=data[:, 1],
         window_length_s=0.0,
         band_bpm=(30.0, 240.0),
     )
+
+
+def write_oximeter_csv(
+    path: Path | str, times_s: np.ndarray, bpm: np.ndarray, spo2: float = 98.0
+) -> None:
+    write_csv(path, [times_s, bpm, np.full(len(times_s), spo2)], "time_s,bpm,spo2")
 
 
 def write_rate_csv(path: Path | str, series: PulseRateSeries) -> None:
@@ -139,8 +170,7 @@ def write_rate_csv(path: Path | str, series: PulseRateSeries) -> None:
         f"band_bpm={series.band_bpm[0]:g}:{series.band_bpm[1]:g} "
         f"n_skipped={series.n_skipped}"
     )
-    out = np.column_stack([series.times_s, series.rates_bpm])
-    np.savetxt(path, out, delimiter=",", header=header, comments="", fmt=_FLOAT_FMT)
+    write_csv(path, [series.times_s, series.rates_bpm], header)
 
 
 def read_rate_csv(path: Path | str) -> PulseRateSeries:
@@ -168,17 +198,14 @@ def read_rate_csv(path: Path | str) -> PulseRateSeries:
 
 
 def write_trace_csv(path: Path | str, trace: RGBTrace) -> None:
-    out = np.column_stack(
-        [trace.r.times(), trace.r.samples, trace.g.samples, trace.b.samples]
-    )
-    np.savetxt(path, out, delimiter=",", header="time_s,r,g,b", comments="", fmt=_FLOAT_FMT)
+    columns = [trace.r.times(), trace.r.samples, trace.g.samples, trace.b.samples]
+    write_csv(path, columns, "time_s,r,g,b")
 
 
 def read_trace_csv(
     path: Path | str, roi_label: str = "", declared_rate_hz: float | None = None
 ) -> RGBTrace:
-    data = _load_csv(path, 4)
-    rate = _check_rate(_infer_rate(data[:, 0], path), declared_rate_hz, path)
+    data, rate = _load_uniform_csv(path, 4, declared_rate_hz)
     start = float(data[0, 0])
     return RGBTrace(
         Waveform(data[:, 1], rate, start),
@@ -264,9 +291,7 @@ def write_poses_json(path: Path | str, poses: list[PoseKeypoints]) -> None:
             for p in poses
         ]
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_poses_json(path: Path | str) -> list[PoseKeypoints]:
@@ -291,13 +316,10 @@ def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid)
     row_col = np.tile(np.repeat(np.arange(rows), cols), n)
     col_col = np.tile(np.arange(cols), n * rows)
     flat = grid.values.reshape(n * rows * cols, 3)
-    out = np.column_stack([frame_col, row_col, col_col, flat])
-    np.savetxt(
+    write_csv(
         path_csv,
-        out,
-        delimiter=",",
-        header="time_s,row,col,r,g,b",
-        comments="",
+        [frame_col, row_col, col_col, flat],
+        "time_s,row,col,r,g,b",
         fmt=[_FLOAT_FMT, "%d", "%d", _FLOAT_FMT, _FLOAT_FMT, _FLOAT_FMT],
     )
     meta = {
@@ -309,9 +331,7 @@ def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid)
         "start_time_s": grid.start_time_s,
         "skin_fraction": grid.skin_fraction.tolist(),
     }
-    with open(path_meta, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path_meta, meta)
 
 
 def _check_grid_order(data: np.ndarray, rows: int, cols: int, path: Path | str) -> None:
@@ -457,7 +477,12 @@ def extract_traces(
 
 @dataclass(frozen=True)
 class SessionManifest:
-    """Parsed and validated description of one recording session."""
+    """Parsed and validated description of one recording session.
+
+    :meth:`load` parses every trace, sensor and oximeter CSV exactly once;
+    ``traces``, ``sensor_channels`` and ``oximeter`` hold what it read, and the
+    loaders hand those objects out instead of reading the files again.
+    """
 
     session_id: str
     root: Path
@@ -473,6 +498,9 @@ class SessionManifest:
     rois: tuple[dict, ...]
     keypoints_path: Path | None
     portions: tuple[tuple[str, float, float], ...]
+    traces: dict[str, RGBTrace]
+    sensor_channels: tuple[tuple[str, Waveform], ...]
+    oximeter: PulseRateSeries
 
     @classmethod
     def load(cls, path: Path | str) -> "SessionManifest":
@@ -487,7 +515,8 @@ class SessionManifest:
                 raise FileNotFoundError(f"manifest references missing file: {p}")
             return p
 
-        video = doc["video"]
+        video, oximeter = doc["video"], doc["oximeter"]
+        fps, oximeter_rate_hz = float(video["fps"]), float(oximeter["rate_hz"])
         frames_path = resolve(video["frames"]) if "frames" in video else None
         trace_paths = {
             label: resolve(rel) for label, rel in video.get("traces", {}).items()
@@ -500,39 +529,43 @@ class SessionManifest:
             (s["site"], resolve(s["path"]), s.get("channel", "ir"))
             for s in doc.get("sensors", [])
         )
-        oximeter = doc["oximeter"]
+        oximeter_path = resolve(oximeter["path"])
+        keypoints_path = resolve(doc["keypoints"]) if "keypoints" in doc else None
+        # Every referenced file exists; parse each CSV once.
         manifest = cls(
             session_id=doc["session_id"],
             root=root,
-            fps=float(video["fps"]),
+            fps=fps,
             width=int(video["width"]),
             height=int(video["height"]),
             frames_path=frames_path,
             trace_paths=trace_paths,
             grid_paths=grid_paths,
             sensors=sensors,
-            oximeter_path=resolve(oximeter["path"]),
-            oximeter_rate_hz=float(oximeter["rate_hz"]),
+            oximeter_path=oximeter_path,
+            oximeter_rate_hz=oximeter_rate_hz,
             rois=tuple(doc.get("rois", [])),
-            keypoints_path=resolve(doc["keypoints"]) if "keypoints" in doc else None,
+            keypoints_path=keypoints_path,
             portions=tuple(
                 (p["name"], float(p["start_s"]), float(p["end_s"]))
                 for p in doc.get("portions", [])
             ),
+            traces={
+                label: read_trace_csv(p, roi_label=label, declared_rate_hz=fps)
+                for label, p in trace_paths.items()
+            },
+            sensor_channels=tuple(
+                (site, read_sensor_csv(p, channel=channel)) for site, p, channel in sensors
+            ),
+            oximeter=read_oximeter_csv(oximeter_path, declared_rate_hz=oximeter_rate_hz),
         )
         manifest.validate()
         return manifest
 
     def validate(self) -> None:
-        """Check declared rates against file contents and portion spans."""
-        duration = 0.0
-        for label, p in self.trace_paths.items():
-            trace = read_trace_csv(p, roi_label=label, declared_rate_hz=self.fps)
-            duration = max(duration, trace.r.end_time_s)
-        for site, p, channel in self.sensors:
-            wave = read_sensor_csv(p, channel=channel)
-            duration = max(duration, wave.end_time_s)
-        read_oximeter_csv(self.oximeter_path, declared_rate_hz=self.oximeter_rate_hz)
+        """Check the portion spans against the parsed traces and sensors."""
+        ends = [trace.r.end_time_s for trace in self.traces.values()]
+        duration = max(ends + [wave.end_time_s for _, wave in self.sensor_channels], default=0.0)
         for name, start_s, end_s in self.portions:
             if not (0.0 <= start_s < end_s):
                 raise ValueError(f"portion {name!r} has a bad span [{start_s}, {end_s}]")
@@ -542,70 +575,53 @@ class SessionManifest:
                     f"duration {duration:.3f} s"
                 )
 
-    def roi_labels(self) -> list[str]:
-        labels = [r["label"] for r in self.rois]
-        for label in self.trace_paths:
-            if label not in labels:
-                labels.append(label)
-        return labels
+    def trace_rois(self) -> list[str]:
+        """Sorted labels of the ROIs with a trace CSV or, given a frame dump, a mask."""
+        masked = {r["label"] for r in self.rois if "mask" in r and self.frames_path is not None}
+        return sorted(set(self.trace_paths) | masked)
 
-    def _roi_mask_path(self, roi: str) -> Path | None:
-        for entry in self.rois:
-            if entry.get("label") == roi and "mask" in entry:
-                p = self.root / entry["mask"]
-                if not p.exists():
-                    raise FileNotFoundError(f"mask for ROI {roi!r} missing: {p}")
-                return p
-        return None
-
-    def _read_frames(self) -> tuple[np.ndarray, float]:
+    def _extract(self, rois: list[str], valid: list[str], grid_cell_px: int | None = None):
+        """:func:`extract_traces` over the masks of ``rois``, from one frame-dump
+        read; an ROI without a mask, or a session without a dump, raises a
+        KeyError listing the ``valid`` labels."""
+        masks = {}
+        for roi in rois:
+            entry = next((e for e in self.rois if e.get("label") == roi and "mask" in e), None)
+            mask_path = None if entry is None else self.root / entry["mask"]
+            if mask_path is not None and not mask_path.exists():
+                raise FileNotFoundError(f"mask for ROI {roi!r} missing: {mask_path}")
+            if self.frames_path is None or mask_path is None:
+                raise KeyError(f"unknown ROI {roi!r}; valid labels: {valid}")
+            masks[roi] = read_pgm(mask_path)
         frames, fps = read_frame_dump(self.frames_path)
         if abs(fps - self.fps) > RATE_TOLERANCE * self.fps:
             raise ValueError(
                 f"frame dump rate {fps:g} fps deviates from the declared {self.fps:g} fps"
             )
-        return frames, fps
+        return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
+
+    def load_traces(self, rois: list[str]) -> dict[str, RGBTrace]:
+        """ROI traces from their CSVs; the others are extracted together from
+        the frame dump and their masks."""
+        missing = [roi for roi in rois if roi not in self.traces]
+        extracted = self._extract(missing, self.trace_rois())[0] if missing else {}
+        return {roi: self.traces.get(roi, extracted.get(roi)) for roi in rois}
 
     def load_trace(self, roi: str) -> RGBTrace:
         """ROI trace from its CSV, or extracted from the frame dump + mask."""
-        if roi in self.trace_paths:
-            return read_trace_csv(
-                self.trace_paths[roi], roi_label=roi, declared_rate_hz=self.fps
-            )
-        mask_path = self._roi_mask_path(roi)
-        if self.frames_path is not None and mask_path is not None:
-            frames, fps = self._read_frames()
-            traces, _ = extract_traces(frames, fps, {roi: read_pgm(mask_path)})
-            return traces[roi]
-        raise KeyError(
-            f"unknown ROI {roi!r}; valid labels: {sorted(self.roi_labels())}"
-        )
+        return self.load_traces([roi])[roi]
 
     def load_sensor_bank(self, delta_y_bpm: float = 30.0):
         from .fusion import SensorBank
 
-        channels = tuple(
-            (site, read_sensor_csv(p, channel=channel))
-            for site, p, channel in self.sensors
-        )
-        oximeter = read_oximeter_csv(self.oximeter_path, declared_rate_hz=self.oximeter_rate_hz)
-        return SensorBank(channels=channels, oximeter_rate=oximeter, delta_y_bpm=delta_y_bpm)
+        return SensorBank(self.sensor_channels, self.oximeter, delta_y_bpm)
 
     def load_grid(self, roi: str, cell_px: int = 20) -> SubregionGrid:
         """Grid cell means from their CSV, or extracted from the frame dump."""
         if roi in self.grid_paths:
-            means, meta = self.grid_paths[roi]
-            return read_grid(means, meta)
-        mask_path = self._roi_mask_path(roi)
-        if self.frames_path is not None and mask_path is not None:
-            frames, fps = self._read_frames()
-            _, grids = extract_traces(
-                frames, fps, {roi: read_pgm(mask_path)}, grid_cell_px=cell_px
-            )
-            return grids[roi]
-        raise KeyError(
-            f"no grid means for ROI {roi!r}; available: {sorted(self.grid_paths)}"
-        )
+            return read_grid(*self.grid_paths[roi])
+        _, grids = self._extract([roi], sorted(self.grid_paths), grid_cell_px=cell_px)
+        return grids[roi]
 
     def load_poses(self) -> list[PoseKeypoints]:
         if self.keypoints_path is None:

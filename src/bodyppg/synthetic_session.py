@@ -10,8 +10,7 @@ generator's ground truth.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +18,12 @@ import numpy as np
 from .grid import PoseKeypoints
 from .session import (
     write_grid,
+    write_json,
+    write_oximeter_csv,
     write_poses_json,
+    write_sensor_csv,
     write_trace_csv,
 )
-from .signals import Waveform
 from .synth import (
     Burst,
     PulseModel,
@@ -33,8 +34,6 @@ from .synth import (
 )
 
 __all__ = ["SyntheticSessionConfig", "build_synthetic_session"]
-
-_FLOAT_FMT = "%.12g"
 
 # Pulse arrival delay per contact-sensor site, seconds. All values are exact
 # multiples of the 400 Hz sample period so correlation scans can recover them
@@ -132,16 +131,6 @@ class SyntheticSessionConfig:
         return ramp_rate(self.rate_start_bpm, self.rate_end_bpm, self.duration_s)
 
 
-def _write_sensor_csv(path: Path, t: np.ndarray, red: np.ndarray, ir: np.ndarray) -> None:
-    out = np.column_stack([t, red, ir])
-    np.savetxt(path, out, delimiter=",", header="time_s,red,ir", comments="", fmt=_FLOAT_FMT)
-
-
-def _write_oximeter_csv(path: Path, t: np.ndarray, bpm: np.ndarray) -> None:
-    out = np.column_stack([t, bpm, np.full_like(t, 98.0)])
-    np.savetxt(path, out, delimiter=",", header="time_s,bpm,spo2", comments="", fmt=_FLOAT_FMT)
-
-
 def build_synthetic_session(
     out_dir: Path | str, cfg: SyntheticSessionConfig | None = None
 ) -> Path:
@@ -181,7 +170,7 @@ def build_synthetic_session(
         ir = 5000.0 + 80.0 * pulse
         red = 4000.0 + 50.0 * pulse
         path = out_dir / f"sensor_{site}.csv"
-        _write_sensor_csv(path, t, red, ir)
+        write_sensor_csv(path, t, red, ir)
         sensor_entries.append({"site": site, "path": path.name, "channel": "ir"})
 
     # Oximeter rate stream at 60 Hz with slow jitter around the true profile.
@@ -193,7 +182,7 @@ def build_synthetic_session(
         np.linspace(0.0, cfg.duration_s, 13),
         rng.normal(0.0, 0.8, 13),
     )
-    _write_oximeter_csv(out_dir / "oximeter.csv", t_ox, profile(t_ox) + jitter)
+    write_oximeter_csv(out_dir / "oximeter.csv", t_ox, profile(t_ox) + jitter)
 
     # Per-region RGB traces at video rate.
     trace_entries = {}
@@ -289,9 +278,7 @@ def build_synthetic_session(
         "portions": [{"name": "relaxed", "start_s": 0.0, "end_s": cfg.duration_s}],
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
 
     truth = {
         "rate_start_bpm": cfg.rate_start_bpm,
@@ -302,7 +289,5 @@ def build_synthetic_session(
         "corrupt_sites": list(cfg.corrupt_sites),
         "seed": cfg.seed,
     }
-    with open(out_dir / "ground_truth.json", "w") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "ground_truth.json", truth)
     return manifest_path

@@ -140,3 +140,16 @@ def fuse_ground_truth_report(bank, plan) -> tuple[Waveform, FusionDiagnostics]:
         counts[start : start + n_len] += 1.0
     combined = Waveform(accum / np.maximum(counts, 1.0), fs, first.start_time_s)
     return divide_by_envelope(combined), diags
+
+
+def ptt_window_rows(matrix) -> np.ndarray:
+    """``ptt_windows.csv`` rows by the window x site a x site b loop."""
+    rows = []
+    n_sites = len(matrix.sites)
+    for widx in range(matrix.per_window_lag_s.shape[0]):
+        for i in range(n_sites):
+            for j in range(i + 1, n_sites):
+                lag = matrix.per_window_lag_s[widx, i, j]
+                if np.isfinite(lag):
+                    rows.append((matrix.window_times_s[widx], i, j, lag * 1000.0))
+    return np.asarray(rows) if rows else np.empty((0, 4))

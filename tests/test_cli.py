@@ -1,11 +1,18 @@
 import hashlib
+import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bodyppg.cli import main, run_pipeline
+import bodyppg.session
+import loop_reference
+from bodyppg.cli import main, ptt_window_rows, run_pipeline
+from bodyppg.session import write_frame_dump, write_oximeter_csv, write_pgm
+from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
+from bodyppg.transit_time import PTTMatrix
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +223,151 @@ class TestExplicitZeroFlags:
         assert report["error"]["type"] == "ValueError"
         assert name in report["error"]["message"]
         assert not out.exists() or not any(out.iterdir())
+
+
+def _ptt_windows_csv(table: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.savetxt(buf, table, delimiter=",", header="window_center_time_s,site_a_index,"
+               "site_b_index,lag_ms", comments="", fmt=["%.12g", "%d", "%d", "%.12g"])
+    return buf.getvalue()
+
+
+def _ptt_matrix(per_window_lag_s: np.ndarray) -> PTTMatrix:
+    n_windows, n_sites, _ = per_window_lag_s.shape
+    square = np.zeros((n_sites, n_sites))
+    return PTTMatrix(
+        sites=tuple(f"site{k}" for k in range(n_sites)),
+        mean_lag_s=square,
+        per_window_lag_s=per_window_lag_s,
+        window_times_s=2.5 + 0.01 * np.arange(n_windows),
+        peak_corr=square,
+        n_excluded_low_corr=square.astype(int),
+        n_failed=square.astype(int),
+        min_peak_corr=0.5,
+    )
+
+
+class TestPttWindowRows:
+    """``ptt_windows.csv`` rows equal the window x i x j loop byte for byte."""
+
+    def test_matches_loop_with_excluded_windows(self):
+        rng = np.random.default_rng(4)
+        lags = rng.normal(0.0, 0.03, (40, 9, 9))
+        lags[rng.random(lags.shape) < 0.2] = np.nan  # scattered exclusions
+        lags[[0, 7, 39]] = np.nan  # windows with nothing retained
+        lags[:, np.arange(9), np.arange(9)] = 0.0  # a finite diagonal is never a row
+        matrix = _ptt_matrix(lags)
+        fast, slow = ptt_window_rows(matrix), loop_reference.ptt_window_rows(matrix)
+        assert fast.shape == slow.shape and len(fast) > 0
+        assert _ptt_windows_csv(fast) == _ptt_windows_csv(slow)
+
+    def test_no_window_retained(self):
+        matrix = _ptt_matrix(np.full((5, 4, 4), np.nan))
+        fast, slow = ptt_window_rows(matrix), loop_reference.ptt_window_rows(matrix)
+        assert fast.shape == slow.shape == (0, 4)
+        assert _ptt_windows_csv(fast) == _ptt_windows_csv(slow)
+
+
+MASK_DELAY_FRAMES = 2
+
+
+def _mask_only_session(root: Path) -> Path:
+    """Frame dump plus two PGM-masked ROIs and no trace CSVs; the right half's
+    pulse lags the left half's by MASK_DELAY_FRAMES frames."""
+    fps, duration_s, h, w = 90.0, 8.0, 12, 16
+    region = np.zeros((h, w), dtype=int)
+    region[:, w // 2 :] = 1
+    levels = []
+    for k in range(2):
+        pulse = synth_pulse(PulseModel(fs_hz=fps, duration_s=duration_s,
+                                       rate_profile=constant_rate(72.0),
+                                       delay_s=k * MASK_DELAY_FRAMES / fps, seed=5))
+        trace = synth_rgb_trace(pulse, baseline=(0.6, 0.45, 0.4),
+                                modulation=(0.02, 0.06, 0.04), seed=6 + k)
+        levels.append(trace.channel_matrix() * 255.0)
+    levels = np.stack(levels, axis=-1)  # (frames, channel, roi)
+    dither = np.random.default_rng(9).random((h, w))
+    frames = np.floor(levels[:, :, region] + dither).astype(np.uint8)
+    write_frame_dump(root / "frames.rfd", frames, fps)
+    for k, label in enumerate(("left", "right")):
+        write_pgm(root / f"mask_{label}.pgm", region == k)
+    t_ox = np.arange(int(duration_s * 60)) / 60.0
+    write_oximeter_csv(root / "oximeter.csv", t_ox, np.full(t_ox.size, 72.0))
+    doc = {
+        "session_id": "masks-only",
+        "video": {"fps": fps, "width": w, "height": h, "frames": "frames.rfd"},
+        "sensors": [],
+        "oximeter": {"path": "oximeter.csv", "rate_hz": 60.0},
+        "rois": [{"label": label, "mask": f"mask_{label}.pgm"} for label in ("right", "left")],
+    }
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return root / "manifest.json"
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPttMaskOnlyRois:
+    def test_rppg_uses_every_mask_roi_from_one_dump_read(self, tmp_path, monkeypatch):
+        manifest = _mask_only_session(tmp_path)
+        dump_reads = _count_calls(monkeypatch, bodyppg.session, "read_frame_dump")
+        extractions = _count_calls(monkeypatch, bodyppg.session, "extract_traces")
+        out = tmp_path / "ptt"
+        assert main(["ptt", "--source", "rppg", "--manifest", str(manifest),
+                     "--window-s", "5", "--stride-s", "1.0", "--max-lag-s", "0.3",
+                     "--out-dir", str(out)]) == 0
+        assert len(dump_reads) == 1 and len(extractions) == 1
+        doc = json.loads((out / "ptt_matrix.json").read_text())
+        assert doc["sites"] == ["left", "right"]
+        expected_ms = MASK_DELAY_FRAMES / 90.0 * 1000.0
+        assert abs(doc["mean_lag_ms"][0][1] - expected_ms) <= 1000.0 / 90.0
+
+
+class TestEachInputParsedOnce:
+    """Every CSV a command reads is parsed exactly once."""
+
+    @pytest.fixture(scope="class")
+    def ref_rates(self, session, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ref")
+        assert main(["fuse-gt", "--manifest", str(session / "manifest.json"),
+                     "--out-dir", str(out)]) == 0
+        return out / "fused_rates.csv"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuse-gt"],
+            ["estimate", "--roi", "face"],
+            ["estimate", "--roi", "palm", "--method", "chrom", "--ref-rates", "REF"],
+            ["grid-map", "--roi", "face"],
+            ["ptt", "--source", "rppg", "--stride-s", "1.0"],
+        ],
+        ids=["fuse-gt", "estimate", "estimate-ref-rates", "grid-map", "ptt-rppg"],
+    )
+    def test_csv_session(self, session, ref_rates, tmp_path, monkeypatch, argv):
+        argv = [str(ref_rates) if a == "REF" else a for a in argv]
+        reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
+        assert main(argv + ["--manifest", str(session / "manifest.json"),
+                            "--out-dir", str(tmp_path / "out")]) == 0
+        counts = Counter(Path(p).name for p in reads)
+        assert counts and set(counts.values()) == {1}, counts
+        # Loading the manifest parses every sensor, trace and oximeter CSV.
+        assert {n for n in counts if n.startswith(("sensor_", "trace_"))} >= {
+            p.name for p in session.iterdir() if p.name.startswith(("sensor_", "trace_"))
+        }
+
+    def test_frame_dump_session(self, tmp_path, monkeypatch):
+        manifest = _mask_only_session(tmp_path)
+        reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
+        assert main(["ptt", "--source", "rppg", "--manifest", str(manifest),
+                     "--stride-s", "1.0", "--out-dir", str(tmp_path / "out")]) == 0
+        assert [Path(p).name for p in reads] == ["oximeter.csv"]

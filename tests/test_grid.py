@@ -79,6 +79,23 @@ class TestGeometry:
                 frame_indices=np.array([0, 2, 3]),
             )
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([0, 2, 1, 3], "out of order: position 1 holds 2, not 1"),
+            ([0, 1, 1, 2], "duplicate frame index 1 at position 2"),
+            ([4, 5, 7, 8], "missing frames: 6 is absent"),
+            ([0, 1, 2], "3 frame indices for 4 frames"),
+        ],
+    )
+    def test_frame_indices_must_count_up_by_one(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            grid_traces(np.ones((4, 2, 2, 3)), FS, (0, 0), 20, frame_indices=np.array(indices))
+
+    def test_contiguous_frame_indices_accepted(self):
+        grid = grid_traces(np.ones((4, 2, 2, 3)), FS, (0, 0), 20, frame_indices=np.arange(3, 7))
+        assert grid.values.shape == (4, 2, 2, 3)
+
 
 class TestScoreGrid:
     def test_clean_cells_score_well(self):
