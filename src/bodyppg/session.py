@@ -72,7 +72,10 @@ _GRID_CHECK_LINES = 1 << 15
 
 
 def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if data.shape[1] != expected_columns:
         raise ValueError(
             f"{path}: expected {expected_columns} columns, found {data.shape[1]}"
@@ -157,10 +160,8 @@ def read_oximeter_csv(
     )
 
 
-def write_oximeter_csv(
-    path: Path | str, times_s: np.ndarray, bpm: np.ndarray, spo2: float = 98.0
-) -> None:
-    write_csv(path, [times_s, bpm, np.full(len(times_s), spo2)], "time_s,bpm,spo2")
+def write_oximeter_csv(path: Path | str, times_s: np.ndarray, bpm: np.ndarray) -> None:
+    write_csv(path, [times_s, bpm, np.full(len(times_s), 98.0)], "time_s,bpm,spo2")
 
 
 def write_rate_csv(path: Path | str, series: PulseRateSeries) -> None:
@@ -575,23 +576,23 @@ class SessionManifest:
                     f"duration {duration:.3f} s"
                 )
 
+    def _masked_rois(self) -> set[str]:
+        """Labels of the ROIs that can be extracted from the frame dump."""
+        return {r["label"] for r in self.rois if "mask" in r and self.frames_path is not None}
+
     def trace_rois(self) -> list[str]:
         """Sorted labels of the ROIs with a trace CSV or, given a frame dump, a mask."""
-        masked = {r["label"] for r in self.rois if "mask" in r and self.frames_path is not None}
-        return sorted(set(self.trace_paths) | masked)
+        return sorted(set(self.trace_paths) | self._masked_rois())
 
-    def _extract(self, rois: list[str], valid: list[str], grid_cell_px: int | None = None):
-        """:func:`extract_traces` over the masks of ``rois``, from one frame-dump
-        read; an ROI without a mask, or a session without a dump, raises a
-        KeyError listing the ``valid`` labels."""
+    def _extract(self, rois: list[str], grid_cell_px: int | None = None):
+        """:func:`extract_traces` over the masks of ``rois`` (all in
+        :meth:`_masked_rois`), from one frame-dump read."""
         masks = {}
         for roi in rois:
-            entry = next((e for e in self.rois if e.get("label") == roi and "mask" in e), None)
-            mask_path = None if entry is None else self.root / entry["mask"]
-            if mask_path is not None and not mask_path.exists():
+            entry = next(e for e in self.rois if e.get("label") == roi and "mask" in e)
+            mask_path = self.root / entry["mask"]
+            if not mask_path.exists():
                 raise FileNotFoundError(f"mask for ROI {roi!r} missing: {mask_path}")
-            if self.frames_path is None or mask_path is None:
-                raise KeyError(f"unknown ROI {roi!r}; valid labels: {valid}")
             masks[roi] = read_pgm(mask_path)
         frames, fps = read_frame_dump(self.frames_path)
         if abs(fps - self.fps) > RATE_TOLERANCE * self.fps:
@@ -604,7 +605,10 @@ class SessionManifest:
         """ROI traces from their CSVs; the others are extracted together from
         the frame dump and their masks."""
         missing = [roi for roi in rois if roi not in self.traces]
-        extracted = self._extract(missing, self.trace_rois())[0] if missing else {}
+        unknown = [roi for roi in missing if roi not in self._masked_rois()]
+        if unknown:
+            raise KeyError(f"unknown ROI {unknown[0]!r}; valid labels: {self.trace_rois()}")
+        extracted = self._extract(missing)[0] if missing else {}
         return {roi: self.traces.get(roi, extracted.get(roi)) for roi in rois}
 
     def load_trace(self, roi: str) -> RGBTrace:
@@ -620,7 +624,11 @@ class SessionManifest:
         """Grid cell means from their CSV, or extracted from the frame dump."""
         if roi in self.grid_paths:
             return read_grid(*self.grid_paths[roi])
-        _, grids = self._extract([roi], sorted(self.grid_paths), grid_cell_px=cell_px)
+        masked = self._masked_rois()
+        if roi not in masked:
+            valid = sorted(set(self.grid_paths) | masked)
+            raise KeyError(f"unknown ROI {roi!r}; valid labels: {valid}")
+        _, grids = self._extract([roi], grid_cell_px=cell_px)
         return grids[roi]
 
     def load_poses(self) -> list[PoseKeypoints]:

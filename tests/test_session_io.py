@@ -15,6 +15,7 @@ from bodyppg.session import (
     read_waveform_csv,
     write_frame_dump,
     write_grid,
+    write_oximeter_csv,
     write_pgm,
     write_rate_csv,
     write_trace_csv,
@@ -339,3 +340,43 @@ class TestManifest:
         grid = manifest.load_grid("face", cell_px=10)
         assert (grid.rows, grid.cols) == (2, 4)
         assert np.all(grid.skin_fraction == 1.0)
+
+    def test_unparsable_cell_names_file(self, tmp_path):
+        manifest_path = build_synthetic_session(
+            tmp_path, SyntheticSessionConfig(seed=3, duration_s=20.0)
+        )
+        path = tmp_path / "sensor_neck.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="sensor_neck.csv"):
+            SessionManifest.load(manifest_path)
+
+    def test_unknown_grid_roi_names_grid_labels(self, tmp_path):
+        manifest_path = build_synthetic_session(
+            tmp_path, SyntheticSessionConfig(seed=3, duration_s=20.0)
+        )
+        manifest = SessionManifest.load(manifest_path)
+        with pytest.raises(KeyError, match=r"valid labels: \['face'\]"):
+            manifest.load_grid("forehead")
+
+    def test_unknown_roi_names_mask_labels(self, tmp_path):
+        import json
+
+        frames = np.full((20, 3, 6, 8), 100, dtype=np.uint8)
+        write_frame_dump(tmp_path / "frames.rfd", frames, 90.0)
+        write_pgm(tmp_path / "mask_face.pgm", np.ones((6, 8), dtype=bool))
+        t_ox = np.arange(60) / 60.0
+        write_oximeter_csv(tmp_path / "oximeter.csv", t_ox, np.full(60, 72.0))
+        doc = {
+            "session_id": "frames-only",
+            "video": {"fps": 90.0, "width": 8, "height": 6, "frames": "frames.rfd"},
+            "sensors": [],
+            "oximeter": {"path": "oximeter.csv", "rate_hz": 60.0},
+            "rois": [{"label": "face", "mask": "mask_face.pgm"}],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        manifest = SessionManifest.load(tmp_path / "manifest.json")
+        for load in (manifest.load_trace, manifest.load_grid):
+            with pytest.raises(KeyError, match=r"valid labels: \['face'\]"):
+                load("forehead")
