@@ -28,7 +28,7 @@ from .fusion import (
     reference_pulse_rate,
 )
 from .pulse_rate import PulseRateSeries, spectral_peak, stft_pulse_rate
-from .metrics import ScoreReport, mae, pearson_r, pooled_score, score_series, snr_harmonics
+from .metrics import ScoreReport, mae, pearson_r, score_series, snr_harmonics
 from .transit_time import (
     LagEstimate,
     PTTMatrix,
@@ -54,7 +54,6 @@ from .synth import (
     PulseModel,
     constant_rate,
     motion_burst_noise,
-    piecewise_rate,
     ramp_rate,
     synth_pulse,
     synth_rgb_trace,
@@ -93,7 +92,6 @@ __all__ = [
     "pearson_r",
     "snr_harmonics",
     "score_series",
-    "pooled_score",
     "LagEstimate",
     "PTTMatrix",
     "xcorr_lag",
@@ -114,7 +112,6 @@ __all__ = [
     "Burst",
     "constant_rate",
     "ramp_rate",
-    "piecewise_rate",
     "synth_pulse",
     "synth_rgb_trace",
     "motion_burst_noise",

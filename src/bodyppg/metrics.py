@@ -17,7 +17,6 @@ __all__ = [
     "snr_harmonics",
     "harmonic_snrs",
     "score_series",
-    "pooled_score",
     "NOISE_BAND_BPM",
 ]
 
@@ -177,30 +176,4 @@ def score_series(
         n_windows=int(p.size),
         snr_db=snr,
         scope=scope,
-    )
-
-
-def pooled_score(pairs: list[tuple[PulseRateSeries, PulseRateSeries]]) -> ScoreReport:
-    """Score several sessions as one pool of matched window pairs.
-
-    Complements per-session reports: per-session numbers weight every session
-    equally, pooled numbers weight every window equally.
-    """
-    preds, refs = [], []
-    for pred, ref in pairs:
-        p, r, _ = _matched_pairs(pred, ref)
-        preds.append(p)
-        refs.append(r)
-    p = np.concatenate(preds)
-    r = np.concatenate(refs)
-    if p.size < 2:
-        raise ValueError("pooled scoring needs at least two matched pairs")
-    if np.std(p) == 0.0 or np.std(r) == 0.0:
-        raise ValueError("pooled pearson r undefined: zero variance")
-    return ScoreReport(
-        mae_bpm=float(np.mean(np.abs(p - r))),
-        pearson_r=float(np.corrcoef(p, r)[0, 1]),
-        n_windows=int(p.size),
-        snr_db=None,
-        scope="pooled",
     )

@@ -21,13 +21,14 @@ File formats:
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grid import PoseKeypoints, SubregionGrid
+from .grid import PoseKeypoints, SubregionGrid, grid_geometry
 from .pulse_rate import PulseRateSeries
 from .rppg import RGBTrace
 from .signals import Waveform
@@ -261,6 +262,8 @@ def write_frame_dump(path: Path | str, frames: np.ndarray, fps: float) -> None:
 
 
 def read_frame_dump(path: Path | str) -> tuple[np.ndarray, float]:
+    """Frames of shape (n_frames, 3, height, width) and the fps of a frame dump;
+    the file must hold exactly the header and the frames it declares."""
     with open(path, "rb") as fh:
         header = fh.read(_FRAME_DUMP_HEADER_SIZE)
         if len(header) < _FRAME_DUMP_HEADER_SIZE:
@@ -268,9 +271,15 @@ def read_frame_dump(path: Path | str) -> tuple[np.ndarray, float]:
         magic, w, h, n, fps = _FRAME_DUMP_HEADER.unpack(header[: _FRAME_DUMP_HEADER.size])
         if magic != _FRAME_DUMP_MAGIC:
             raise ValueError(f"{path}: bad frame-dump magic {magic!r}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _FRAME_DUMP_HEADER_SIZE + n * 3 * h * w
+        if size != expected:
+            problem = "truncated frame data" if size < expected else "trailing bytes"
+            raise ValueError(
+                f"{path}: {problem}: the file has {size} bytes, but its header "
+                f"declares {n} frames of 3x{h}x{w}, {expected} bytes with the header"
+            )
         raw = fh.read(n * 3 * h * w)
-        if len(raw) != n * 3 * h * w:
-            raise ValueError(f"{path}: truncated frame data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(n, 3, h, w), fps
 
 
@@ -403,6 +412,14 @@ def read_grid(path_csv: Path | str, path_meta: Path | str) -> SubregionGrid:
     )
 
 
+def _cell_means(a: np.ndarray, rows: int, cols: int, cell_px: int) -> np.ndarray:
+    """Means over the ``cell_px`` x ``cell_px`` cells tiling the top-left
+    ``rows`` x ``cols`` cells of the last two axes of ``a``."""
+    a = a[..., : rows * cell_px, : cols * cell_px]
+    cells = a.reshape(a.shape[:-2] + (rows, cell_px, cols, cell_px))
+    return cells.sum(axis=(-3, -1), dtype=np.float64) / (cell_px * cell_px)
+
+
 def extract_traces(
     frames: np.ndarray,
     fps: float,
@@ -413,19 +430,27 @@ def extract_traces(
     """Spatially average masked skin pixels of each region, per frame.
 
     Returns per-region RGB traces, plus (when ``grid_cell_px`` is given) a
-    grid of per-cell means tiling each region's mask bounding box. Cell means
-    average all pixels in the cell; the mask only determines each cell's skin
-    fraction, which gates scoring later.
+    grid of per-cell means tiling each region's mask bounding box with
+    :func:`~bodyppg.grid.grid_geometry` whole cells. Cell means average all
+    pixels in the cell; the mask only determines each cell's skin fraction,
+    which gates scoring later.
+
+    Every mean is a float64 sum of the 8-bit pixels divided by their count.
+    Such sums are exact integers, so each mean is the exact average, and no
+    float copy of the frames is made.
 
     Raises:
-        ValueError: for an empty mask or a mask that does not match the frame
-            dimensions.
+        ValueError: for frames that are not uint8 of shape
+            (n_frames, 3, height, width), an empty mask, a mask that does not
+            match the frame dimensions, or a ``grid_cell_px`` below 1.
     """
     frames = np.asarray(frames)
     if frames.ndim != 4 or frames.shape[1] != 3:
         raise ValueError("frames must have shape (n_frames, 3, height, width)")
-    _, _, height, width = frames.shape
-    pixels = frames.astype(np.float64)
+    if frames.dtype != np.uint8:
+        raise ValueError(f"frames must be uint8, not {frames.dtype}")
+    n, _, height, width = frames.shape
+    planes = frames.reshape(n, 3, height * width)
 
     traces: dict[str, RGBTrace] = {}
     grids: dict[str, SubregionGrid] = {}
@@ -435,9 +460,10 @@ def extract_traces(
             raise ValueError(
                 f"mask {label!r} has shape {mask.shape}, frames are {(height, width)}"
             )
-        if not np.any(mask):
+        skin = np.flatnonzero(mask)
+        if not skin.size:
             raise ValueError(f"mask {label!r} selects no pixels")
-        means = pixels[:, :, mask].mean(axis=2)
+        means = np.take(planes, skin, axis=2).sum(axis=2, dtype=np.float64) / skin.size
         traces[label] = RGBTrace(
             Waveform(means[:, 0], fps, start_time_s),
             Waveform(means[:, 1], fps, start_time_s),
@@ -448,30 +474,22 @@ def extract_traces(
             ys, xs = np.nonzero(mask)
             x0, y0 = int(xs.min()), int(ys.min())
             bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
-            cols, rows = bw // grid_cell_px, bh // grid_cell_px
+            cols, rows = grid_geometry(bw, bh, grid_cell_px)
             if cols < 1 or rows < 1:
                 raise ValueError(
                     f"mask {label!r} bounding box {bw}x{bh} is smaller than one "
                     f"{grid_cell_px}px cell"
                 )
-            values = np.empty((frames.shape[0], rows, cols, 3))
-            fraction = np.empty((rows, cols))
-            for row in range(rows):
-                for col in range(cols):
-                    y = y0 + row * grid_cell_px
-                    x = x0 + col * grid_cell_px
-                    cell = pixels[:, :, y : y + grid_cell_px, x : x + grid_cell_px]
-                    values[:, row, col, :] = cell.mean(axis=(2, 3))
-                    fraction[row, col] = mask[
-                        y : y + grid_cell_px, x : x + grid_cell_px
-                    ].mean()
+            values = _cell_means(frames[:, :, y0:, x0:], rows, cols, grid_cell_px)
             grids[label] = SubregionGrid(
-                values=values,
+                # C-ordered (n, rows, cols, 3): scoring reduces along its axes,
+                # and a strided layout could change the sums' last bits.
+                values=np.ascontiguousarray(values.transpose(0, 2, 3, 1)),
                 sample_rate_hz=fps,
                 start_time_s=start_time_s,
                 origin_px=(x0, y0),
                 cell_px=grid_cell_px,
-                skin_fraction=fraction,
+                skin_fraction=_cell_means(mask[y0:, x0:], rows, cols, grid_cell_px),
             )
     return traces, grids
 
@@ -597,7 +615,14 @@ class SessionManifest:
         frames, fps = read_frame_dump(self.frames_path)
         if abs(fps - self.fps) > RATE_TOLERANCE * self.fps:
             raise ValueError(
-                f"frame dump rate {fps:g} fps deviates from the declared {self.fps:g} fps"
+                f"{self.frames_path}: frame dump rate {fps:g} fps deviates from the "
+                f"declared {self.fps:g} fps"
+            )
+        height, width = frames.shape[2:]
+        if (width, height) != (self.width, self.height):
+            raise ValueError(
+                f"{self.frames_path}: frames are {width}x{height} pixels, the manifest "
+                f"declares {self.width}x{self.height}"
             )
         return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
 

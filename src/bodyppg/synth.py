@@ -21,7 +21,6 @@ __all__ = [
     "PulseModel",
     "constant_rate",
     "ramp_rate",
-    "piecewise_rate",
     "synth_pulse",
     "synth_rgb_trace",
     "motion_burst_noise",
@@ -49,19 +48,6 @@ def ramp_rate(
         t = np.asarray(t, dtype=np.float64)
         frac = np.clip(t / duration_s, 0.0, 1.0)
         return bpm_start + (bpm_end - bpm_start) * frac
-
-    return profile
-
-
-def piecewise_rate(
-    knots: list[tuple[float, float]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Piecewise-linear rate through (time_s, bpm) knots, clamped at the ends."""
-    times = np.asarray([k[0] for k in knots], dtype=np.float64)
-    rates = np.asarray([k[1] for k in knots], dtype=np.float64)
-
-    def profile(t):
-        return np.interp(np.asarray(t, dtype=np.float64), times, rates)
 
     return profile
 

@@ -15,10 +15,10 @@ from bodyppg.fusion import (
     FusionDiagnostics,
     _crop_to_common_span,
 )
-from bodyppg.grid import SKIN_FRACTION_THRESHOLD, ErrorFrame
+from bodyppg.grid import SKIN_FRACTION_THRESHOLD, ErrorFrame, SubregionGrid
 from bodyppg.metrics import NOISE_BAND_BPM, SNR_CAP_DB
 from bodyppg.pulse_rate import _fft_length
-from bodyppg.rppg import MethodConfig, pos
+from bodyppg.rppg import MethodConfig, RGBTrace, pos
 from bodyppg.signals import BandpassSpec, Waveform, WindowPlan, design_bandpass, divide_by_envelope
 
 
@@ -153,3 +153,42 @@ def ptt_window_rows(matrix) -> np.ndarray:
                 if np.isfinite(lag):
                     rows.append((matrix.window_times_s[widx], i, j, lag * 1000.0))
     return np.asarray(rows) if rows else np.empty((0, 4))
+
+
+def extract_traces(frames, fps, masks, grid_cell_px=None, start_time_s=0.0):
+    """ROI and grid-cell means from a float64 copy of the frames, boolean-mask
+    gathers and a per-cell loop."""
+    pixels = np.asarray(frames).astype(np.float64)
+    traces, grids = {}, {}
+    for label, mask in masks.items():
+        mask = np.asarray(mask, dtype=bool)
+        means = pixels[:, :, mask].mean(axis=2)
+        traces[label] = RGBTrace(
+            Waveform(means[:, 0], fps, start_time_s),
+            Waveform(means[:, 1], fps, start_time_s),
+            Waveform(means[:, 2], fps, start_time_s),
+            roi_label=label,
+        )
+        if grid_cell_px is not None:
+            ys, xs = np.nonzero(mask)
+            x0, y0 = int(xs.min()), int(ys.min())
+            bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
+            cols, rows = bw // grid_cell_px, bh // grid_cell_px
+            values = np.empty((pixels.shape[0], rows, cols, 3))
+            fraction = np.empty((rows, cols))
+            for row in range(rows):
+                for col in range(cols):
+                    y = y0 + row * grid_cell_px
+                    x = x0 + col * grid_cell_px
+                    cell = pixels[:, :, y : y + grid_cell_px, x : x + grid_cell_px]
+                    values[:, row, col, :] = cell.mean(axis=(2, 3))
+                    fraction[row, col] = mask[y : y + grid_cell_px, x : x + grid_cell_px].mean()
+            grids[label] = SubregionGrid(
+                values=values,
+                sample_rate_hz=fps,
+                start_time_s=start_time_s,
+                origin_px=(x0, y0),
+                cell_px=grid_cell_px,
+                skin_fraction=fraction,
+            )
+    return traces, grids

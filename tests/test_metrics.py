@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bodyppg import PulseRateSeries, Waveform, mae, pearson_r, pooled_score, score_series, snr_harmonics
+from bodyppg import PulseRateSeries, Waveform, mae, pearson_r, score_series, snr_harmonics
 
 
 def series(times, rates, window_length_s=10.0):
@@ -115,10 +115,3 @@ class TestReports:
         assert report.scope == "per-session"
         assert report.to_dict()["mae_bpm"] == pytest.approx(1.0)
 
-    def test_pooled_score(self):
-        a = (series([5.0, 6.0], [70.0, 80.0]), series([5.0, 6.0], [71.0, 81.0]))
-        b = (series([5.0, 6.0], [90.0, 100.0]), series([5.0, 6.0], [92.0, 102.0]))
-        report = pooled_score([a, b])
-        assert report.scope == "pooled"
-        assert report.n_windows == 4
-        assert report.mae_bpm == pytest.approx(1.5)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference
 from bodyppg import PoseKeypoints, PulseRateSeries, RGBTrace, SubregionGrid, Waveform, session
 from bodyppg.session import (
+    RATE_TOLERANCE,
     SessionManifest,
     extract_traces,
     read_frame_dump,
@@ -47,6 +51,22 @@ class TestWaveformCsv:
         write_waveform_csv(path, w)
         back = read_waveform_csv(path, declared_rate_hz=90.005)
         assert back.sample_rate_hz == 90.005
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300),
+        rate=st.floats(1.0, 1000.0),
+        start=st.floats(0.0, 3600.0),
+    )
+    def test_round_trip_property(self, tmp_path_factory, samples, rate, start):
+        w = Waveform(np.asarray(samples), rate, start_time_s=start)
+        path = tmp_path_factory.mktemp("waveform") / "w.csv"
+        write_waveform_csv(path, w)
+        back = read_waveform_csv(path)
+        assert len(back) == len(w)
+        assert back.start_time_s == float("%.12g" % start)
+        assert back.samples.tolist() == [float("%.12g" % x) for x in samples]
+        assert abs(back.sample_rate_hz - rate) <= RATE_TOLERANCE * rate
 
 
 class TestOtherCsv:
@@ -204,6 +224,14 @@ class TestRasters:
         with pytest.raises(ValueError, match="truncated"):
             read_frame_dump(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "f.rfd"
+        write_frame_dump(path, np.zeros((2, 3, 4, 4), dtype=np.uint8), 90.0)
+        path.write_bytes(path.read_bytes() + b"\0" * 5)
+        expected = r"f\.rfd: trailing bytes: the file has 133 bytes.* 128 bytes"
+        with pytest.raises(ValueError, match=expected):
+            read_frame_dump(path)
+
 
 class TestExtractTraces:
     def test_uniform_gray(self):
@@ -253,6 +281,60 @@ class TestExtractTraces:
         assert grid.skin_fraction[0, 0] == 1.0
         assert grid.skin_fraction[1, 1] == 0.0
         assert np.all(grid.values == 100.0)
+
+    def test_float_frames_rejected(self):
+        frames = np.zeros((2, 3, 4, 4))
+        with pytest.raises(ValueError, match="uint8, not float64"):
+            extract_traces(frames, 90.0, {"all": np.ones((4, 4), dtype=bool)})
+
+    def test_zero_cell_size_rejected(self):
+        frames = np.zeros((2, 3, 4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="cell_px"):
+            extract_traces(frames, 90.0, {"all": np.ones((4, 4), dtype=bool)}, grid_cell_px=0)
+
+
+def _oracle_masks(rng, h, w):
+    """Irregular masks: sparse and dense speckle spanning the frame, a holed
+    interior blob whose bounding box is no multiple of any cell size, and one
+    touching only the frame corners."""
+    blob = np.zeros((h, w), dtype=bool)
+    blob[5:46, 3:50] = rng.random((41, 47)) < 0.7
+    blob[5, 3] = blob[45, 49] = True
+    corners = np.zeros((h, w), dtype=bool)
+    corners[0, 0] = corners[-1, -1] = corners[0, -1] = True
+    return {
+        "sparse": rng.random((h, w)) < 0.05,
+        "dense": rng.random((h, w)) < 0.9,
+        "blob": blob,
+        "corners": corners,
+    }
+
+
+class TestExtractTracesOracle:
+    """The integer-sum means equal the float64-copy, per-cell loop ones exactly."""
+
+    @pytest.mark.parametrize("cell_px", [1, 3, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_loop_reference(self, cell_px, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 49, 53
+        frames = rng.integers(0, 256, size=(7, 3, h, w), dtype=np.uint8)
+        masks = _oracle_masks(rng, h, w)
+        traces, grids = extract_traces(frames, 90.0, masks, cell_px, start_time_s=1.5)
+        want_traces, want_grids = loop_reference.extract_traces(
+            frames, 90.0, masks, cell_px, start_time_s=1.5
+        )
+        assert traces.keys() == grids.keys() == masks.keys()
+        for label in masks:
+            assert np.array_equal(
+                traces[label].channel_matrix(), want_traces[label].channel_matrix()
+            )
+            assert traces[label].r.start_time_s == 1.5
+            got, want = grids[label], want_grids[label]
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.skin_fraction, want.skin_fraction)
+            assert got.origin_px == want.origin_px
+            assert (got.rows, got.cols) == (want.rows, want.cols)
 
 
 class TestManifest:
@@ -340,6 +422,25 @@ class TestManifest:
         grid = manifest.load_grid("face", cell_px=10)
         assert (grid.rows, grid.cols) == (2, 4)
         assert np.all(grid.skin_fraction == 1.0)
+
+    def test_dump_size_differs_from_manifest(self, tmp_path):
+        import json
+
+        write_frame_dump(tmp_path / "frames.rfd", np.zeros((20, 3, 6, 8), dtype=np.uint8), 90.0)
+        write_pgm(tmp_path / "mask_face.pgm", np.ones((6, 8), dtype=bool))
+        write_oximeter_csv(tmp_path / "oximeter.csv", np.arange(60) / 60.0, np.full(60, 72.0))
+        doc = {
+            "session_id": "frames-only",
+            "video": {"fps": 90.0, "width": 8, "height": 7, "frames": "frames.rfd"},
+            "sensors": [],
+            "oximeter": {"path": "oximeter.csv", "rate_hz": 60.0},
+            "rois": [{"label": "face", "mask": "mask_face.pgm"}],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        manifest = SessionManifest.load(tmp_path / "manifest.json")
+        expected = r"frames\.rfd: frames are 8x6 pixels, the manifest declares 8x7"
+        with pytest.raises(ValueError, match=expected):
+            manifest.load_trace("face")
 
     def test_unparsable_cell_names_file(self, tmp_path):
         manifest_path = build_synthetic_session(

@@ -12,7 +12,6 @@ from bodyppg.synth import (
     PulseModel,
     constant_rate,
     motion_burst_noise,
-    piecewise_rate,
     ramp_rate,
     synth_pulse,
     synth_rgb_trace,
@@ -58,12 +57,6 @@ class TestSynthPulse:
         w = synth_pulse(PulseModel(fs_hz=90.0, duration_s=120.0, rate_profile=profile, seed=2))
         series = stft_pulse_rate(w)
         assert np.max(np.abs(series.rates_bpm - profile(series.times_s))) < 2.0
-
-    def test_piecewise_profile(self):
-        profile = piecewise_rate([(0.0, 60.0), (30.0, 60.0), (60.0, 120.0)])
-        assert profile(15.0) == 60.0
-        assert profile(45.0) == pytest.approx(90.0)
-        assert profile(100.0) == 120.0
 
     def test_out_of_range_profile_rejected(self):
         model = PulseModel(fs_hz=90.0, duration_s=10.0, rate_profile=constant_rate(30.0))
