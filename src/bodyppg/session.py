@@ -21,6 +21,7 @@ File formats:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ __all__ = [
     "write_trace_csv",
     "read_pgm",
     "write_pgm",
+    "FrameDump",
     "read_frame_dump",
     "write_frame_dump",
     "read_poses_json",
@@ -65,6 +67,9 @@ RATE_TOLERANCE = 1e-3
 _FRAME_DUMP_MAGIC = b"RFD1"
 _FRAME_DUMP_HEADER = struct.Struct("<4sIII d")  # magic, width, height, frames, fps
 _FRAME_DUMP_HEADER_SIZE = 32
+# Frames read and summed at a time: ingestion holds one block of this many
+# frames, never the whole video.
+_CHUNK_FRAMES = 16
 
 # Every float this package writes to CSV uses this format.
 _FLOAT_FMT = "%.12g"
@@ -226,7 +231,8 @@ def write_pgm(path: Path | str, mask: np.ndarray) -> None:
 
 
 def read_pgm(path: Path | str) -> np.ndarray:
-    """Boolean mask from a binary PGM; values of 128 and above count as true."""
+    """Boolean mask from a binary PGM; values above half the header's
+    ``maxval`` count as true (128 and above for the usual 255)."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
@@ -242,28 +248,82 @@ def read_pgm(path: Path | str) -> np.ndarray:
         width, height, maxval = fields[:3]
         if maxval > 255:
             raise ValueError(f"{path}: 16-bit PGM not supported")
+        if maxval < 1:
+            raise ValueError(f"{path}: PGM maxval must be at least 1, got {maxval}")
         raw = fh.read(width * height)
         if len(raw) != width * height:
             raise ValueError(f"{path}: truncated PGM pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width) >= 128
+    # For integers, 2 * v > maxval is v > maxval // 2.
+    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width) > maxval // 2
 
 
 def write_frame_dump(path: Path | str, frames: np.ndarray, fps: float) -> None:
     """Write planar 8-bit RGB frames of shape (n_frames, 3, height, width)."""
-    frames = np.asarray(frames, dtype=np.uint8)
+    frames = np.asarray(frames)
     if frames.ndim != 4 or frames.shape[1] != 3:
         raise ValueError("frames must have shape (n_frames, 3, height, width)")
+    if frames.dtype != np.uint8:
+        raise ValueError(f"frames must be uint8, not {frames.dtype}")
     n, _, h, w = frames.shape
     header = _FRAME_DUMP_HEADER.pack(_FRAME_DUMP_MAGIC, w, h, n, fps)
     header = header.ljust(_FRAME_DUMP_HEADER_SIZE, b"\0")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(frames.tobytes())
+        # The array's own buffer; tobytes() would be a second copy of the video.
+        fh.write(np.ascontiguousarray(frames).data)
 
 
-def read_frame_dump(path: Path | str) -> tuple[np.ndarray, float]:
-    """Frames of shape (n_frames, 3, height, width) and the fps of a frame dump;
-    the file must hold exactly the header and the frames it declares."""
+class FrameDump:
+    """A frame dump whose header and size :func:`read_frame_dump` checked.
+
+    It holds no pixels: ``len()`` is the frame count, ``shape`` is
+    (n_frames, 3, height, width) of uint8, :meth:`blocks` reads the frames in
+    order, and ``np.asarray`` reads them all into a new array.
+    """
+
+    def __init__(self, path: Path | str, shape: tuple[int, int, int, int]):
+        self.path = path
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self, size: int):
+        """Consecutive blocks of at most ``size`` frames, all read into one
+        buffer: a block holds its frames only until the next is read."""
+        n = len(self)
+        buffer = np.empty((min(size, n),) + self.shape[1:], dtype=np.uint8)
+        with open(self.path, "rb") as fh:
+            fh.seek(_FRAME_DUMP_HEADER_SIZE)
+            for f0 in range(0, n, size):
+                block = buffer[: min(size, n - f0)]
+                self._read_into(fh, block)
+                yield block
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError(f"{self.path}: a frame dump can only be read into a new array")
+        frames = np.empty(self.shape, dtype=np.uint8)
+        with open(self.path, "rb") as fh:
+            fh.seek(_FRAME_DUMP_HEADER_SIZE)
+            self._read_into(fh, frames)
+        return frames if dtype is None else frames.astype(dtype, copy=False)
+
+    def _read_into(self, fh, block: np.ndarray) -> None:
+        start = fh.tell()
+        got = fh.readinto(block.data)
+        if got != block.nbytes:
+            raise ValueError(
+                f"{self.path}: truncated frame data: read {got} of {block.nbytes} bytes "
+                f"at offset {start}; the file shrank after its header was checked"
+            )
+
+
+def read_frame_dump(path: Path | str) -> tuple[FrameDump, float]:
+    """A :class:`FrameDump` of shape (n_frames, 3, height, width) and the fps
+    of a frame dump. Only the header is read: it must declare at least one
+    frame of at least 1x1 pixels at a finite positive fps, and the file must
+    hold exactly the header and the frames it declares."""
     with open(path, "rb") as fh:
         header = fh.read(_FRAME_DUMP_HEADER_SIZE)
         if len(header) < _FRAME_DUMP_HEADER_SIZE:
@@ -271,6 +331,15 @@ def read_frame_dump(path: Path | str) -> tuple[np.ndarray, float]:
         magic, w, h, n, fps = _FRAME_DUMP_HEADER.unpack(header[: _FRAME_DUMP_HEADER.size])
         if magic != _FRAME_DUMP_MAGIC:
             raise ValueError(f"{path}: bad frame-dump magic {magic!r}")
+        if min(n, w, h) < 1:
+            raise ValueError(
+                f"{path}: the header declares {n} frames of {w}x{h} pixels; "
+                "frame count, width and height must be at least 1"
+            )
+        if not (math.isfinite(fps) and fps > 0):
+            raise ValueError(
+                f"{path}: the header declares {fps} fps; the rate must be finite and positive"
+            )
         size = os.fstat(fh.fileno()).st_size
         expected = _FRAME_DUMP_HEADER_SIZE + n * 3 * h * w
         if size != expected:
@@ -279,8 +348,7 @@ def read_frame_dump(path: Path | str) -> tuple[np.ndarray, float]:
                 f"{path}: {problem}: the file has {size} bytes, but its header "
                 f"declares {n} frames of 3x{h}x{w}, {expected} bytes with the header"
             )
-        raw = fh.read(n * 3 * h * w)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, 3, h, w), fps
+    return FrameDump(path, (n, 3, h, w)), fps
 
 
 def write_poses_json(path: Path | str, poses: list[PoseKeypoints]) -> None:
@@ -412,85 +480,149 @@ def read_grid(path_csv: Path | str, path_meta: Path | str) -> SubregionGrid:
     )
 
 
-def _cell_means(a: np.ndarray, rows: int, cols: int, cell_px: int) -> np.ndarray:
-    """Means over the ``cell_px`` x ``cell_px`` cells tiling the top-left
-    ``rows`` x ``cols`` cells of the last two axes of ``a``."""
+def _cell_sums(a: np.ndarray, rows: int, cols: int, cell_px: int) -> np.ndarray:
+    """Exact int64 sums over the ``cell_px`` x ``cell_px`` cells tiling the
+    top-left ``rows`` x ``cols`` cells of the last two axes of ``a``: each
+    cell's pixel rows are added first, then the columns of those row sums."""
     a = a[..., : rows * cell_px, : cols * cell_px]
-    cells = a.reshape(a.shape[:-2] + (rows, cell_px, cols, cell_px))
-    return cells.sum(axis=(-3, -1), dtype=np.float64) / (cell_px * cell_px)
+    lead = a.shape[:-2]
+    rows_summed = a.reshape(lead + (rows, cell_px, cols * cell_px)).sum(axis=-2, dtype=np.int64)
+    return rows_summed.reshape(lead + (rows, cols, cell_px)).sum(axis=-1)
+
+
+def _frame_blocks(frames: np.ndarray | FrameDump, size: int):
+    """Consecutive blocks of at most ``size`` frames: views of an array, or
+    the reused buffer of a :class:`FrameDump`."""
+    if isinstance(frames, FrameDump):
+        return frames.blocks(size)
+    return (frames[f0 : f0 + size] for f0 in range(0, len(frames), size))
+
+
+class _Region:
+    """Per-frame sums of one mask's pixels and, given a cell size, of the
+    grid cells tiling its bounding box. The sums are exact integers, kept in
+    the float64 arrays that become the means once divided by pixel counts."""
+
+    def __init__(
+        self, label: str, mask: np.ndarray, n_frames: int, with_trace: bool,
+        cell_px: int | None,
+    ):
+        ys, xs = np.nonzero(mask)
+        if not ys.size:
+            raise ValueError(f"mask {label!r} selects no pixels")
+        self.label, self.n_skin, self.cell_px = label, ys.size, cell_px
+        self.box = np.s_[int(ys.min()) : int(ys.max()) + 1, int(xs.min()) : int(xs.max()) + 1]
+        # A mask covering more than half of its bounding box is summed as the
+        # box minus the box's pixels outside the mask: fewer pixels to gather.
+        self.dense = 2 * ys.size > mask[self.box].size
+        in_box = np.zeros_like(mask)
+        in_box[self.box] = True
+        self.picked = np.flatnonzero(in_box & ~mask if self.dense else mask)
+        self.trace = np.empty((n_frames, 3)) if with_trace else None
+        self.cells = None
+        if cell_px is not None:
+            bh, bw = mask[self.box].shape
+            cols, rows = grid_geometry(bw, bh, cell_px)
+            if cols < 1 or rows < 1:
+                raise ValueError(
+                    f"mask {label!r} bounding box {bw}x{bh} is smaller than one "
+                    f"{cell_px}px cell"
+                )
+            self.cells = np.empty((n_frames, rows, cols, 3))
+            self.skin_fraction = _cell_sums(mask[self.box], rows, cols, cell_px) / cell_px**2
+
+    def add(self, block: np.ndarray, planes: np.ndarray, f0: int) -> None:
+        """Sum the frames of ``block``, frames ``f0`` onwards of the video;
+        ``planes`` is ``block`` with each colour plane flattened."""
+        f1 = f0 + len(block)
+        box = block[(..., *self.box)]
+        if self.trace is not None:
+            sums = np.take(planes, self.picked, axis=2).sum(axis=2, dtype=np.int64)
+            if self.dense:
+                sums = box.sum(axis=(2, 3), dtype=np.int64) - sums
+            self.trace[f0:f1] = sums
+        if self.cells is not None:
+            sums = _cell_sums(box, *self.cells.shape[1:3], self.cell_px)
+            self.cells[f0:f1] = sums.transpose(0, 2, 3, 1)
+
+    def rgb_trace(self, fps: float, start_time_s: float) -> RGBTrace:
+        means = np.divide(self.trace, self.n_skin, out=self.trace)
+        return RGBTrace(
+            Waveform(means[:, 0], fps, start_time_s),
+            Waveform(means[:, 1], fps, start_time_s),
+            Waveform(means[:, 2], fps, start_time_s),
+            roi_label=self.label,
+        )
+
+    def grid(self, fps: float, start_time_s: float) -> SubregionGrid:
+        return SubregionGrid(
+            # C-ordered (n, rows, cols, 3): scoring reduces along its axes,
+            # and a strided layout could change the sums' last bits.
+            values=np.divide(self.cells, self.cell_px**2, out=self.cells),
+            sample_rate_hz=fps,
+            start_time_s=start_time_s,
+            origin_px=(self.box[1].start, self.box[0].start),
+            cell_px=self.cell_px,
+            skin_fraction=self.skin_fraction,
+        )
 
 
 def extract_traces(
-    frames: np.ndarray,
+    frames: np.ndarray | FrameDump,
     fps: float,
     masks: dict[str, np.ndarray],
     grid_cell_px: int | None = None,
     start_time_s: float = 0.0,
+    *,
+    with_traces: bool = True,
 ) -> tuple[dict[str, RGBTrace], dict[str, SubregionGrid]]:
     """Spatially average masked skin pixels of each region, per frame.
 
-    Returns per-region RGB traces, plus (when ``grid_cell_px`` is given) a
-    grid of per-cell means tiling each region's mask bounding box with
-    :func:`~bodyppg.grid.grid_geometry` whole cells. Cell means average all
-    pixels in the cell; the mask only determines each cell's skin fraction,
-    which gates scoring later.
+    Returns per-region RGB traces (none when ``with_traces`` is false), plus
+    (when ``grid_cell_px`` is given) a grid of per-cell means tiling each
+    region's mask bounding box with :func:`~bodyppg.grid.grid_geometry` whole
+    cells. Cell means average all pixels in the cell; the mask only determines
+    each cell's skin fraction, which gates scoring later.
 
-    Every mean is a float64 sum of the 8-bit pixels divided by their count.
-    Such sums are exact integers, so each mean is the exact average, and no
-    float copy of the frames is made.
+    ``frames`` is a uint8 array of shape (n_frames, 3, height, width) or the
+    :class:`FrameDump` that :func:`read_frame_dump` returns. Either is read
+    once, in blocks of ``_CHUNK_FRAMES`` frames, so a dump is never held in
+    memory whole. Every mean is an int64 sum of the 8-bit pixels divided by
+    their count: such sums are exact in any order, so each mean is the exact
+    average whatever the block size.
 
     Raises:
         ValueError: for frames that are not uint8 of shape
             (n_frames, 3, height, width), an empty mask, a mask that does not
-            match the frame dimensions, or a ``grid_cell_px`` below 1.
+            match the frame dimensions, a ``grid_cell_px`` below 1, or a
+            frame dump that no longer holds the frames its header declares.
     """
-    frames = np.asarray(frames)
-    if frames.ndim != 4 or frames.shape[1] != 3:
-        raise ValueError("frames must have shape (n_frames, 3, height, width)")
-    if frames.dtype != np.uint8:
-        raise ValueError(f"frames must be uint8, not {frames.dtype}")
+    if not isinstance(frames, FrameDump):
+        frames = np.asarray(frames)
+        if frames.ndim != 4 or frames.shape[1] != 3:
+            raise ValueError("frames must have shape (n_frames, 3, height, width)")
+        if frames.dtype != np.uint8:
+            raise ValueError(f"frames must be uint8, not {frames.dtype}")
     n, _, height, width = frames.shape
-    planes = frames.reshape(n, 3, height * width)
 
-    traces: dict[str, RGBTrace] = {}
-    grids: dict[str, SubregionGrid] = {}
+    regions = []
     for label, mask in masks.items():
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (height, width):
             raise ValueError(
                 f"mask {label!r} has shape {mask.shape}, frames are {(height, width)}"
             )
-        skin = np.flatnonzero(mask)
-        if not skin.size:
-            raise ValueError(f"mask {label!r} selects no pixels")
-        means = np.take(planes, skin, axis=2).sum(axis=2, dtype=np.float64) / skin.size
-        traces[label] = RGBTrace(
-            Waveform(means[:, 0], fps, start_time_s),
-            Waveform(means[:, 1], fps, start_time_s),
-            Waveform(means[:, 2], fps, start_time_s),
-            roi_label=label,
-        )
-        if grid_cell_px is not None:
-            ys, xs = np.nonzero(mask)
-            x0, y0 = int(xs.min()), int(ys.min())
-            bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
-            cols, rows = grid_geometry(bw, bh, grid_cell_px)
-            if cols < 1 or rows < 1:
-                raise ValueError(
-                    f"mask {label!r} bounding box {bw}x{bh} is smaller than one "
-                    f"{grid_cell_px}px cell"
-                )
-            values = _cell_means(frames[:, :, y0:, x0:], rows, cols, grid_cell_px)
-            grids[label] = SubregionGrid(
-                # C-ordered (n, rows, cols, 3): scoring reduces along its axes,
-                # and a strided layout could change the sums' last bits.
-                values=np.ascontiguousarray(values.transpose(0, 2, 3, 1)),
-                sample_rate_hz=fps,
-                start_time_s=start_time_s,
-                origin_px=(x0, y0),
-                cell_px=grid_cell_px,
-                skin_fraction=_cell_means(mask[y0:, x0:], rows, cols, grid_cell_px),
-            )
+        regions.append(_Region(label, mask, n, with_traces, grid_cell_px))
+
+    f0 = 0
+    for block in _frame_blocks(frames, _CHUNK_FRAMES):
+        planes = block.reshape(len(block), 3, height * width)
+        for region in regions:
+            region.add(block, planes, f0)
+        f0 += len(block)
+
+    traces = {r.label: r.rgb_trace(fps, start_time_s) for r in regions if r.trace is not None}
+    grids = {r.label: r.grid(fps, start_time_s) for r in regions if r.cells is not None}
     return traces, grids
 
 
@@ -604,7 +736,8 @@ class SessionManifest:
 
     def _extract(self, rois: list[str], grid_cell_px: int | None = None):
         """:func:`extract_traces` over the masks of ``rois`` (all in
-        :meth:`_masked_rois`), from one frame-dump read."""
+        :meth:`_masked_rois`), in one pass over the frame dump: their traces,
+        or only their grids when ``grid_cell_px`` is given."""
         masks = {}
         for roi in rois:
             entry = next(e for e in self.rois if e.get("label") == roi and "mask" in e)
@@ -624,7 +757,9 @@ class SessionManifest:
                 f"{self.frames_path}: frames are {width}x{height} pixels, the manifest "
                 f"declares {self.width}x{self.height}"
             )
-        return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
+        return extract_traces(
+            frames, fps, masks, grid_cell_px=grid_cell_px, with_traces=grid_cell_px is None
+        )
 
     def load_traces(self, rois: list[str]) -> dict[str, RGBTrace]:
         """ROI traces from their CSVs; the others are extracted together from

@@ -232,6 +232,44 @@ class TestRasters:
         with pytest.raises(ValueError, match=expected):
             read_frame_dump(path)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16])
+    def test_writer_rejects_frames_that_are_not_uint8(self, tmp_path, dtype):
+        frames = np.array([300.0, -1.0, 127.9, 0.0]).reshape(1, 1, 2, 2).repeat(3, axis=1)
+        with pytest.raises(ValueError, match=f"uint8, not {np.dtype(dtype)}"):
+            write_frame_dump(tmp_path / "f.rfd", frames.astype(dtype), 90.0)
+        assert not (tmp_path / "f.rfd").exists()
+
+    @pytest.mark.parametrize(
+        "n, h, w, fps, problem",
+        [
+            (0, 4, 4, 90.0, "0 frames of 4x4 pixels"),
+            (2, 4, 0, 90.0, "2 frames of 0x4 pixels"),
+            (2, 0, 4, 90.0, "2 frames of 4x0 pixels"),
+            (2, 4, 4, float("nan"), "nan fps"),
+            (2, 4, 4, float("inf"), "inf fps"),
+            (2, 4, 4, 0.0, "0.0 fps"),
+            (2, 4, 4, -90.0, "-90.0 fps"),
+        ],
+    )
+    def test_header_declaring_no_frames_or_no_rate_rejected(self, tmp_path, n, h, w, fps, problem):
+        path = tmp_path / "f.rfd"
+        write_frame_dump(path, np.zeros((n, 3, h, w), dtype=np.uint8), fps)
+        with pytest.raises(ValueError, match=rf"f\.rfd: the header declares {problem}"):
+            read_frame_dump(path)
+
+    def test_pgm_threshold_is_half_of_maxval(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n3 2\n1\n" + bytes([0, 1, 1, 1, 0, 0]))
+        assert read_pgm(path).tolist() == [[False, True, True], [True, False, False]]
+        path.write_bytes(b"P5\n3 1\n255\n" + bytes([127, 128, 255]))
+        assert read_pgm(path).tolist() == [[False, True, True]]
+
+    def test_pgm_maxval_zero_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n0\n" + bytes([0, 0]))
+        with pytest.raises(ValueError, match=r"m\.pgm: PGM maxval must be at least 1, got 0"):
+            read_pgm(path)
+
 
 class TestExtractTraces:
     def test_uniform_gray(self):
@@ -335,6 +373,86 @@ class TestExtractTracesOracle:
             assert np.array_equal(got.skin_fraction, want.skin_fraction)
             assert got.origin_px == want.origin_px
             assert (got.rows, got.cols) == (want.rows, want.cols)
+
+
+def _frame_session(root, frames, masks):
+    """A manifest over a frame dump of ``frames`` at 90 fps and one PGM mask
+    per entry of ``masks``; no trace, grid or sensor CSVs."""
+    import json
+
+    write_frame_dump(root / "frames.rfd", frames, 90.0)
+    for label, mask in masks.items():
+        write_pgm(root / f"mask_{label}.pgm", mask)
+    write_oximeter_csv(root / "oximeter.csv", np.arange(60) / 60.0, np.full(60, 72.0))
+    doc = {
+        "session_id": "frames-only",
+        "video": {"fps": 90.0, "width": frames.shape[3], "height": frames.shape[2],
+                  "frames": "frames.rfd"},
+        "sensors": [],
+        "oximeter": {"path": "oximeter.csv", "rate_hz": 60.0},
+        "rois": [{"label": label, "mask": f"mask_{label}.pgm"} for label in masks],
+    }
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return SessionManifest.load(root / "manifest.json")
+
+
+class TestStreamedIngestion:
+    """Frames are summed block by block; no block size changes a result."""
+
+    @pytest.mark.parametrize("chunk_frames", [1, 7])
+    def test_blocks_equal_loop_reference(self, tmp_path, monkeypatch, chunk_frames):
+        monkeypatch.setattr(session, "_CHUNK_FRAMES", chunk_frames)
+        rng = np.random.default_rng(4)
+        h, w, cell_px = 49, 53, 3
+        frames = rng.integers(0, 256, size=(20, 3, h, w), dtype=np.uint8)
+        masks = _oracle_masks(rng, h, w)
+        manifest = _frame_session(tmp_path, frames, masks)
+        want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
+        array_traces, array_grids = extract_traces(frames, 90.0, masks, cell_px)
+        loaded = manifest.load_traces(list(masks))
+        for label in masks:
+            want = want_traces[label].channel_matrix()
+            assert np.array_equal(loaded[label].channel_matrix(), want)
+            assert np.array_equal(array_traces[label].channel_matrix(), want)
+            for grid in (manifest.load_grid(label, cell_px=cell_px), array_grids[label]):
+                assert np.array_equal(grid.values, want_grids[label].values)
+                assert np.array_equal(grid.skin_fraction, want_grids[label].skin_fraction)
+                assert grid.origin_px == want_grids[label].origin_px
+
+    def test_dump_truncated_after_its_header_check_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(session, "_CHUNK_FRAMES", 7)
+        path = tmp_path / "f.rfd"
+        write_frame_dump(path, np.zeros((20, 3, 4, 4), dtype=np.uint8), 90.0)
+        frames, fps = read_frame_dump(path)
+        path.write_bytes(path.read_bytes()[:-10])
+        expected = r"f\.rfd: truncated frame data: read 278 of 288 bytes"
+        with pytest.raises(ValueError, match=expected):
+            extract_traces(frames, fps, {"all": np.ones((4, 4), dtype=bool)})
+        with pytest.raises(ValueError, match=r"f\.rfd: truncated frame data"):
+            np.asarray(frames)
+
+    def test_memory_grows_only_by_the_outputs(self, tmp_path):
+        import tracemalloc
+
+        h, w, n = 48, 64, 64
+        mask = np.zeros((h, w), dtype=bool)
+        mask[5:40, 3:50] = True
+        peaks = []
+        for frames in (n, 4 * n):
+            root = tmp_path / str(frames)
+            root.mkdir()
+            pixels = np.random.default_rng(2).integers(0, 256, (frames, 3, h, w), dtype=np.uint8)
+            manifest = _frame_session(root, pixels, {"face": mask})
+            del pixels
+            tracemalloc.start()
+            try:
+                manifest.load_traces(["face"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Per extra frame: the (n, 3) float64 means and the trace's three
+        # float64 channels. Holding the video would add 3 * 48 * 64 bytes.
+        assert peaks[1] - peaks[0] <= 3 * n * 2 * 3 * 8
 
 
 class TestManifest:
