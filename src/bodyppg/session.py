@@ -503,22 +503,14 @@ class _Region:
     grid cells tiling its bounding box. The sums are exact integers, kept in
     the float64 arrays that become the means once divided by pixel counts."""
 
-    def __init__(
-        self, label: str, mask: np.ndarray, n_frames: int, with_trace: bool,
-        cell_px: int | None,
-    ):
+    def __init__(self, label: str, mask: np.ndarray, n_frames: int, cell_px: int | None):
         ys, xs = np.nonzero(mask)
         if not ys.size:
             raise ValueError(f"mask {label!r} selects no pixels")
-        self.label, self.n_skin, self.cell_px = label, ys.size, cell_px
+        self.label, self.cell_px = label, cell_px
         self.box = np.s_[int(ys.min()) : int(ys.max()) + 1, int(xs.min()) : int(xs.max()) + 1]
-        # A mask covering more than half of its bounding box is summed as the
-        # box minus the box's pixels outside the mask: fewer pixels to gather.
-        self.dense = 2 * ys.size > mask[self.box].size
-        in_box = np.zeros_like(mask)
-        in_box[self.box] = True
-        self.picked = np.flatnonzero(in_box & ~mask if self.dense else mask)
-        self.trace = np.empty((n_frames, 3)) if with_trace else None
+        self.picked = np.flatnonzero(mask)
+        self.trace = np.empty((n_frames, 3))
         self.cells = None
         if cell_px is not None:
             bh, bw = mask[self.box].shape
@@ -535,18 +527,13 @@ class _Region:
         """Sum the frames of ``block``, frames ``f0`` onwards of the video;
         ``planes`` is ``block`` with each colour plane flattened."""
         f1 = f0 + len(block)
-        box = block[(..., *self.box)]
-        if self.trace is not None:
-            sums = np.take(planes, self.picked, axis=2).sum(axis=2, dtype=np.int64)
-            if self.dense:
-                sums = box.sum(axis=(2, 3), dtype=np.int64) - sums
-            self.trace[f0:f1] = sums
+        self.trace[f0:f1] = np.take(planes, self.picked, axis=2).sum(axis=2, dtype=np.int64)
         if self.cells is not None:
-            sums = _cell_sums(box, *self.cells.shape[1:3], self.cell_px)
+            sums = _cell_sums(block[(..., *self.box)], *self.cells.shape[1:3], self.cell_px)
             self.cells[f0:f1] = sums.transpose(0, 2, 3, 1)
 
     def rgb_trace(self, fps: float, start_time_s: float) -> RGBTrace:
-        means = np.divide(self.trace, self.n_skin, out=self.trace)
+        means = np.divide(self.trace, self.picked.size, out=self.trace)
         return RGBTrace(
             Waveform(means[:, 0], fps, start_time_s),
             Waveform(means[:, 1], fps, start_time_s),
@@ -573,16 +560,14 @@ def extract_traces(
     masks: dict[str, np.ndarray],
     grid_cell_px: int | None = None,
     start_time_s: float = 0.0,
-    *,
-    with_traces: bool = True,
 ) -> tuple[dict[str, RGBTrace], dict[str, SubregionGrid]]:
     """Spatially average masked skin pixels of each region, per frame.
 
-    Returns per-region RGB traces (none when ``with_traces`` is false), plus
-    (when ``grid_cell_px`` is given) a grid of per-cell means tiling each
-    region's mask bounding box with :func:`~bodyppg.grid.grid_geometry` whole
-    cells. Cell means average all pixels in the cell; the mask only determines
-    each cell's skin fraction, which gates scoring later.
+    Returns per-region RGB traces, plus (when ``grid_cell_px`` is given) a
+    grid of per-cell means tiling each region's mask bounding box with
+    :func:`~bodyppg.grid.grid_geometry` whole cells. Cell means average all
+    pixels in the cell; the mask only determines each cell's skin fraction,
+    which gates scoring later.
 
     ``frames`` is a uint8 array of shape (n_frames, 3, height, width) or the
     :class:`FrameDump` that :func:`read_frame_dump` returns. Either is read
@@ -612,7 +597,7 @@ def extract_traces(
             raise ValueError(
                 f"mask {label!r} has shape {mask.shape}, frames are {(height, width)}"
             )
-        regions.append(_Region(label, mask, n, with_traces, grid_cell_px))
+        regions.append(_Region(label, mask, n, grid_cell_px))
 
     f0 = 0
     for block in _frame_blocks(frames, _CHUNK_FRAMES):
@@ -621,7 +606,7 @@ def extract_traces(
             region.add(block, planes, f0)
         f0 += len(block)
 
-    traces = {r.label: r.rgb_trace(fps, start_time_s) for r in regions if r.trace is not None}
+    traces = {r.label: r.rgb_trace(fps, start_time_s) for r in regions}
     grids = {r.label: r.grid(fps, start_time_s) for r in regions if r.cells is not None}
     return traces, grids
 
@@ -736,8 +721,7 @@ class SessionManifest:
 
     def _extract(self, rois: list[str], grid_cell_px: int | None = None):
         """:func:`extract_traces` over the masks of ``rois`` (all in
-        :meth:`_masked_rois`), in one pass over the frame dump: their traces,
-        or only their grids when ``grid_cell_px`` is given."""
+        :meth:`_masked_rois`), in one pass over the frame dump."""
         masks = {}
         for roi in rois:
             entry = next(e for e in self.rois if e.get("label") == roi and "mask" in e)
@@ -757,9 +741,7 @@ class SessionManifest:
                 f"{self.frames_path}: frames are {width}x{height} pixels, the manifest "
                 f"declares {self.width}x{self.height}"
             )
-        return extract_traces(
-            frames, fps, masks, grid_cell_px=grid_cell_px, with_traces=grid_cell_px is None
-        )
+        return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
 
     def load_traces(self, rois: list[str]) -> dict[str, RGBTrace]:
         """ROI traces from their CSVs; the others are extracted together from
