@@ -1,7 +1,8 @@
 """Batch command-line interface orchestrating the analysis pipelines.
 
 Subcommands: synth, fuse-gt, estimate, pulse-rate, score, grid-map, ptt.
-Every run writes a JSON config echo (all parameters, tool version, input
+Each takes exactly the parameters it reads, from flags or a JSON config file.
+Every run writes a JSON config echo (its parameters, tool version, input
 digests) next to its artifacts, re-running a command on identical inputs and
 configuration reproduces the outputs byte for byte, and failed runs remove
 whatever partial outputs they created.
@@ -96,11 +97,11 @@ def _parse_band(text: str) -> tuple[float, float]:
     return (float(lo), float(hi))
 
 
-def _param(params: dict, key: str, default):
+def _param(params: dict, key: str, default=None):
     """``params[key]``, or ``default`` when it is absent or None.
 
-    An explicit zero is kept, so it reaches validation instead of quietly
-    turning into the default.
+    An explicit zero or empty value is kept, so it reaches validation instead
+    of quietly turning into the default.
     """
     value = params.get(key)
     return default if value is None else value
@@ -129,14 +130,14 @@ def cmd_synth(params: dict, stage: _OutputStage) -> None:
     cfg = SyntheticSessionConfig(
         seed=int(_param(params, "seed", 7)),
         duration_s=_param(params, "duration_s", 60.0),
-        corrupt_sites=tuple(params.get("corrupt_sites") or ()),
+        corrupt_sites=tuple(_param(params, "corrupt_sites", ())),
     )
     build_synthetic_session(stage.out_dir, cfg)
     _config_echo(stage, "synth", params, [])
 
 
 def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
-    manifest = SessionManifest.load(params["manifest"])
+    manifest = SessionManifest.load(_param(params, "manifest"))
     bank = manifest.load_sensor_bank(
         delta_y_bpm=_param(params, "delta_y_bpm", DELTA_Y_BPM_DEFAULT)
     )
@@ -150,21 +151,21 @@ def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
 
 
 def _reference_rates(manifest: SessionManifest, params: dict):
-    if params.get("ref_rates"):
-        return read_rate_csv(params["ref_rates"])
+    if _param(params, "ref_rates") is not None:
+        return read_rate_csv(_param(params, "ref_rates"))
     bank = manifest.load_sensor_bank()
     fused, _ = fuse_ground_truth_report(bank)
     return reference_pulse_rate(fused)
 
 
 def cmd_estimate(params: dict, stage: _OutputStage) -> None:
-    manifest = SessionManifest.load(params["manifest"])
-    roi = params.get("roi") or "face"
-    method = params.get("method") or "pos"
+    manifest = SessionManifest.load(_param(params, "manifest"))
+    roi = _param(params, "roi", "face")
+    method = _param(params, "method", "pos")
     trace = manifest.load_trace(roi)
     cfg = MethodConfig(method=method)
     pulse = extract_pulse(trace, cfg)
-    band = params.get("band_bpm") or DEFAULT_BAND_BPM
+    band = _param(params, "band_bpm", DEFAULT_BAND_BPM)
     plan = _plan(params, 10.0, 1.0)
     rates = stft_pulse_rate(pulse, plan, band)
     ref = _reference_rates(manifest, params)
@@ -186,25 +187,25 @@ def cmd_estimate(params: dict, stage: _OutputStage) -> None:
 
 
 def cmd_pulse_rate(params: dict, stage: _OutputStage) -> None:
-    wave = read_waveform_csv(params["input"])
-    band = params.get("band_bpm") or DEFAULT_BAND_BPM
+    wave = read_waveform_csv(_param(params, "input"))
+    band = _param(params, "band_bpm", DEFAULT_BAND_BPM)
     plan = _plan(params, 10.0, 1.0)
     rates = stft_pulse_rate(wave, plan, band)
     write_rate_csv(stage.path("rates.csv"), rates)
-    _config_echo(stage, "pulse-rate", params, [Path(params["input"])])
+    _config_echo(stage, "pulse-rate", params, [Path(_param(params, "input"))])
 
 
 def cmd_score(params: dict, stage: _OutputStage) -> None:
-    pred = read_rate_csv(params["pred"])
-    ref = read_rate_csv(params["ref"])
+    pred = read_rate_csv(_param(params, "pred"))
+    ref = read_rate_csv(_param(params, "ref"))
     report = score_series(pred, ref)
     write_json(stage.path("score.json"), report.to_dict())
-    _config_echo(stage, "score", params, [Path(params["pred"]), Path(params["ref"])])
+    _config_echo(stage, "score", params, [Path(_param(params, k)) for k in ("pred", "ref")])
 
 
 def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
-    manifest = SessionManifest.load(params["manifest"])
-    roi = params.get("roi") or "face"
+    manifest = SessionManifest.load(_param(params, "manifest"))
+    roi = _param(params, "roi", "face")
     grid = manifest.load_grid(roi)
     plan = _plan(params, 10.0, _param(params, "window_s", 10.0))
     ref = _reference_rates(manifest, params)
@@ -265,13 +266,13 @@ def ptt_window_rows(matrix: PTTMatrix) -> np.ndarray:
 
 
 def cmd_ptt(params: dict, stage: _OutputStage) -> None:
-    manifest = SessionManifest.load(params["manifest"])
-    source = params.get("source") or "sensors"
+    manifest = SessionManifest.load(_param(params, "manifest"))
+    source = _param(params, "source", "sensors")
     if source == "sensors":
         waves = list(manifest.load_sensor_bank().channels)
         plan = _plan(params, 5.0, 0.010)
     elif source == "rppg":
-        cfg = MethodConfig(method=params.get("method") or "pos")
+        cfg = MethodConfig(method=_param(params, "method", "pos"))
         waves = [
             (roi, extract_pulse(trace, cfg))
             for roi, trace in manifest.load_traces(manifest.trace_rois()).items()
@@ -297,29 +298,80 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
     _config_echo(stage, "ptt", params, _manifest_inputs(manifest))
 
 
+# command -> (function, help, {parameter: its default as --help states it}).
+# A command takes exactly the parameters in its row, plus out_dir, from flags
+# or from --config; a None default marks a parameter that must be given.
 _COMMANDS = {
-    "synth": cmd_synth,
-    "fuse-gt": cmd_fuse_gt,
-    "estimate": cmd_estimate,
-    "pulse-rate": cmd_pulse_rate,
-    "score": cmd_score,
-    "grid-map": cmd_grid_map,
-    "ptt": cmd_ptt,
+    "synth": (cmd_synth, "emit a complete synthetic session",
+              {"seed": "7", "duration_s": "60", "corrupt_sites": "none"}),
+    "fuse-gt": (cmd_fuse_gt, "fuse contact sensors into a reference pulse",
+                {"manifest": None, "delta_y_bpm": f"{DELTA_Y_BPM_DEFAULT:g}",
+                 "window_s": "10", "stride_s": "0.25"}),
+    "estimate": (cmd_estimate, "extract a pulse from one ROI and score it",
+                 {"manifest": None, "roi": "face", "method": "pos",
+                  "ref_rates": "fuse the contact sensors", "band_bpm": "%g:%g" % DEFAULT_BAND_BPM,
+                  "window_s": "10", "stride_s": "1"}),
+    "pulse-rate": (cmd_pulse_rate, "pulse-rate series from a waveform CSV",
+                   {"input": None, "band_bpm": "%g:%g" % DEFAULT_BAND_BPM,
+                    "window_s": "10", "stride_s": "1"}),
+    "score": (cmd_score, "score a predicted rate CSV against a reference",
+              {"pred": None, "ref": None}),
+    "grid-map": (cmd_grid_map, "local quality maps over grid cell traces",
+                 {"manifest": None, "roi": "face", "ref_rates": "fuse the contact sensors",
+                  "grid_cell_px": "the grid's cell size", "window_s": "10",
+                  "stride_s": "the window length"}),
+    "ptt": (cmd_ptt, "pairwise pulse-transit-time matrix",
+            {"manifest": None, "source": "sensors", "method": "pos", "window_s": "5",
+             "stride_s": "0.01 for sensors, one frame for rppg",
+             "max_lag_s": f"{DEFAULT_MAX_LAG_S:g}", "min_peak_corr": f"{DEFAULT_MIN_PEAK_CORR:g}"}),
+}
+
+# argparse options of each parameter's flag, --<key with dashes>.
+_FLAGS = {
+    "manifest": {"help": "session manifest JSON"},
+    "input": {"help": "waveform CSV (time_s,value)"},
+    "pred": {"help": "predicted rate CSV"},
+    "ref": {"help": "reference rate CSV"},
+    "seed": {"type": int, "help": "random seed"},
+    "duration_s": {"type": float, "help": "session length, seconds"},
+    "corrupt_sites": {"nargs": "*", "help": "sensor sites to corrupt with motion bursts"},
+    "delta_y_bpm": {"type": float, "help": "half-width of the oximeter-guided band, bpm"},
+    "roi": {"help": "ROI label from the manifest"},
+    "method": {"choices": ["chrom", "pos"], "help": "rPPG method"},
+    "ref_rates": {"help": "reference rate CSV"},
+    "band_bpm": {"type": _parse_band, "help": "analysis band as lo:hi in bpm"},
+    "window_s": {"type": float, "help": "window length, seconds"},
+    "stride_s": {"type": float, "help": "window stride, seconds"},
+    "grid_cell_px": {"type": int, "help": "upsample factor"},
+    "source": {"choices": ["sensors", "rppg"], "help": "signals to compare"},
+    "max_lag_s": {"type": float, "help": "largest lag scanned, seconds"},
+    "min_peak_corr": {"type": float, "help": "smallest peak correlation a window keeps"},
 }
 
 
 def run_pipeline(command: str, params: dict) -> Path:
     """Run one subcommand programmatically; returns the output directory.
 
-    On any error the partially written outputs are removed and the exception
-    re-raised.
+    ``params`` must hold the command's required parameters and nothing outside
+    its row of ``_COMMANDS``. On any error the partially written outputs are
+    removed and the exception re-raised.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}; expected one of {sorted(_COMMANDS)}")
-    out_dir = Path(params.get("out_dir") or "out")
+    run, _, row = _COMMANDS[command]
+    valid = sorted([*row, "out_dir"])
+    for key in params:
+        if key not in valid:
+            raise ValueError(f"{command}: unknown parameter {key!r}; valid parameters: {valid}")
+    for key, default in row.items():
+        if default is None and _param(params, key) is None:
+            raise ValueError(f"{command}: missing parameter {key!r}; valid parameters: {valid}")
+    if _param(params, "out_dir") == "":
+        raise ValueError(f"{command}: parameter 'out_dir' is empty; omit it to write to 'out'")
+    out_dir = Path(_param(params, "out_dir", "out"))
     stage = _OutputStage(out_dir)
     try:
-        _COMMANDS[command](params, stage)
+        run(params, stage)
     except Exception:
         stage.discard()
         raise
@@ -333,81 +385,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, manifest: bool = True):
-        if manifest:
-            p.add_argument("--manifest", help="session manifest JSON")
+    for command, (_, help_text, row) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat JSON config file; CLI flags override it")
         p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-        p.add_argument("--window-s", dest="window_s", type=float, help="window length, seconds")
-        p.add_argument("--stride-s", dest="stride_s", type=float, help="window stride, seconds")
-        p.add_argument(
-            "--band-bpm",
-            dest="band_bpm",
-            type=_parse_band,
-            help="analysis band as lo:hi in bpm (default 40:180)",
-        )
-        p.add_argument("--seed", type=int, help="random seed (synthetic data)")
-
-    p = sub.add_parser("synth", help="emit a complete synthetic session")
-    common(p, manifest=False)
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.add_argument(
-        "--corrupt-sites",
-        dest="corrupt_sites",
-        nargs="*",
-        help="sensor sites to corrupt with motion bursts",
-    )
-
-    p = sub.add_parser("fuse-gt", help="fuse contact sensors into a reference pulse")
-    common(p)
-    p.add_argument("--delta-y-bpm", dest="delta_y_bpm", type=float)
-
-    p = sub.add_parser("estimate", help="extract a pulse from one ROI and score it")
-    common(p)
-    p.add_argument("--roi", help="ROI label from the manifest")
-    p.add_argument("--method", choices=["chrom", "pos"])
-    p.add_argument("--ref-rates", dest="ref_rates", help="reference rate CSV (else fuse sensors)")
-
-    p = sub.add_parser("pulse-rate", help="pulse-rate series from a waveform CSV")
-    common(p, manifest=False)
-    p.add_argument("--input", required=True, help="waveform CSV (time_s,value)")
-
-    p = sub.add_parser("score", help="score a predicted rate CSV against a reference")
-    common(p, manifest=False)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--ref", required=True)
-
-    p = sub.add_parser("grid-map", help="local quality maps over grid cell traces")
-    common(p)
-    p.add_argument("--roi", help="gridded ROI label")
-    p.add_argument("--grid-cell-px", dest="grid_cell_px", type=int, help="upsample factor")
-    p.add_argument("--ref-rates", dest="ref_rates")
-
-    p = sub.add_parser("ptt", help="pairwise pulse-transit-time matrix")
-    common(p)
-    p.add_argument("--source", choices=["sensors", "rppg"])
-    p.add_argument("--method", choices=["chrom", "pos"], help="rppg method for --source rppg")
-    p.add_argument("--max-lag-s", dest="max_lag_s", type=float)
-    p.add_argument("--min-peak-corr", dest="min_peak_corr", type=float)
-
+        for key, default in row.items():
+            options = dict(_FLAGS[key])
+            options["help"] += " (required)" if default is None else f" (default: {default})"
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     params: dict = {}
-    if getattr(args, "config", None):
+    if args.config is not None:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            params = json.load(fh)
+        if not isinstance(params, dict):
             raise ValueError("config file must hold a flat JSON object")
-        params.update(loaded)
-        if "band_bpm" in params and isinstance(params["band_bpm"], str):
+        if isinstance(params.get("band_bpm"), str):
             params["band_bpm"] = _parse_band(params["band_bpm"])
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        params[key] = value
+    params.update((k, v) for k, v in vars(args).items()
+                  if k not in ("command", "config") and v is not None)
     return params
 
 

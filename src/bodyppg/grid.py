@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import harmonic_snrs
-from .pulse_rate import PulseRateSeries, spectral_peaks
+from .pulse_rate import DEFAULT_BAND_BPM, PulseRateSeries, spectral_peaks
 # Not called here: score_grid batches what these do for one pulse. The names
 # stay importable from this module because perfbench's tracer wraps them here.
 from .metrics import snr_harmonics  # noqa: F401
@@ -205,7 +205,7 @@ def score_grid(
     grid: SubregionGrid,
     ref_rate: PulseRateSeries,
     plan: WindowPlan | None = None,
-    band_bpm: tuple[float, float] = (40.0, 180.0),
+    band_bpm: tuple[float, float] = DEFAULT_BAND_BPM,
 ) -> list[ErrorFrame]:
     """Score every grid cell per non-overlapping window.
 

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fusion import DELTA_Y_BPM_DEFAULT, OXIMETER_BAND_BPM, SensorBank
 from .grid import PoseKeypoints, SubregionGrid, grid_geometry
 from .pulse_rate import PulseRateSeries
 from .rppg import RGBTrace
@@ -162,7 +163,7 @@ def read_oximeter_csv(
         times_s=data[:, 0],
         rates_bpm=data[:, 1],
         window_length_s=0.0,
-        band_bpm=(30.0, 240.0),
+        band_bpm=OXIMETER_BAND_BPM,
     )
 
 
@@ -232,7 +233,8 @@ def write_pgm(path: Path | str, mask: np.ndarray) -> None:
 
 def read_pgm(path: Path | str) -> np.ndarray:
     """Boolean mask from a binary PGM; values above half the header's
-    ``maxval`` count as true (128 and above for the usual 255)."""
+    ``maxval`` count as true (128 and above for the usual 255). A value above
+    ``maxval``, or any byte after the raster, is rejected."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
@@ -253,8 +255,27 @@ def read_pgm(path: Path | str) -> np.ndarray:
         raw = fh.read(width * height)
         if len(raw) != width * height:
             raise ValueError(f"{path}: truncated PGM pixel data")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the {width}x{height} PGM raster")
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    if np.any(pixels > maxval):
+        raise ValueError(f"{path}: PGM pixel value {pixels.max()} exceeds maxval {maxval}")
     # For integers, 2 * v > maxval is v > maxval // 2.
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width) > maxval // 2
+    return pixels > maxval // 2
+
+
+def _check_dump_header(path: Path | str, n: int, w: int, h: int, fps: float) -> None:
+    """A frame-dump header must declare at least one frame of at least 1x1
+    pixels at a finite positive fps; the writer and the reader both check it."""
+    if min(n, w, h) < 1:
+        raise ValueError(
+            f"{path}: the header declares {n} frames of {w}x{h} pixels; "
+            "frame count, width and height must be at least 1"
+        )
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(
+            f"{path}: the header declares {fps} fps; the rate must be finite and positive"
+        )
 
 
 def write_frame_dump(path: Path | str, frames: np.ndarray, fps: float) -> None:
@@ -265,6 +286,7 @@ def write_frame_dump(path: Path | str, frames: np.ndarray, fps: float) -> None:
     if frames.dtype != np.uint8:
         raise ValueError(f"frames must be uint8, not {frames.dtype}")
     n, _, h, w = frames.shape
+    _check_dump_header(path, n, w, h, fps)
     header = _FRAME_DUMP_HEADER.pack(_FRAME_DUMP_MAGIC, w, h, n, fps)
     header = header.ljust(_FRAME_DUMP_HEADER_SIZE, b"\0")
     with open(path, "wb") as fh:
@@ -331,15 +353,7 @@ def read_frame_dump(path: Path | str) -> tuple[FrameDump, float]:
         magic, w, h, n, fps = _FRAME_DUMP_HEADER.unpack(header[: _FRAME_DUMP_HEADER.size])
         if magic != _FRAME_DUMP_MAGIC:
             raise ValueError(f"{path}: bad frame-dump magic {magic!r}")
-        if min(n, w, h) < 1:
-            raise ValueError(
-                f"{path}: the header declares {n} frames of {w}x{h} pixels; "
-                "frame count, width and height must be at least 1"
-            )
-        if not (math.isfinite(fps) and fps > 0):
-            raise ValueError(
-                f"{path}: the header declares {fps} fps; the rate must be finite and positive"
-            )
+        _check_dump_header(path, n, w, h, fps)
         size = os.fstat(fh.fileno()).st_size
         expected = _FRAME_DUMP_HEADER_SIZE + n * 3 * h * w
         if size != expected:
@@ -757,9 +771,7 @@ class SessionManifest:
         """ROI trace from its CSV, or extracted from the frame dump + mask."""
         return self.load_traces([roi])[roi]
 
-    def load_sensor_bank(self, delta_y_bpm: float = 30.0):
-        from .fusion import SensorBank
-
+    def load_sensor_bank(self, delta_y_bpm: float = DELTA_Y_BPM_DEFAULT) -> SensorBank:
         return SensorBank(self.sensor_channels, self.oximeter, delta_y_bpm)
 
     def load_grid(self, roi: str, cell_px: int = 20) -> SubregionGrid:

@@ -166,6 +166,89 @@ class TestConfigHandling:
             run_pipeline("transmogrify", {})
 
 
+class TestParameterTable:
+    """Each command takes exactly the parameters it reads, from flags or --config."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--manifest", "m.json", "--seed", "3"],
+            ["grid-map", "--manifest", "m.json", "--band-bpm", "50:150"],
+            ["score", "--pred", "p.csv", "--ref", "r.csv", "--window-s", "5"],
+            ["ptt", "--manifest", "m.json", "--seed", "99"],
+            ["synth", "--stride-s", "1"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["stride", "seed", "band_bpm", "config"])
+    def test_config_key_the_command_does_not_read_rejected(self, session, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        out = tmp_path / "out"
+        rc = main(["ptt", "--manifest", str(session / "manifest.json"), "--config", str(cfg),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"]["type"] == "ValueError"
+        assert f"ptt: unknown parameter {key!r}" in report["error"]["message"]
+        assert "'stride_s'" in report["error"]["message"]
+        assert not out.exists()
+
+    def test_programmatic_call_checked_against_the_same_table(self, session, tmp_path):
+        with pytest.raises(ValueError, match=r"ptt: unknown parameter 'seed'; valid parameters"):
+            run_pipeline("ptt", {"manifest": str(session / "manifest.json"), "seed": 99,
+                                 "out_dir": str(tmp_path / "out")})
+
+    @pytest.mark.parametrize("command", ["fuse-gt", "estimate", "grid-map", "ptt"])
+    def test_missing_manifest_named(self, tmp_path, capsys, command):
+        rc = main([command, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"{command}: missing parameter 'manifest'; valid parameters: [")
+
+    def test_config_supplies_every_path(self, session, tmp_path):
+        manifest = str(session / "manifest.json")
+        fused = tmp_path / "fused"
+        assert main(["fuse-gt", "--manifest", manifest, "--out-dir", str(fused)]) == 0
+        rates = str(fused / "fused_rates.csv")
+        cases = [
+            ("fuse-gt", {"manifest": manifest}),
+            ("pulse-rate", {"input": str(fused / "fused.csv")}),
+            ("score", {"pred": rates, "ref": rates}),
+        ]
+        for command, paths in cases:
+            flags = [arg for key, value in paths.items() for arg in ("--" + key, value)]
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(paths))
+            by_flag, by_config = tmp_path / command / "flag", tmp_path / command / "config"
+            assert main([command, *flags, "--out-dir", str(by_flag)]) == 0
+            assert main([command, "--config", str(cfg), "--out-dir", str(by_config)]) == 0
+            # out_dir is not echoed, so the two runs write the same bytes.
+            assert digest_tree(by_flag) == digest_tree(by_config)
+
+    def test_empty_roi_is_not_face(self, session, tmp_path, capsys):
+        out = tmp_path / "est"
+        rc = main(["estimate", "--manifest", str(session / "manifest.json"), "--roi", "",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"]["type"] == "KeyError"
+        assert report["error"]["message"].startswith("unknown ROI ''; valid labels: [")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_empty_out_dir_is_not_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out-dir", "", "--duration-s", "12"]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("synth: parameter 'out_dir' is empty")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     def test_rerun_in_place_byte_identical(self, tmp_path):
         root = tmp_path / "run"

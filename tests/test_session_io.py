@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,7 +255,12 @@ class TestRasters:
     )
     def test_header_declaring_no_frames_or_no_rate_rejected(self, tmp_path, n, h, w, fps, problem):
         path = tmp_path / "f.rfd"
-        write_frame_dump(path, np.zeros((n, 3, h, w), dtype=np.uint8), fps)
+        with pytest.raises(ValueError, match=rf"f\.rfd: the header declares {problem}"):
+            write_frame_dump(path, np.zeros((n, 3, h, w), dtype=np.uint8), fps)
+        assert not path.exists()
+        # The 32-byte header: magic, width, height, frames, fps, zero padding.
+        header = struct.pack("<4sIII d", b"RFD1", w, h, n, fps).ljust(32, b"\0")
+        path.write_bytes(header + bytes(n * 3 * h * w))
         with pytest.raises(ValueError, match=rf"f\.rfd: the header declares {problem}"):
             read_frame_dump(path)
 
@@ -268,6 +275,18 @@ class TestRasters:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n2 1\n0\n" + bytes([0, 0]))
         with pytest.raises(ValueError, match=r"m\.pgm: PGM maxval must be at least 1, got 0"):
+            read_pgm(path)
+
+    def test_pgm_value_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n1\n" + bytes([0, 7]))
+        with pytest.raises(ValueError, match=r"m\.pgm: PGM pixel value 7 exceeds maxval 1"):
+            read_pgm(path)
+
+    def test_pgm_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n1\n" + bytes([0, 1]) + b"\0" * 5)
+        with pytest.raises(ValueError, match=r"m\.pgm: trailing bytes after the 2x1 PGM raster"):
             read_pgm(path)
 
 
