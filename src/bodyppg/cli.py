@@ -396,6 +396,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_value(key: str, value):
+    """A --config value held to its flag's type and choices, as argparse holds
+    the flag; ``band_bpm`` may also be a list of two numbers."""
+    options = _FLAGS.get(key, {})
+    kind = options.get("type")
+    if kind is _parse_band and isinstance(value, str):
+        return _parse_band(value)
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        expected = "an integer"
+    elif kind is float:
+        ok, expected = _is_number(value), "a number"
+    elif kind is _parse_band:
+        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+        expected = "a 'lo:hi' string or a list of two numbers"
+    elif options.get("nargs") == "*":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        expected = "a list of strings"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    choices = options.get("choices")
+    if ok and choices is not None and value not in choices:
+        ok, expected = False, f"one of {choices}"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     params: dict = {}
     if args.config is not None:
@@ -403,8 +435,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             params = json.load(fh)
         if not isinstance(params, dict):
             raise ValueError("config file must hold a flat JSON object")
-        if isinstance(params.get("band_bpm"), str):
-            params["band_bpm"] = _parse_band(params["band_bpm"])
+        # Keys the command does not take are left for run_pipeline to name;
+        # a null value counts as absent.
+        checked = {*_COMMANDS[args.command][2], "out_dir"}
+        params = {k: _config_value(k, v) if k in checked and v is not None else v
+                  for k, v in params.items()}
     params.update((k, v) for k, v in vars(args).items()
                   if k not in ("command", "config") and v is not None)
     return params

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 
 from .pulse_rate import (
     DEFAULT_BAND_BPM,
@@ -177,7 +176,10 @@ def fuse_ground_truth_report(
         coeffs = design_bandpass(BandpassSpec(FUSION_FILTER_ORDER, low, high), fs)
 
         segs = np.stack([wave.samples[start : start + n_len] for _, wave in channels])
-        std = segs.std(axis=-1)
+        # Deviations from the mean once, for both the std and the z-scores,
+        # by the same operations np.std and np.mean perform.
+        dev = segs - segs.sum(axis=-1, keepdims=True) / n_len
+        std = np.sqrt((dev * dev).sum(axis=-1) / n_len)
         live = std != 0.0
         for (site, _), ok in zip(channels, live):
             if not ok:
@@ -186,13 +188,10 @@ def fuse_ground_truth_report(
                 )
         window_sum = np.zeros(n_len)
         if live.any():
-            segs = segs[live]
-            z = (segs - segs.mean(axis=-1, keepdims=True)) / std[live, None]
+            z = dev[live] / std[live, None]
             # One forward-backward pass over the live channels; the rows are
             # then added in channel order, as one channel at a time would.
-            for row in sps.filtfilt(
-                coeffs.b, coeffs.a, z, axis=-1, padtype="odd", padlen=coeffs.pad_length
-            ):
+            for row in coeffs.zero_phase(z):
                 window_sum += row
         else:
             diags.empty_window_times_s.append(first.start_time_s + center / fs)

@@ -74,6 +74,9 @@ _CHUNK_FRAMES = 16
 
 # Every float this package writes to CSV uses this format.
 _FLOAT_FMT = "%.12g"
+# Rows that write_csv formats with one % operation. A block's text is held in
+# memory while it is written, so the block stays small.
+_CSV_BLOCK_ROWS = 1024
 # Grid CSVs are checked in blocks of whole frames of about this many lines.
 _GRID_CHECK_LINES = 1 << 15
 
@@ -115,10 +118,25 @@ def _load_uniform_csv(
 
 def write_csv(path: Path | str, columns: list, header: str = "", fmt=_FLOAT_FMT) -> None:
     """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV;
-    no header line when ``header`` is empty."""
-    np.savetxt(
-        path, np.column_stack(columns), delimiter=",", header=header, comments="", fmt=fmt
-    )
+    no header line when ``header`` is empty.
+
+    ``fmt`` is one %-format for every column or one per column. The bytes are
+    those numpy's ``savetxt`` writes with ``delimiter=","`` and
+    ``comments=""``, but each block of ``_CSV_BLOCK_ROWS`` rows is formatted
+    by one ``%`` over the block's values rather than one call per row.
+    """
+    table = np.column_stack(columns)
+    n_cols = table.shape[1]
+    fmts = [fmt] * n_cols if isinstance(fmt, str) else list(fmt)
+    if len(fmts) != n_cols:
+        raise ValueError(f"{path}: {len(fmts)} formats for {n_cols} columns")
+    row_fmt = ",".join(fmts) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write(header + "\n")
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[i : i + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_json(path: Path | str, doc: dict) -> None:

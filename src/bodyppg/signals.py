@@ -8,7 +8,7 @@ real-valued signal carrying its sample rate and a session-clock start time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sps
@@ -119,20 +119,25 @@ class BandpassSpec:
 class FilterCoefficients:
     """Digital IIR transfer-function coefficients tied to a sample rate.
 
-    ``b`` and ``a`` are read-only, so one design can be shared by every
-    caller that asks for it.
+    ``b``, ``a`` and the step-response steady state ``zi`` (one
+    ``scipy.signal.lfilter_zi`` solve per design) are read-only, so one design
+    can be shared by every caller that asks for it.
     """
 
     b: np.ndarray
     a: np.ndarray
     sample_rate_hz: float
     spec: BandpassSpec
+    zi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("b", "a"):
             coeffs = np.array(getattr(self, name), dtype=np.float64)
             coeffs.flags.writeable = False
             object.__setattr__(self, name, coeffs)
+        zi = sps.lfilter_zi(self.b, self.a)
+        zi.flags.writeable = False
+        object.__setattr__(self, "zi", zi)
 
     def poles(self) -> np.ndarray:
         return np.roots(self.a)
@@ -147,6 +152,29 @@ class FilterCoefficients:
     @property
     def pad_length(self) -> int:
         return 3 * (max(len(self.b), len(self.a)) - 1)
+
+    def zero_phase(self, x) -> np.ndarray:
+        """Forward-backward filter along the last axis, with zero net phase.
+
+        Bit for bit what ``scipy.signal.filtfilt(b, a, x, padtype="odd",
+        padlen=self.pad_length)`` returns: the same odd extension and the same
+        two ``lfilter`` passes, each started from the stored steady state
+        instead of a fresh ``lfilter_zi`` solve.
+
+        Raises:
+            ValueError: if the last axis is not longer than the padding.
+        """
+        x = np.asarray(x)
+        n = self.pad_length
+        if x.shape[-1] <= n:
+            raise ValueError(f"signal length {x.shape[-1]} too short; need more than {n} samples")
+        ext = np.concatenate(
+            (2 * x[..., :1] - x[..., n:0:-1], x, 2 * x[..., -1:] - x[..., -2 : -(n + 2) : -1]),
+            axis=-1,
+        )
+        y, _ = sps.lfilter(self.b, self.a, ext, zi=self.zi * ext[..., :1])
+        y, _ = sps.lfilter(self.b, self.a, y[..., ::-1], zi=self.zi * y[..., -1:])
+        return y[..., ::-1][..., n:-n]
 
 
 @dataclass(frozen=True)
@@ -166,20 +194,63 @@ class WindowPlan:
         return int(round(self.length_s * sample_rate_hz))
 
 
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Monic polynomial with the given complex roots, made as scipy's own
+    ``poly`` makes it: one ``convolve`` per root, real when the roots' imaginary
+    parts are symmetric."""
+    coeffs = np.ones((1,), dtype=roots.dtype)
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.array((1.0, -root), dtype=roots.dtype), mode="full")
+    if np.all(np.sort(np.imag(roots)) == np.sort(np.imag(np.conj(roots)))):
+        coeffs = np.real(coeffs).copy()
+    return coeffs
+
+
+def _butter_bandpass(order: int, low_hz: float, high_hz: float, fs: float):
+    """``scipy.signal.butter(order, [low_hz, high_hz], "bandpass", fs=fs)``.
+
+    A transcription of scipy's chain (``buttap``, ``lp2bp_zpk``,
+    ``bilinear_zpk``, ``zpk2tf``) with the same operations in the same order,
+    so the coefficients are the same bits, without its per-call array-API
+    dispatch and checks.
+    """
+    # iirfilter: normalise, then pre-warp with the bilinear transform's fs = 2.
+    wn = np.asarray([low_hz, high_hz], dtype=np.float64) / (fs / 2)
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # buttap: no zeros, unit gain, poles on the left half of the unit circle.
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    # lp2bp_zpk: order zeros at the origin, each pole split in two.
+    p_lp = (p * bw / 2).astype(np.complex128)
+    p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2)))
+    z_bp = np.zeros(order, dtype=np.complex128)
+    k_bp = 1.0 * bw**order
+    # bilinear_zpk with fs = 2 (fs2 = 4): the zeros at infinity go to z = -1.
+    z_z = np.concatenate(((4.0 + z_bp) / (4.0 - z_bp), -np.ones(order)))
+    p_z = (4.0 + p_bp) / (4.0 - p_bp)
+    k_z = k_bp * np.real(np.prod(4.0 - z_bp) / np.prod(4.0 - p_bp))
+    # zpk2tf
+    b = np.multiply(np.atleast_1d(np.asarray(k_z, dtype=np.float64)), _poly(z_z))
+    return b, _poly(p_z)
+
+
 @functools.lru_cache(maxsize=256)
 def design_bandpass(spec: BandpassSpec, sample_rate_hz: float) -> FilterCoefficients:
     """Design a digital Butterworth band-pass for the given sample rate.
 
     The analog Butterworth prototype is mapped through the bilinear transform
     with frequency pre-warping, so the magnitude response crosses -3 dB at
-    each cutoff. Designs are cached on the exact (spec, rate) pair; the
-    coefficients are read-only, so sharing them is safe.
+    each cutoff. The coefficients are bit for bit those of
+    ``scipy.signal.butter``. Designs are cached on the exact (spec, rate)
+    pair; the coefficients are read-only, so sharing them is safe.
 
     Raises:
         ValueError: if the high cutoff reaches the Nyquist frequency.
     """
     spec.validate_for(sample_rate_hz)
-    b, a = sps.butter(spec.order, list(spec.cutoffs_hz), btype="bandpass", fs=sample_rate_hz)
+    b, a = _butter_bandpass(int(spec.order), *spec.cutoffs_hz, float(sample_rate_hz))
     return FilterCoefficients(b=b, a=a, sample_rate_hz=sample_rate_hz, spec=spec)
 
 
@@ -198,11 +269,7 @@ def bandpass_zero_phase(w: Waveform, coeffs: FilterCoefficients) -> Waveform:
             f"filter designed for {coeffs.sample_rate_hz:g} Hz, waveform is "
             f"{w.sample_rate_hz:g} Hz"
         )
-    padlen = coeffs.pad_length
-    if len(w) <= padlen:
-        raise ValueError(f"signal length {len(w)} too short; need more than {padlen} samples")
-    filtered = sps.filtfilt(coeffs.b, coeffs.a, w.samples, padtype="odd", padlen=padlen)
-    return w.with_samples(filtered)
+    return w.with_samples(coeffs.zero_phase(w.samples))
 
 
 def z_normalize(w: Waveform) -> Waveform:

@@ -127,6 +127,13 @@ class SyntheticSessionConfig:
         (3.0, 0.12, 2.3),
     )
 
+    def __post_init__(self):
+        unknown = [site for site in self.corrupt_sites if site not in SENSOR_DELAYS_S]
+        if unknown:
+            raise ValueError(
+                f"unknown corrupt site(s) {unknown}; sensor sites: {sorted(SENSOR_DELAYS_S)}"
+            )
+
     def rate_profile(self):
         return ramp_rate(self.rate_start_bpm, self.rate_end_bpm, self.duration_s)
 

@@ -249,6 +249,88 @@ class TestParameterTable:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestConfigValueTypes:
+    """--config values get the checks argparse gives the same flags."""
+
+    @staticmethod
+    def _run_config(tmp_path, command, doc, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return main([command, "--config", str(cfg), *flags, "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("synth", {"seed": 3.7}, "config key 'seed' must be an integer, got 3.7"),
+            ("synth", {"seed": True}, "config key 'seed' must be an integer, got true"),
+            ("synth", {"seed": "3"}, "config key 'seed' must be an integer, got \"3\""),
+            ("synth", {"duration_s": False}, "config key 'duration_s' must be a number, got false"),
+            ("synth", {"corrupt_sites": "neck"},
+             "config key 'corrupt_sites' must be a list of strings, got \"neck\""),
+            ("synth", {"corrupt_sites": ["neck", 3]},
+             "config key 'corrupt_sites' must be a list of strings"),
+            ("synth", {"out_dir": 5}, "config key 'out_dir' must be a string, got 5"),
+            ("pulse-rate", {"input": ["w.csv"]}, "config key 'input' must be a string"),
+            ("pulse-rate", {"input": "w.csv", "band_bpm": [50.0]},
+             "config key 'band_bpm' must be a 'lo:hi' string or a list of two numbers"),
+            ("estimate", {"manifest": "m.json", "method": "green"},
+             "config key 'method' must be one of ['chrom', 'pos'], got \"green\""),
+            ("estimate", {"manifest": "m.json", "roi": 5}, "config key 'roi' must be a string"),
+            ("ptt", {"manifest": "m.json", "source": "video"},
+             "config key 'source' must be one of ['sensors', 'rppg']"),
+        ],
+    )
+    def test_wrong_type_named_before_running(self, tmp_path, capsys, command, doc, message):
+        assert self._run_config(tmp_path, command, doc) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"].startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_values_echoed_as_given(self, tmp_path):
+        doc = {"seed": 4, "duration_s": 12, "corrupt_sites": ["neck"], "out_dir": None}
+        assert self._run_config(tmp_path, "synth", doc) == 0
+        echo = json.loads((tmp_path / "out" / "synth_config.json").read_text())
+        assert echo["parameters"] == {"seed": 4, "duration_s": 12, "corrupt_sites": ["neck"]}
+
+    @pytest.mark.parametrize("band", ["50:150", [50, 150.0]])
+    def test_band_as_string_or_pair(self, tmp_path, band):
+        wave = tmp_path / "w.csv"
+        bodyppg.session.write_waveform_csv(wave, synth_pulse(
+            PulseModel(fs_hz=90.0, duration_s=20.0, rate_profile=constant_rate(72.0), seed=1)))
+        assert self._run_config(tmp_path, "pulse-rate", {"input": str(wave), "band_bpm": band}) == 0
+        echo = json.loads((tmp_path / "out" / "pulse_rate_config.json").read_text())
+        assert echo["parameters"]["band_bpm"] == [50, 150]
+
+
+class TestCorruptSites:
+    @pytest.mark.parametrize(
+        "how", [["--corrupt-sites", "neck", "nose"], ["--config", '{"corrupt_sites": ["nose"]}']]
+    )
+    def test_unknown_site_named_with_the_valid_ones(self, tmp_path, capsys, how):
+        if how[0] == "--config":
+            (tmp_path / "cfg.json").write_text(how[1])
+            how = ["--config", str(tmp_path / "cfg.json")]
+        rc = main(["synth", *how, "--duration-s", "12", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("unknown corrupt site(s) ['nose']; sensor sites: [")
+        assert "'left-arm-lower'" in message and "'neck'" in message
+        assert not (tmp_path / "out").exists()
+
+    def test_named_sites_corrupted_and_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--corrupt-sites", "neck", "--duration-s", "12", "--seed", "2",
+                     "--out-dir", str(out)]) == 0
+        assert main(["synth", "--duration-s", "12", "--seed", "2",
+                     "--out-dir", str(tmp_path / "clean")]) == 0
+        truth = json.loads((out / "ground_truth.json").read_text())
+        assert truth["corrupt_sites"] == ["neck"]
+        corrupted, clean = digest_tree(out), digest_tree(tmp_path / "clean")
+        assert corrupted["sensor_neck.csv"] != clean["sensor_neck.csv"]
+        assert corrupted["sensor_left-arm-lower.csv"] == clean["sensor_left-arm-lower.csv"]
+
+
 class TestDeterminism:
     def test_rerun_in_place_byte_identical(self, tmp_path):
         root = tmp_path / "run"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyppg import (
     BandpassSpec,
@@ -181,6 +183,41 @@ class TestFusionOracle:
         assert fused.start_time_s == want.start_time_s
         assert diags.to_dict() == want_diags.to_dict()
         assert diags.skipped_channel_windows["site1"] > len(diags.empty_window_times_s) > 0
+
+
+class TestChannelOrderProperty:
+    """Fusion does not depend on the order of the bank's channels.
+
+    Each window adds its filtered rows in channel order, so a permutation
+    changes only the rounding of those sums: the fused samples agree to
+    within CHANNEL_ORDER_ATOL, and the diagnostics agree exactly.
+    """
+
+    CHANNEL_ORDER_ATOL = 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        order=st.permutations(range(5)),
+        seed0=st.integers(0, 10_000),
+        flat_channel=st.sampled_from([None, 0, 3]),
+    )
+    def test_permuted_channels_fuse_alike(self, order, seed0, flat_channel):
+        bank = make_bank(n_channels=5, duration_s=20.0, corrupt=(1,), seed0=seed0)
+        channels = list(bank.channels)
+        if flat_channel is not None:  # flat for 12 s: skipped in the windows inside it
+            site, wave = channels[flat_channel]
+            flat = wave.samples.copy()
+            flat[int(4 * FS) : int(16 * FS)] = 2.0
+            channels[flat_channel] = (site, Waveform(flat, FS))
+        times = np.arange(0.0, 20.0, 1.0 / 60.0)
+        oximeter = PulseRateSeries(times, np.linspace(65.0, 85.0, times.size), 0.0, (30.0, 240.0))
+        plan = WindowPlan(10.0, 0.5)
+        fused, diags = fuse_ground_truth_report(SensorBank(tuple(channels), oximeter), plan)
+        permuted = SensorBank(tuple(channels[i] for i in order), oximeter)
+        fused_p, diags_p = fuse_ground_truth_report(permuted, plan)
+        np.testing.assert_allclose(fused_p.samples, fused.samples, rtol=0.0,
+                                   atol=self.CHANNEL_ORDER_ATOL)
+        assert diags_p.to_dict() == diags.to_dict()
 
 
 class TestOximeterCoverage:

@@ -19,6 +19,7 @@ from bodyppg.session import (
     read_sensor_csv,
     read_trace_csv,
     read_waveform_csv,
+    write_csv,
     write_frame_dump,
     write_grid,
     write_oximeter_csv,
@@ -127,6 +128,50 @@ class TestOtherCsv:
         write_trace_csv(path, trace)
         back = read_trace_csv(path, roi_label="face", declared_rate_hz=90.0)
         assert np.allclose(back.channel_matrix(), trace.channel_matrix(), atol=1e-9)
+
+
+class TestWriteCsvOracle:
+    """write_csv writes the bytes np.savetxt writes, block by block."""
+
+    @staticmethod
+    def _assert_savetxt_bytes(tmp_path, columns, header="", fmt="%.12g"):
+        write_csv(tmp_path / "block.csv", columns, header, fmt=fmt)
+        np.savetxt(tmp_path / "rows.csv", np.column_stack(columns), delimiter=",",
+                   header=header, comments="", fmt=fmt)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_special_floats(self, tmp_path):
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                           1 / 3, 123456789012.5, 1e-13])
+        self._assert_savetxt_bytes(tmp_path, [values, values[::-1]], "a,b")
+
+    def test_integer_formats_and_blocks_of_columns(self, tmp_path):
+        rng = np.random.default_rng(0)
+        block = rng.normal(0.0, 1e3, (50, 3))
+        ints = rng.integers(-10**6, 10**6, 50)
+        self._assert_savetxt_bytes(tmp_path, [np.arange(50) / 90.0, ints, ints * 2.0, block],
+                                   "t,i,j,r,g,b", fmt=["%.12g", "%d", "%d", "%.12g", "%.12g", "%.12g"])
+        self._assert_savetxt_bytes(tmp_path, [rng.integers(0, 9, (4, 5))], fmt="%d")
+
+    @pytest.mark.parametrize("header", ["", "time_s,value"])
+    def test_no_rows(self, tmp_path, header):
+        self._assert_savetxt_bytes(tmp_path, [np.empty(0), np.empty(0)], header)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundaries(self, tmp_path, offset):
+        n = session._CSV_BLOCK_ROWS + offset
+        rng = np.random.default_rng(n)
+        self._assert_savetxt_bytes(tmp_path, [np.arange(n) / 400.0, rng.standard_normal(n)], "t,x")
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7])
+    def test_many_small_blocks(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(session, "_CSV_BLOCK_ROWS", block_rows)
+        values = np.random.default_rng(block_rows).standard_normal((20, 2))
+        self._assert_savetxt_bytes(tmp_path, [values], "x,y")
+
+    def test_format_count_must_match_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="2 formats for 3 columns"):
+            write_csv(tmp_path / "x.csv", [np.ones((4, 3))], fmt=["%d", "%d"])
 
 
 class TestGridCsv:

@@ -86,6 +86,18 @@ class TestDesignBandpass:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
+    @pytest.mark.parametrize("fs", [30.0, 90.0, 400.0])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_equals_scipy_butter(self, fs, order):
+        rng = np.random.default_rng(int(fs) * 10 + order)
+        nyquist_bpm = fs / 2.0 * 60.0
+        for low, high in np.sort(rng.uniform(1.0, 0.99 * nyquist_bpm, (25, 2)), axis=1):
+            coeffs = design_bandpass(BandpassSpec(order, float(low), float(high)), fs)
+            b, a = sps.butter(order, [low / 60.0, high / 60.0], btype="bandpass", fs=fs)
+            np.testing.assert_array_equal(coeffs.b, b)
+            np.testing.assert_array_equal(coeffs.a, a)
+            np.testing.assert_array_equal(coeffs.zi, sps.lfilter_zi(b, a))
+
 
 class TestZeroPhaseFilter:
     def test_in_band_tone_zero_lag_and_amplitude(self):
@@ -131,6 +143,25 @@ class TestZeroPhaseFilter:
         coeffs = design_bandpass(BandpassSpec(4, 40.0, 180.0), 90.0)
         with pytest.raises(ValueError):
             bandpass_zero_phase(Waveform(np.ones(1000), 400.0), coeffs)
+
+    @pytest.mark.parametrize("shape", [(700,), (5, 700), (2, 3, 61)])
+    def test_equals_scipy_filtfilt(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = 3.0 + rng.standard_normal(shape).cumsum(axis=-1)
+        for order, fs in ((1, 30.0), (2, 400.0), (4, 90.0)):
+            coeffs = design_bandpass(BandpassSpec(order, 45.0, 170.0), fs)
+            want = sps.filtfilt(coeffs.b, coeffs.a, x, padtype="odd", padlen=coeffs.pad_length)
+            np.testing.assert_array_equal(coeffs.zero_phase(x), want)
+            if x.ndim == 1:
+                filtered = bandpass_zero_phase(Waveform(x, fs), coeffs)
+                np.testing.assert_array_equal(filtered.samples, want)
+
+    def test_zero_phase_needs_more_than_the_padding(self):
+        coeffs = design_bandpass(BandpassSpec(2, 45.0, 170.0), 90.0)
+        assert coeffs.pad_length == 12
+        coeffs.zero_phase(np.ones((3, 13)))
+        with pytest.raises(ValueError, match="need more than 12 samples"):
+            coeffs.zero_phase(np.ones((3, 12)))
 
 
 class TestZNormalize:
