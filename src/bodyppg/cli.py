@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -128,7 +129,7 @@ def _manifest_inputs(manifest: SessionManifest) -> list[Path]:
 
 def cmd_synth(params: dict, stage: _OutputStage) -> None:
     cfg = SyntheticSessionConfig(
-        seed=int(_param(params, "seed", 7)),
+        seed=_param(params, "seed", 7),
         duration_s=_param(params, "duration_s", 60.0),
         corrupt_sites=tuple(_param(params, "corrupt_sites", ())),
     )
@@ -211,7 +212,6 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     ref = _reference_rates(manifest, params)
     frames = score_grid(grid, ref, plan)
 
-    factor = int(_param(params, "grid_cell_px", grid.cell_px))
     poses = manifest.load_poses()
     target = average_pose(poses) if poses else None
 
@@ -219,7 +219,7 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     for frame in frames:
         write_csv(stage.path(f"frame_{frame.window_index:03d}_mae.csv"), [frame.mae_map])
         write_csv(stage.path(f"frame_{frame.window_index:03d}_snr.csv"), [frame.snr_map])
-        up = upsample_frame(frame, factor)
+        up = upsample_frame(frame, grid.cell_px)
         mae_px = np.where(up["mask"], up["mae"], np.nan)
         snr_px = np.where(up["mask"], up["snr"], np.nan)
         if target is not None and poses:
@@ -249,7 +249,7 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             "origin_px": list(grid.origin_px),
             "window_s": plan.length_s,
             "n_error_frames": len(frames),
-            "upsample_factor": factor,
+            "upsample_factor": grid.cell_px,
             "aligned_to_average_pose": bool(target is not None),
             "mask_provenance": "skin_fraction >= 0.5 from manifest grid meta",
         },
@@ -318,8 +318,7 @@ _COMMANDS = {
               {"pred": None, "ref": None}),
     "grid-map": (cmd_grid_map, "local quality maps over grid cell traces",
                  {"manifest": None, "roi": "face", "ref_rates": "fuse the contact sensors",
-                  "grid_cell_px": "the grid's cell size", "window_s": "10",
-                  "stride_s": "the window length"}),
+                  "window_s": "10", "stride_s": "the window length"}),
     "ptt": (cmd_ptt, "pairwise pulse-transit-time matrix",
             {"manifest": None, "source": "sensors", "method": "pos", "window_s": "5",
              "stride_s": "0.01 for sensors, one frame for rppg",
@@ -342,30 +341,36 @@ _FLAGS = {
     "band_bpm": {"type": _parse_band, "help": "analysis band as lo:hi in bpm"},
     "window_s": {"type": float, "help": "window length, seconds"},
     "stride_s": {"type": float, "help": "window stride, seconds"},
-    "grid_cell_px": {"type": int, "help": "upsample factor"},
     "source": {"choices": ["sensors", "rppg"], "help": "signals to compare"},
     "max_lag_s": {"type": float, "help": "largest lag scanned, seconds"},
     "min_peak_corr": {"type": float, "help": "smallest peak correlation a window keeps"},
 }
 
 
+def _checked(command: str, params: dict, required=()) -> dict:
+    """``params`` once each key is in the command's row or ``out_dir``, each ``required``
+    key is given and each value has its flag's type; a None value counts as absent."""
+    valid = sorted([*_COMMANDS[command][2], "out_dir"])
+    for key in params:
+        if key not in valid:
+            raise ValueError(f"{command}: unknown parameter {key!r}; valid parameters: {valid}")
+    for key in required:
+        if _param(params, key) is None:
+            raise ValueError(f"{command}: missing parameter {key!r}; valid parameters: {valid}")
+    return {k: v if v is None else _config_value(k, v) for k, v in params.items()}
+
+
 def run_pipeline(command: str, params: dict) -> Path:
     """Run one subcommand programmatically; returns the output directory.
 
-    ``params`` must hold the command's required parameters and nothing outside
-    its row of ``_COMMANDS``. On any error the partially written outputs are
-    removed and the exception re-raised.
+    ``params`` must hold the command's required parameters, nothing outside
+    its row of ``_COMMANDS``, and values of the types its flags take. On any
+    error the partially written outputs are removed and the exception re-raised.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}; expected one of {sorted(_COMMANDS)}")
     run, _, row = _COMMANDS[command]
-    valid = sorted([*row, "out_dir"])
-    for key in params:
-        if key not in valid:
-            raise ValueError(f"{command}: unknown parameter {key!r}; valid parameters: {valid}")
-    for key, default in row.items():
-        if default is None and _param(params, key) is None:
-            raise ValueError(f"{command}: missing parameter {key!r}; valid parameters: {valid}")
+    params = _checked(command, params, [key for key, default in row.items() if default is None])
     if _param(params, "out_dir") == "":
         raise ValueError(f"{command}: parameter 'out_dir' is empty; omit it to write to 'out'")
     out_dir = Path(_param(params, "out_dir", "out"))
@@ -401,8 +406,8 @@ def _is_number(value) -> bool:
 
 
 def _config_value(key: str, value):
-    """A --config value held to its flag's type and choices, as argparse holds
-    the flag; ``band_bpm`` may also be a list of two numbers."""
+    """A parameter held to its flag's type and choices, as argparse holds the
+    flag; ``band_bpm`` may also be two numbers and ``out_dir`` a path."""
     options = _FLAGS.get(key, {})
     kind = options.get("type")
     if kind is _parse_band and isinstance(value, str):
@@ -413,18 +418,20 @@ def _config_value(key: str, value):
     elif kind is float:
         ok, expected = _is_number(value), "a number"
     elif kind is _parse_band:
-        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+        ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
         expected = "a 'lo:hi' string or a list of two numbers"
     elif options.get("nargs") == "*":
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
         expected = "a list of strings"
     else:
-        ok, expected = isinstance(value, str), "a string"
+        ok = isinstance(value, str) or (key == "out_dir" and isinstance(value, os.PathLike))
+        expected = "a string"
     choices = options.get("choices")
     if ok and choices is not None and value not in choices:
         ok, expected = False, f"one of {choices}"
     if not ok:
-        raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+        shown = json.dumps(value, default=repr)
+        raise ValueError(f"config key {key!r} must be {expected}, got {shown}")
     return value
 
 
@@ -435,11 +442,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             params = json.load(fh)
         if not isinstance(params, dict):
             raise ValueError("config file must hold a flat JSON object")
-        # Keys the command does not take are left for run_pipeline to name;
-        # a null value counts as absent.
-        checked = {*_COMMANDS[args.command][2], "out_dir"}
-        params = {k: _config_value(k, v) if k in checked and v is not None else v
-                  for k, v in params.items()}
+        # Checked before the flags override it, so every value it holds is checked.
+        params = _checked(args.command, params)
     params.update((k, v) for k, v in vars(args).items()
                   if k not in ("command", "config") and v is not None)
     return params

@@ -264,48 +264,40 @@ def score_grid(
     return frames
 
 
-def _bilinear_resize(values: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    """Separable bilinear resize with corner alignment (factor 1 is identity)."""
-    rows, cols = values.shape
-    r = (
-        np.linspace(0.0, rows - 1.0, out_rows)
-        if out_rows > 1
-        else np.zeros(1)
-    )
-    c = (
-        np.linspace(0.0, cols - 1.0, out_cols)
-        if out_cols > 1
-        else np.zeros(1)
-    )
-    r0 = np.clip(np.floor(r).astype(int), 0, rows - 1)
-    r1 = np.clip(r0 + 1, 0, rows - 1)
-    c0 = np.clip(np.floor(c).astype(int), 0, cols - 1)
-    c1 = np.clip(c0 + 1, 0, cols - 1)
-    fr = (r - r0)[:, None]
-    fc = (c - c0)[None, :]
-    top = values[np.ix_(r0, c0)] * (1 - fc) + values[np.ix_(r0, c1)] * fc
-    bot = values[np.ix_(r1, c0)] * (1 - fc) + values[np.ix_(r1, c1)] * fc
-    return top * (1 - fr) + bot * fr
+def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bilinear samples of ``src`` at fractional rows ``y`` and columns ``x``.
+
+    ``y`` and ``x`` broadcast together and lie within the map. Values are
+    interpolated along x, then along y, so a NaN at any of the four
+    neighbours gives NaN.
+    """
+    rows, cols = src.shape
+    y0 = np.clip(np.floor(y).astype(int), 0, rows - 1)
+    x0 = np.clip(np.floor(x).astype(int), 0, cols - 1)
+    y1, x1 = np.minimum(y0 + 1, rows - 1), np.minimum(x0 + 1, cols - 1)
+    fy, fx = y - y0, x - x0
+    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
+    bot = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
 
 
 def upsample_frame(frame: ErrorFrame, factor: int = DEFAULT_CELL_PX) -> dict[str, np.ndarray]:
     """Bilinearly interpolate cell maps up to pixel resolution.
 
-    Maps grow by ``factor`` along each axis; the skin mask is upsampled by
-    nearest neighbor. NaN cells spread to the pixels they influence, keeping
-    undefined regions undefined.
+    Maps grow by ``factor`` along each axis on a corner-aligned grid; the
+    skin mask is upsampled by nearest neighbor. NaN cells spread to the
+    pixels they influence, keeping undefined regions undefined.
     """
     if factor < 1:
         raise ValueError("factor must be at least 1")
     rows, cols = frame.mae_map.shape
     out_rows, out_cols = rows * factor, cols * factor
-    r = np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1)
-    c = np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1)
-    nearest = frame.skin_mask[np.ix_(np.round(r).astype(int), np.round(c).astype(int))]
+    r = (np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1))[:, None]
+    c = (np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1))[None, :]
     return {
-        "mae": _bilinear_resize(frame.mae_map, out_rows, out_cols),
-        "snr": _bilinear_resize(frame.snr_map, out_rows, out_cols),
-        "mask": nearest,
+        "mae": _bilinear(frame.mae_map, r, c),
+        "snr": _bilinear(frame.snr_map, r, c),
+        "mask": frame.skin_mask[np.round(r).astype(int), np.round(c).astype(int)],
     }
 
 
@@ -419,31 +411,9 @@ def warp_error_frame(
         sy = (h_inv[1, 0] * xs + h_inv[1, 1] * ys + h_inv[1, 2]) / denom
 
     out = np.full((out_h, out_w), np.nan)
-    inside = (
-        np.isfinite(sx)
-        & np.isfinite(sy)
-        & (sx >= 0)
-        & (sy >= 0)
-        & (sx <= cols - 1)
-        & (sy <= rows - 1)
-    )
-    if not np.any(inside):
-        return out
-    sxi = sx[inside]
-    syi = sy[inside]
-    x0 = np.clip(np.floor(sxi).astype(int), 0, cols - 1)
-    y0 = np.clip(np.floor(syi).astype(int), 0, rows - 1)
-    x1 = np.clip(x0 + 1, 0, cols - 1)
-    y1 = np.clip(y0 + 1, 0, rows - 1)
-    fx = sxi - x0
-    fy = syi - y0
-    val = (
-        src[y0, x0] * (1 - fx) * (1 - fy)
-        + src[y0, x1] * fx * (1 - fy)
-        + src[y1, x0] * (1 - fx) * fy
-        + src[y1, x1] * fx * fy
-    )
-    out[inside] = val
+    inside = np.isfinite(sx) & np.isfinite(sy)
+    inside &= (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
+    out[inside] = _bilinear(src, sy[inside], sx[inside])
     return out
 
 

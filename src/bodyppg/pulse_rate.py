@@ -71,10 +71,6 @@ class PulseRateSeries:
     def __len__(self) -> int:
         return self.times_s.size
 
-    @property
-    def entries(self) -> list[tuple[float, float]]:
-        return list(zip(self.times_s.tolist(), self.rates_bpm.tolist()))
-
     def rate_at(self, time_s: float) -> float:
         """Rate of the entry nearest in time."""
         if len(self) == 0:

@@ -192,3 +192,68 @@ def extract_traces(frames, fps, masks, grid_cell_px=None, start_time_s=0.0):
                 skin_fraction=fraction,
             )
     return traces, grids
+
+
+def bilinear_resize(values: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
+    """Separable bilinear resize with corner alignment (factor 1 is identity)."""
+    rows, cols = values.shape
+    r = np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1)
+    c = np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1)
+    r0 = np.clip(np.floor(r).astype(int), 0, rows - 1)
+    r1 = np.clip(r0 + 1, 0, rows - 1)
+    c0 = np.clip(np.floor(c).astype(int), 0, cols - 1)
+    c1 = np.clip(c0 + 1, 0, cols - 1)
+    fr = (r - r0)[:, None]
+    fc = (c - c0)[None, :]
+    top = values[np.ix_(r0, c0)] * (1 - fc) + values[np.ix_(r0, c1)] * fc
+    bot = values[np.ix_(r1, c0)] * (1 - fc) + values[np.ix_(r1, c1)] * fc
+    return top * (1 - fr) + bot * fr
+
+
+def upsample_frame(frame: ErrorFrame, factor: int) -> dict[str, np.ndarray]:
+    """Cell maps resized one by one; the skin mask by nearest neighbour."""
+    rows, cols = frame.mae_map.shape
+    out_rows, out_cols = rows * factor, cols * factor
+    r = np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1)
+    c = np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1)
+    nearest = frame.skin_mask[np.ix_(np.round(r).astype(int), np.round(c).astype(int))]
+    return {
+        "mae": bilinear_resize(frame.mae_map, out_rows, out_cols),
+        "snr": bilinear_resize(frame.snr_map, out_rows, out_cols),
+        "mask": nearest,
+    }
+
+
+def warp_error_frame(pixel_map: np.ndarray, h: np.ndarray, out_size) -> np.ndarray:
+    """Inverse-mapped warp with the four corner weights summed in one expression."""
+    h_inv = np.linalg.inv(np.asarray(h, dtype=np.float64))
+    out_w, out_h = out_size
+    src = np.asarray(pixel_map, dtype=np.float64)
+    rows, cols = src.shape
+    xs, ys = np.meshgrid(np.arange(out_w, dtype=np.float64), np.arange(out_h, dtype=np.float64))
+    denom = h_inv[2, 0] * xs + h_inv[2, 1] * ys + h_inv[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sx = (h_inv[0, 0] * xs + h_inv[0, 1] * ys + h_inv[0, 2]) / denom
+        sy = (h_inv[1, 0] * xs + h_inv[1, 1] * ys + h_inv[1, 2]) / denom
+    out = np.full((out_h, out_w), np.nan)
+    inside = (
+        np.isfinite(sx) & np.isfinite(sy)
+        & (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
+    )
+    if not np.any(inside):
+        return out
+    sxi = sx[inside]
+    syi = sy[inside]
+    x0 = np.clip(np.floor(sxi).astype(int), 0, cols - 1)
+    y0 = np.clip(np.floor(syi).astype(int), 0, rows - 1)
+    x1 = np.clip(x0 + 1, 0, cols - 1)
+    y1 = np.clip(y0 + 1, 0, rows - 1)
+    fx = sxi - x0
+    fy = syi - y0
+    out[inside] = (
+        src[y0, x0] * (1 - fx) * (1 - fy)
+        + src[y0, x1] * fx * (1 - fy)
+        + src[y1, x0] * (1 - fx) * fy
+        + src[y1, x1] * fx * fy
+    )
+    return out

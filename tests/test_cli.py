@@ -177,6 +177,7 @@ class TestParameterTable:
             ["score", "--pred", "p.csv", "--ref", "r.csv", "--window-s", "5"],
             ["ptt", "--manifest", "m.json", "--seed", "99"],
             ["synth", "--stride-s", "1"],
+            ["grid-map", "--manifest", "m.json", "--grid-cell-px", "10"],
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
@@ -203,6 +204,22 @@ class TestParameterTable:
         with pytest.raises(ValueError, match=r"ptt: unknown parameter 'seed'; valid parameters"):
             run_pipeline("ptt", {"manifest": str(session / "manifest.json"), "seed": 99,
                                  "out_dir": str(tmp_path / "out")})
+
+    @pytest.mark.parametrize(
+        "command, params, message",
+        [
+            ("synth", {"seed": 3.7, "duration_s": 12},
+             "config key 'seed' must be an integer, got 3.7"),
+            ("pulse-rate", {"input": Path("w.csv")}, "config key 'input' must be a string, got"),
+        ],
+    )
+    def test_programmatic_values_checked_before_running(self, tmp_path, command, params,
+                                                        message):
+        # out_dir comes first and may be a path object; the bad value after it is named.
+        with pytest.raises(ValueError) as error:
+            run_pipeline(command, {"out_dir": tmp_path / "out", **params})
+        assert str(error.value).startswith(message)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fuse-gt", "estimate", "grid-map", "ptt"])
     def test_missing_manifest_named(self, tmp_path, capsys, command):

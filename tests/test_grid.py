@@ -362,6 +362,42 @@ class TestWarp:
             warp_error_frame(np.ones((10, 10)), np.zeros((3, 3)), (10, 10))
 
 
+def nan_scattered_map(rng, shape, nan_fraction=0.1):
+    m = rng.uniform(0.0, 30.0, shape)
+    m[rng.random(shape) < nan_fraction] = np.nan
+    return m
+
+
+class TestBilinearOracle:
+    """The one bilinear kernel against the two samplers it replaced."""
+
+    @pytest.mark.parametrize("factor", [1, 2, 20])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 4), (15, 20)])
+    def test_upsample_equals_resize(self, shape, factor):
+        rng = np.random.default_rng(factor * 100 + shape[0] * 10 + shape[1])
+        frame = ErrorFrame(0, 0.0, nan_scattered_map(rng, shape), nan_scattered_map(rng, shape),
+                           rng.random(shape) < 0.7)
+        got = upsample_frame(frame, factor)
+        want = loop_reference.upsample_frame(frame, factor)
+        for key in ("mae", "snr", "mask"):
+            np.testing.assert_array_equal(got[key], want[key])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warp_matches_four_term_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        m = nan_scattered_map(rng, (60, 80), nan_fraction=0.05)
+        h = np.eye(3)
+        h[:2, :2] += rng.normal(0.0, 0.03, (2, 2))
+        h[:2, 2] = rng.normal(0.0, 4.0, 2)
+        h[2, :2] = rng.normal(0.0, 1e-4, 2)
+        for hom in (h, np.eye(3), np.array([[1.0, 0, 3], [0, 1, -2], [0, 0, 1]])):
+            got = warp_error_frame(m, hom, (80, 60))
+            want = loop_reference.warp_error_frame(m, hom, (80, 60))
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert np.isfinite(got).sum() > 1000
+
+
 class TestAggregate:
     def test_single_frame(self):
         m = np.arange(12.0).reshape(3, 4)
