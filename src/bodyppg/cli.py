@@ -220,19 +220,19 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
         write_csv(stage.path(f"frame_{frame.window_index:03d}_mae.csv"), [frame.mae_map])
         write_csv(stage.path(f"frame_{frame.window_index:03d}_snr.csv"), [frame.snr_map])
         up = upsample_frame(frame, grid.cell_px)
-        mae_px = np.where(up["mask"], up["mae"], np.nan)
-        snr_px = np.where(up["mask"], up["snr"], np.nan)
+        # MAE and SNR maps as one stack, so a window warps through one
+        # homography once.
+        maps = np.where(up["mask"], np.stack([up["mae"], up["snr"]]), np.nan)
         if target is not None and poses:
             center = frame.window_start_s + plan.length_s / 2.0
             nearest = min(poses, key=lambda p: abs(p.frame_time_s - center))
             h = homography_from_poses(nearest, target)
-            size = (mae_px.shape[1], mae_px.shape[0])
+            size = (maps.shape[2], maps.shape[1])
             from .grid import warp_error_frame
 
-            mae_px = warp_error_frame(mae_px, h, size)
-            snr_px = warp_error_frame(snr_px, h, size)
-        mae_maps.append(mae_px)
-        snr_maps.append(snr_px)
+            maps = warp_error_frame(maps, h, size)
+        mae_maps.append(maps[0])
+        snr_maps.append(maps[1])
 
     mae_mean, count = aggregate_heatmap(mae_maps)
     snr_mean, _ = aggregate_heatmap(snr_maps)

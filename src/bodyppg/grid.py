@@ -95,6 +95,8 @@ class SubregionGrid:
     ) -> RGBTrace:
         """RGB trace of one cell over frames ``start`` to ``stop`` (default: all)."""
         rgb = self.values[start:stop, row, col, :]
+        # Waveform copies each strided column into a contiguous array, which
+        # keeps np.std's summation order, and so the scores, as they were.
         start_time_s = self.start_time_s + start / self.sample_rate_hz
         return RGBTrace(
             Waveform(rgb[:, 0], self.sample_rate_hz, start_time_s),
@@ -267,17 +269,19 @@ def score_grid(
 def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Bilinear samples of ``src`` at fractional rows ``y`` and columns ``x``.
 
-    ``y`` and ``x`` broadcast together and lie within the map. Values are
-    interpolated along x, then along y, so a NaN at any of the four
-    neighbours gives NaN.
+    ``src`` is one (rows, cols) map or a stack of them along leading axes,
+    which keep their place in the result. ``y`` and ``x`` broadcast together
+    and lie within the map. Values are interpolated along x, then along y, so
+    a NaN at any of the four neighbours gives NaN; each map of a stack gets
+    the bits it would get alone.
     """
-    rows, cols = src.shape
+    rows, cols = src.shape[-2:]
     y0 = np.clip(np.floor(y).astype(int), 0, rows - 1)
     x0 = np.clip(np.floor(x).astype(int), 0, cols - 1)
     y1, x1 = np.minimum(y0 + 1, rows - 1), np.minimum(x0 + 1, cols - 1)
     fy, fx = y - y0, x - x0
-    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
-    bot = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
+    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
+    bot = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -388,7 +392,9 @@ def warp_error_frame(
 
     Output pixel (x, y) takes the bilinearly sampled source value at
     H^-1 (x, y); pixels whose pre-image falls outside the source, or touches
-    an undefined (NaN) source pixel, stay undefined.
+    an undefined (NaN) source pixel, stay undefined. A (k, H, W) stack of
+    maps is warped through one set of pre-images and comes back as a
+    (k, out_h, out_w) stack, each map as it would be warped alone.
 
     Raises:
         ValueError: if the homography is singular.
@@ -403,17 +409,17 @@ def warp_error_frame(
 
     out_w, out_h = out_size
     src = np.asarray(pixel_map, dtype=np.float64)
-    rows, cols = src.shape
+    rows, cols = src.shape[-2:]
     xs, ys = np.meshgrid(np.arange(out_w, dtype=np.float64), np.arange(out_h, dtype=np.float64))
     denom = h_inv[2, 0] * xs + h_inv[2, 1] * ys + h_inv[2, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         sx = (h_inv[0, 0] * xs + h_inv[0, 1] * ys + h_inv[0, 2]) / denom
         sy = (h_inv[1, 0] * xs + h_inv[1, 1] * ys + h_inv[1, 2]) / denom
 
-    out = np.full((out_h, out_w), np.nan)
+    out = np.full(src.shape[:-2] + (out_h, out_w), np.nan)
     inside = np.isfinite(sx) & np.isfinite(sy)
     inside &= (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
-    out[inside] = _bilinear(src, sy[inside], sx[inside])
+    out[..., inside] = _bilinear(src, sy[inside], sx[inside])
     return out
 
 

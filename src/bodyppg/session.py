@@ -116,17 +116,11 @@ def _load_uniform_csv(
     return data, declared
 
 
-def write_csv(path: Path | str, columns: list, header: str = "", fmt=_FLOAT_FMT) -> None:
-    """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV;
-    no header line when ``header`` is empty.
-
-    ``fmt`` is one %-format for every column or one per column. The bytes are
-    those numpy's ``savetxt`` writes with ``delimiter=","`` and
-    ``comments=""``, but each block of ``_CSV_BLOCK_ROWS`` rows is formatted
-    by one ``%`` over the block's values rather than one call per row.
-    """
-    table = np.column_stack(columns)
-    n_cols = table.shape[1]
+def _write_blocks(path: Path | str, n_rows: int, block_columns, header: str, fmt) -> None:
+    """Rows ``0`` to ``n_rows`` as CSV, stacked and formatted one block of
+    ``_CSV_BLOCK_ROWS`` rows at a time; ``block_columns(i0, i1)`` returns the
+    columns of rows ``i0`` to ``i1``, as :func:`write_csv` takes them."""
+    n_cols = np.column_stack(block_columns(0, 0)).shape[1]
     fmts = [fmt] * n_cols if isinstance(fmt, str) else list(fmt)
     if len(fmts) != n_cols:
         raise ValueError(f"{path}: {len(fmts)} formats for {n_cols} columns")
@@ -134,9 +128,27 @@ def write_csv(path: Path | str, columns: list, header: str = "", fmt=_FLOAT_FMT)
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
-        for i in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[i : i + _CSV_BLOCK_ROWS]
+        for i in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack(block_columns(i, min(i + _CSV_BLOCK_ROWS, n_rows)))
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_csv(path: Path | str, columns: list, header: str = "", fmt=_FLOAT_FMT) -> None:
+    """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV;
+    no header line when ``header`` is empty.
+
+    ``fmt`` is one %-format for every column or one per column. The bytes are
+    those numpy's ``savetxt`` writes with ``delimiter=","`` and
+    ``comments=""``, but each block of ``_CSV_BLOCK_ROWS`` rows is stacked and
+    formatted by one ``%`` over the block's values rather than one call per
+    row, so the whole table is never held as one array.
+    """
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    _write_blocks(path, n_rows, lambda i0, i1: [c[i0:i1] for c in columns], header, fmt)
 
 
 def write_json(path: Path | str, doc: dict) -> None:
@@ -421,16 +433,21 @@ def read_poses_json(path: Path | str) -> list[PoseKeypoints]:
 def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid) -> None:
     """Cell means as a long-format CSV plus a JSON geometry sidecar."""
     n, rows, cols, _ = grid.values.shape
-    t = grid.start_time_s + np.arange(n) / grid.sample_rate_hz
-    frame_col = np.repeat(t, rows * cols)
-    row_col = np.tile(np.repeat(np.arange(rows), cols), n)
-    col_col = np.tile(np.arange(cols), n * rows)
-    flat = grid.values.reshape(n * rows * cols, 3)
-    write_csv(
+    cells = rows * cols
+    flat = grid.values.reshape(n * cells, 3)
+
+    def block_columns(i0: int, i1: int) -> list:
+        # Line i is cell i % cells of frame i // cells, in row-major order.
+        line = np.arange(i0, i1)
+        frame_t = grid.start_time_s + line // cells / grid.sample_rate_hz
+        return [frame_t, line % cells // cols, line % cols, flat[i0:i1]]
+
+    _write_blocks(
         path_csv,
-        [frame_col, row_col, col_col, flat],
+        n * cells,
+        block_columns,
         "time_s,row,col,r,g,b",
-        fmt=[_FLOAT_FMT, "%d", "%d", _FLOAT_FMT, _FLOAT_FMT, _FLOAT_FMT],
+        [_FLOAT_FMT, "%d", "%d", _FLOAT_FMT, _FLOAT_FMT, _FLOAT_FMT],
     )
     meta = {
         "rows": rows,

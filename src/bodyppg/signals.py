@@ -47,6 +47,7 @@ class Waveform:
     start_time_s: float = 0.0
 
     def __post_init__(self):
+        # Always a copy: a read-only view of a writeable array can still change.
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-D sequence")
@@ -77,13 +78,22 @@ class Waveform:
         return Waveform(samples, self.sample_rate_hz, self.start_time_s)
 
     def slice(self, start_index: int, stop_index: int) -> "Waveform":
+        """Samples ``start_index`` to ``stop_index`` as a waveform that shares
+        this one's read-only buffer.
+
+        Nothing is copied or checked again: these samples were copied and
+        found finite when this waveform was made. The view keeps the whole
+        parent buffer alive for as long as it lives.
+        """
         if not 0 <= start_index < stop_index <= len(self):
             raise ValueError(f"bad slice [{start_index}, {stop_index}) for length {len(self)}")
-        return Waveform(
-            self.samples[start_index:stop_index],
-            self.sample_rate_hz,
-            self.start_time_s + start_index / self.sample_rate_hz,
+        view = object.__new__(Waveform)
+        object.__setattr__(view, "samples", self.samples[start_index:stop_index])
+        object.__setattr__(view, "sample_rate_hz", self.sample_rate_hz)
+        object.__setattr__(
+            view, "start_time_s", self.start_time_s + start_index / self.sample_rate_hz
         )
+        return view
 
 
 @dataclass(frozen=True)
@@ -362,7 +372,8 @@ def windows(w: Waveform, plan: WindowPlan) -> list[tuple[int, Waveform]]:
     Starts follow :func:`window_starts`; each window holds exactly
     ``round(length_s * sample_rate_hz)`` samples and windows that would run
     past the end of the signal are dropped, so a signal shorter than the
-    window yields an empty list.
+    window yields an empty list. Each window is a :meth:`Waveform.slice`
+    view of ``w``'s samples, so enumerating copies nothing.
     """
     n_len = plan.length_samples(w.sample_rate_hz)
     return [

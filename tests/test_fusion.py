@@ -18,6 +18,7 @@ from bodyppg import (
     reference_pulse_rate,
     z_normalize,
 )
+from bodyppg.fusion import _crop_to_common_span
 from bodyppg.synth import Burst, PulseModel, constant_rate, motion_burst_noise, ramp_rate, synth_pulse
 
 import loop_reference
@@ -267,6 +268,21 @@ class TestReferencePulseRate:
         fused = fuse_ground_truth(bank)
         series = reference_pulse_rate(fused, WindowPlan(60.0, 1.0))
         assert len(series) == 0
+
+
+class TestCropToCommonSpan:
+    def test_crops_are_views_of_the_channels(self):
+        rng = np.random.default_rng(3)
+        a = Waveform(rng.standard_normal(4000), FS, start_time_s=0.0)
+        b = Waveform(rng.standard_normal(4200), FS, start_time_s=0.25)
+        bank = SensorBank((("a", a), ("b", b)), oximeter_series(72.0, 12.0))
+        (_, ca), (_, cb) = _crop_to_common_span(bank)
+        assert len(ca) == len(cb) == 3900
+        assert ca.start_time_s == cb.start_time_s == 0.25
+        np.testing.assert_array_equal(ca.samples, a.samples[100:])
+        np.testing.assert_array_equal(cb.samples, b.samples[:3900])
+        assert np.shares_memory(ca.samples, a.samples)
+        assert np.shares_memory(cb.samples, b.samples)
 
 
 class TestSensorBank:

@@ -426,3 +426,22 @@ class TestAggregate:
         mean, count = aggregate_heatmap([a, a])
         assert np.all(np.isnan(mean))
         assert np.all(count == 0)
+
+
+class TestStackedWarp:
+    """A (k, H, W) stack warps to exactly the maps warped one at a time."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_equals_single_warps(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        mae = nan_scattered_map(rng, (60, 80))
+        snr = nan_scattered_map(rng, (60, 80))
+        h = np.eye(3)
+        h[:2, :2] += rng.normal(0.0, 0.03, (2, 2))
+        h[:2, 2] = rng.normal(0.0, 4.0, 2)
+        h[2, :2] = rng.normal(0.0, 1e-4, 2)
+        stacked = warp_error_frame(np.stack([mae, snr]), h, (80, 60))
+        assert stacked.shape == (2, 60, 80)
+        for got, single in zip(stacked, (mae, snr)):
+            np.testing.assert_array_equal(got, warp_error_frame(single, h, (80, 60)))
+        assert np.isfinite(stacked).sum() > 2000

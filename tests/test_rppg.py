@@ -153,3 +153,12 @@ class TestRGBTrace:
         bad = Waveform(np.concatenate([[-0.1], np.ones(99)]), 90.0)
         with pytest.raises(ValueError):
             RGBTrace(a, a, bad)
+
+    def test_slice_shares_channel_samples(self):
+        t = np.arange(300) / 90.0
+        trace = RGBTrace(*(Waveform(1.0 + 0.1 * np.sin(t + k), 90.0, 2.0) for k in range(3)))
+        part = trace.slice(90, 180)
+        assert (len(part), part.start_time_s) == (90, 3.0)
+        for whole, view in zip((trace.r, trace.g, trace.b), (part.r, part.g, part.b)):
+            assert np.shares_memory(view.samples, whole.samples)
+            np.testing.assert_array_equal(view.samples, whole.samples[90:180])

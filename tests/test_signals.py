@@ -41,6 +41,50 @@ class TestWaveform:
         assert w.times()[0] == 2.0
         assert w.times()[-1] == pytest.approx(2.0 + 89 / 90.0)
 
+    def test_outside_arrays_copied(self):
+        # A read-only view of a writeable array can still change under it.
+        base = np.arange(10.0)
+        view = base[:]
+        view.flags.writeable = False
+        w = Waveform(view, 90.0)
+        base[0] = 99.0
+        assert w.samples[0] == 0.0
+        assert not np.shares_memory(w.samples, base)
+
+
+class TestViews:
+    """Slices and windows share their parent's read-only buffer."""
+
+    @staticmethod
+    def assert_read_only_view(view, parent):
+        assert np.shares_memory(view.samples, parent.samples)
+        assert not view.samples.flags.writeable
+        with pytest.raises(ValueError):
+            view.samples[0] = 5.0
+
+    def test_slice_shares_parent_samples(self):
+        w = Waveform(np.arange(100.0), 50.0, start_time_s=3.0)
+        part = w.slice(10, 40)
+        self.assert_read_only_view(part, w)
+        np.testing.assert_array_equal(part.samples, np.arange(10.0, 40.0))
+        assert (len(part), part.sample_rate_hz, part.start_time_s) == (30, 50.0, 3.2)
+        self.assert_read_only_view(part.slice(5, 6), w)
+
+    @pytest.mark.parametrize("bounds", [(-1, 5), (5, 5), (6, 5), (0, 101), (100, 101)])
+    def test_bad_slice_bounds_raise(self, bounds):
+        w = Waveform(np.arange(100.0), 50.0)
+        with pytest.raises(ValueError, match="bad slice"):
+            w.slice(*bounds)
+
+    def test_every_window_is_a_view(self):
+        w = Waveform(np.sin(np.arange(2000) / 7.0), 100.0, start_time_s=1.0)
+        wins = windows(w, WindowPlan(2.0, 0.37))
+        assert len(wins) > 40
+        for start, seg in wins:
+            self.assert_read_only_view(seg, w)
+            np.testing.assert_array_equal(seg.samples, w.samples[start : start + 200])
+            assert seg.start_time_s == 1.0 + start / 100.0
+
 
 class TestDesignBandpass:
     def test_minus_3db_at_cutoffs_order4_90hz(self):
