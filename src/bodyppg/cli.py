@@ -222,7 +222,8 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
         up = upsample_frame(frame, grid.cell_px)
         # MAE and SNR maps as one stack, so a window warps through one
         # homography once.
-        maps = np.where(up["mask"], np.stack([up["mae"], up["snr"]]), np.nan)
+        maps = np.stack([up["mae"], up["snr"]])
+        maps[:, ~up["mask"]] = np.nan
         if target is not None and poses:
             center = frame.window_start_s + plan.length_s / 2.0
             nearest = min(poses, key=lambda p: abs(p.frame_time_s - center))

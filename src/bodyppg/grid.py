@@ -276,13 +276,30 @@ def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     the bits it would get alone.
     """
     rows, cols = src.shape[-2:]
+    flat = src.reshape(src.shape[:-2] + (rows * cols,))
     y0 = np.clip(np.floor(y).astype(int), 0, rows - 1)
     x0 = np.clip(np.floor(x).astype(int), 0, cols - 1)
     y1, x1 = np.minimum(y0 + 1, rows - 1), np.minimum(x0 + 1, cols - 1)
     fy, fx = y - y0, x - x0
-    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
-    bot = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+
+    def weighted(yi, xi, weight):
+        # A flat-index take along the last axis gathers several times faster
+        # than fancy indexing over two axes, and far faster with a stack.
+        v = np.take(flat, yi * cols + xi, axis=-1)
+        v *= weight
+        return v
+
+    # In place, with the operations and their order of (v00 * (1 - fx) +
+    # v01 * fx) * (1 - fy) + (...) * fy, so fewer stack-sized temporaries
+    # are alive at once.
+    top = weighted(y0, x0, 1 - fx)
+    top += weighted(y0, x1, fx)
+    bot = weighted(y1, x0, 1 - fx)
+    bot += weighted(y1, x1, fx)
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    return top
 
 
 def upsample_frame(frame: ErrorFrame, factor: int = DEFAULT_CELL_PX) -> dict[str, np.ndarray]:
@@ -410,7 +427,10 @@ def warp_error_frame(
     out_w, out_h = out_size
     src = np.asarray(pixel_map, dtype=np.float64)
     rows, cols = src.shape[-2:]
-    xs, ys = np.meshgrid(np.arange(out_w, dtype=np.float64), np.arange(out_h, dtype=np.float64))
+    # A row and a column that broadcast: the same values as a meshgrid,
+    # without two output-sized coordinate arrays.
+    xs = np.arange(out_w, dtype=np.float64)[None, :]
+    ys = np.arange(out_h, dtype=np.float64)[:, None]
     denom = h_inv[2, 0] * xs + h_inv[2, 1] * ys + h_inv[2, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         sx = (h_inv[0, 0] * xs + h_inv[0, 1] * ys + h_inv[0, 2]) / denom
