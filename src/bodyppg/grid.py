@@ -275,6 +275,9 @@ def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     a NaN at any of the four neighbours gives NaN; each map of a stack gets
     the bits it would get alone.
     """
+    # float64 first, as the products would promote it, so the in-place
+    # products below keep full precision for any input dtype.
+    src = np.asarray(src, dtype=np.float64)
     rows, cols = src.shape[-2:]
     flat = src.reshape(src.shape[:-2] + (rows * cols,))
     y0 = np.clip(np.floor(y).astype(int), 0, rows - 1)

@@ -445,3 +445,16 @@ class TestStackedWarp:
         for got, single in zip(stacked, (mae, snr)):
             np.testing.assert_array_equal(got, warp_error_frame(single, h, (80, 60)))
         assert np.isfinite(stacked).sum() > 2000
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_dtypes_sample_as_float64(self, dtype):
+        rng = np.random.default_rng(7)
+        m = rng.uniform(0.0, 30.0, (2, 5, 6)).astype(dtype)
+        h = np.array([[1.01, 0.02, 0.3], [-0.01, 0.99, 0.2], [0.0, 0.0, 1.0]])
+        got = warp_error_frame(m, h, (6, 5))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, warp_error_frame(m.astype(np.float64), h, (6, 5)))
+        frame = ErrorFrame(0, 0.0, m[0], m[1], np.ones((5, 6), dtype=bool))
+        up = upsample_frame(frame, 3)
+        want = loop_reference.upsample_frame(frame, 3)
+        np.testing.assert_array_equal(up["mae"], want["mae"])

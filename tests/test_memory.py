@@ -40,14 +40,14 @@ def sensor_bank(duration_s: float, n_channels: int = 9) -> SensorBank:
 
 
 def test_fusion_of_a_300s_bank_holds_no_window_copies():
-    # 1,161 windows of 9 channels: copying each window peaked at about 54 MB;
+    # 1,161 windows of 9 channels: copying each window peaked at about 56 MB;
     # views leave the stage's own arrays, about 10 MB.
     bank = sensor_bank(300.0)
     assert traced_peak(lambda: fuse_ground_truth_report(bank)) < 16 * MB
 
 
 def test_write_csv_holds_one_block(tmp_path):
-    # Stacking the whole 200,000 x 6 table first allocated 9.6 MB. Small
+    # Stacking the whole 200,000 x 6 table first allocated 9.7 MB. Small
     # integers keep tolist() from allocating, so tracing stays quick.
     table = np.arange(200_000 * 6).reshape(200_000, 6) % 200
     peak = traced_peak(lambda: write_csv(tmp_path / "t.csv", [table], fmt="%d"))
