@@ -13,6 +13,7 @@ from .signals import (
     WindowPlan,
     bandpass_zero_phase,
     design_bandpass,
+    design_bandpasses,
     divide_by_envelope,
     hilbert_envelope,
     resample_linear,
@@ -68,6 +69,7 @@ __all__ = [
     "FilterCoefficients",
     "WindowPlan",
     "design_bandpass",
+    "design_bandpasses",
     "bandpass_zero_phase",
     "z_normalize",
     "hilbert_envelope",

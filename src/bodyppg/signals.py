@@ -11,6 +11,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal as sps
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "FilterCoefficients",
     "WindowPlan",
     "design_bandpass",
+    "design_bandpasses",
     "bandpass_zero_phase",
     "z_normalize",
     "hilbert_envelope",
@@ -129,25 +131,23 @@ class BandpassSpec:
 class FilterCoefficients:
     """Digital IIR transfer-function coefficients tied to a sample rate.
 
-    ``b``, ``a`` and the step-response steady state ``zi`` (one
-    ``scipy.signal.lfilter_zi`` solve per design) are read-only, so one design
-    can be shared by every caller that asks for it.
+    ``zi`` is the filter's steady state under a unit step, as
+    ``scipy.signal.lfilter_zi`` returns it; :func:`design_bandpasses` solves
+    it for every design in one batch. ``b``, ``a`` and ``zi`` are read-only,
+    so one design can be shared by every caller that asks for it.
     """
 
     b: np.ndarray
     a: np.ndarray
     sample_rate_hz: float
     spec: BandpassSpec
-    zi: np.ndarray = field(init=False, repr=False, compare=False)
+    zi: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("b", "a"):
+        for name in ("b", "a", "zi"):
             coeffs = np.array(getattr(self, name), dtype=np.float64)
             coeffs.flags.writeable = False
             object.__setattr__(self, name, coeffs)
-        zi = sps.lfilter_zi(self.b, self.a)
-        zi.flags.writeable = False
-        object.__setattr__(self, "zi", zi)
 
     def poles(self) -> np.ndarray:
         return np.roots(self.a)
@@ -216,34 +216,87 @@ def _poly(roots: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _butter_bandpass(order: int, low_hz: float, high_hz: float, fs: float):
-    """``scipy.signal.butter(order, [low_hz, high_hz], "bandpass", fs=fs)``.
+def _butter_bandpass(order: int, low_hz: np.ndarray, high_hz: np.ndarray, fs: float):
+    """``scipy.signal.butter(order, [low, high], "bandpass", fs=fs)`` for every
+    pair ``(low_hz[i], high_hz[i])``, as rows of ``b`` and ``a``.
 
     A transcription of scipy's chain (``buttap``, ``lp2bp_zpk``,
     ``bilinear_zpk``, ``zpk2tf``) with the same operations in the same order,
-    so the coefficients are the same bits, without its per-call array-API
-    dispatch and checks.
+    so every row is the same bits as scipy's design, without its per-call
+    array-API dispatch and checks. Elementwise steps run over all pairs at
+    once. Three steps stay per design, because their batched forms round
+    differently: the gain's power of the bandwidth is a Python ``float``
+    power, the pole product is a 1-D ``np.prod``, and each polynomial is built
+    by ``np.convolve``.
     """
     # iirfilter: normalise, then pre-warp with the bilinear transform's fs = 2.
-    wn = np.asarray([low_hz, high_hz], dtype=np.float64) / (fs / 2)
+    wn = np.stack((low_hz, high_hz), axis=-1) / (fs / 2)
     warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
-    bw = float(warped[1] - warped[0])
-    wo = float(np.sqrt(warped[0] * warped[1]))
+    bw = warped[:, 1] - warped[:, 0]
+    wo = np.sqrt(warped[:, 0] * warped[:, 1])
     # buttap: no zeros, unit gain, poles on the left half of the unit circle.
     m = np.arange(-order + 1, order, 2, dtype=np.float64)
     p = -np.exp(1j * np.pi * m / (2 * order))
     # lp2bp_zpk: order zeros at the origin, each pole split in two.
-    p_lp = (p * bw / 2).astype(np.complex128)
-    p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2)))
+    p_lp = (p * bw[:, None] / 2).astype(np.complex128)
+    shift = np.sqrt(p_lp**2 - np.array([w**2 for w in wo.tolist()])[:, None])
+    p_bp = np.concatenate((p_lp + shift, p_lp - shift), axis=1)
     z_bp = np.zeros(order, dtype=np.complex128)
-    k_bp = 1.0 * bw**order
+    k_bp = [1.0 * w**order for w in bw.tolist()]
     # bilinear_zpk with fs = 2 (fs2 = 4): the zeros at infinity go to z = -1.
     z_z = np.concatenate(((4.0 + z_bp) / (4.0 - z_bp), -np.ones(order)))
     p_z = (4.0 + p_bp) / (4.0 - p_bp)
-    k_z = k_bp * np.real(np.prod(4.0 - z_bp) / np.prod(4.0 - p_bp))
+    zeros_gain = np.prod(4.0 - z_bp)
+    k_z = [k * np.real(zeros_gain / np.prod(row)) for k, row in zip(k_bp, 4.0 - p_bp)]
     # zpk2tf
-    b = np.multiply(np.atleast_1d(np.asarray(k_z, dtype=np.float64)), _poly(z_z))
-    return b, _poly(p_z)
+    b = np.multiply(np.asarray(k_z, dtype=np.float64)[:, None], _poly(z_z))
+    return b, np.array([_poly(roots) for roots in p_z])
+
+
+def _steady_states(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter_zi(b[i], a[i])`` for every row, in one batched solve.
+
+    Rows of ``b`` and ``a`` share one length and every ``a[i, 0]`` is 1, as
+    in each Butterworth design. ``zi`` solves ``zi = A zi + B`` for the
+    companion matrix ``A`` of ``a``, by the ``np.linalg.solve`` that scipy
+    runs for one design.
+    """
+    k, m = a.shape
+    companion = np.zeros((k, m - 1, m - 1))
+    companion[:, 0, :] = -a[:, 1:]
+    companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+    i_minus_a = np.eye(m - 1) - companion.transpose(0, 2, 1)
+    rhs = b[:, 1:] - a[:, 1:] * b[:, :1]
+    return np.linalg.solve(i_minus_a, rhs[:, :, None])[:, :, 0]
+
+
+def design_bandpasses(
+    order: int, low_bpm, high_bpm, sample_rate_hz: float
+) -> list[FilterCoefficients]:
+    """Butterworth band-passes for paired cutoffs, designed as array work.
+
+    Design ``i`` has cutoffs ``low_bpm[i]`` and ``high_bpm[i]`` and is bit
+    for bit what ``scipy.signal.butter`` and ``scipy.signal.lfilter_zi``
+    give for them, as :func:`design_bandpass` is.
+
+    Raises:
+        ValueError: for the first pair that :class:`BandpassSpec` rejects or
+            whose high cutoff reaches the Nyquist frequency.
+    """
+    low_bpm = np.asarray(low_bpm, dtype=np.float64)
+    high_bpm = np.asarray(high_bpm, dtype=np.float64)
+    specs = [BandpassSpec(order, lo, hi) for lo, hi in zip(low_bpm.tolist(), high_bpm.tolist())]
+    for spec in specs:
+        spec.validate_for(sample_rate_hz)
+    if not specs:
+        return []
+    fs = float(sample_rate_hz)
+    b, a = _butter_bandpass(int(order), low_bpm / 60.0, high_bpm / 60.0, fs)
+    zi = _steady_states(b, a)
+    return [
+        FilterCoefficients(b=b_i, a=a_i, zi=zi_i, sample_rate_hz=sample_rate_hz, spec=spec)
+        for b_i, a_i, zi_i, spec in zip(b, a, zi, specs)
+    ]
 
 
 @functools.lru_cache(maxsize=256)
@@ -259,9 +312,7 @@ def design_bandpass(spec: BandpassSpec, sample_rate_hz: float) -> FilterCoeffici
     Raises:
         ValueError: if the high cutoff reaches the Nyquist frequency.
     """
-    spec.validate_for(sample_rate_hz)
-    b, a = _butter_bandpass(int(spec.order), *spec.cutoffs_hz, float(sample_rate_hz))
-    return FilterCoefficients(b=b, a=a, sample_rate_hz=sample_rate_hz, spec=spec)
+    return design_bandpasses(spec.order, [spec.low_bpm], [spec.high_bpm], sample_rate_hz)[0]
 
 
 def bandpass_zero_phase(w: Waveform, coeffs: FilterCoefficients) -> Waveform:
@@ -304,10 +355,15 @@ def hilbert_envelope(w: Waveform) -> Waveform:
     signal length, so for a pure in-band tone the envelope is flat away from
     the edges.
     """
-    if len(w) < 8:
+    n = len(w)
+    if n < 8:
         raise ValueError("hilbert envelope needs at least 8 samples")
-    analytic = sps.hilbert(w.samples)
-    return w.with_samples(np.abs(analytic))
+    # The steps of scipy.signal.hilbert: keep DC (and Nyquist when n is
+    # even), double the positive frequencies, zero the negative ones.
+    spectrum = sp_fft.fft(w.samples)
+    spectrum[1 : (n + 1) // 2] *= 2.0
+    spectrum[n // 2 + 1 :] = 0.0
+    return w.with_samples(np.abs(sp_fft.ifft(spectrum)))
 
 
 def divide_by_envelope(w: Waveform) -> Waveform:

@@ -19,7 +19,7 @@ from bodyppg.grid import SKIN_FRACTION_THRESHOLD, ErrorFrame, SubregionGrid
 from bodyppg.metrics import NOISE_BAND_BPM, SNR_CAP_DB
 from bodyppg.pulse_rate import _fft_length
 from bodyppg.rppg import MethodConfig, RGBTrace, pos
-from bodyppg.signals import BandpassSpec, Waveform, WindowPlan, design_bandpass, divide_by_envelope
+from bodyppg.signals import Waveform, WindowPlan, divide_by_envelope
 
 
 def window_peak_rate(x: np.ndarray, sample_rate_hz: float, band) -> float:
@@ -102,8 +102,9 @@ def score_grid(grid, ref_rate, plan=None, band_bpm=(40.0, 180.0)) -> list[ErrorF
     return frames
 
 
-def fuse_ground_truth_report(bank, plan) -> tuple[Waveform, FusionDiagnostics]:
-    """Fusion with one z-normalization and one filtfilt per channel and window."""
+def _fuse(bank, plan, filter_window) -> tuple[Waveform, FusionDiagnostics]:
+    """Fusion loop over windows; ``filter_window(b, a, padlen, z_by_site)``
+    turns one window's z-scored live channels into its filtered sum."""
     channels = _crop_to_common_span(bank)
     first = channels[0][1]
     fs, n = first.sample_rate_hz, len(first)
@@ -119,9 +120,8 @@ def fuse_ground_truth_report(bank, plan) -> tuple[Waveform, FusionDiagnostics]:
         y_bpm = float(ox[min(center, n - 1)])
         low = max(y_bpm - bank.delta_y_bpm, MIN_LOW_CUTOFF_BPM)
         high = min(y_bpm + bank.delta_y_bpm, 0.99 * nyquist_bpm)
-        coeffs = design_bandpass(BandpassSpec(FUSION_FILTER_ORDER, low, high), fs)
-        window_sum = np.zeros(n_len)
-        any_ok = False
+        b, a = sps.butter(FUSION_FILTER_ORDER, [low / 60.0, high / 60.0], btype="bandpass", fs=fs)
+        z_by_site = {}
         for site, wave in channels:
             seg = wave.samples[start : start + n_len]
             std = float(np.std(seg))
@@ -129,17 +129,40 @@ def fuse_ground_truth_report(bank, plan) -> tuple[Waveform, FusionDiagnostics]:
                 skipped = diags.skipped_channel_windows
                 skipped[site] = skipped.get(site, 0) + 1
                 continue
-            z = (seg - np.mean(seg)) / std
-            window_sum += sps.filtfilt(
-                coeffs.b, coeffs.a, z, padtype="odd", padlen=coeffs.pad_length
-            )
-            any_ok = True
-        if not any_ok:
+            z_by_site[site] = (seg - np.mean(seg)) / std
+        if z_by_site:
+            accum[start : start + n_len] += filter_window(b, a, 3 * (len(a) - 1), z_by_site)
+        else:
             diags.empty_window_times_s.append(first.start_time_s + center / fs)
-        accum[start : start + n_len] += window_sum
         counts[start : start + n_len] += 1.0
     combined = Waveform(accum / np.maximum(counts, 1.0), fs, first.start_time_s)
     return divide_by_envelope(combined), diags
+
+
+def fuse_ground_truth_report(bank, plan) -> tuple[Waveform, FusionDiagnostics]:
+    """Fusion that adds each window's z-scored channels in site order and
+    makes one filtfilt call on the sum."""
+
+    def filter_sum(b, a, padlen, z_by_site):
+        z_sum = np.zeros_like(next(iter(z_by_site.values())))
+        for site in sorted(z_by_site):
+            z_sum += z_by_site[site]
+        return sps.filtfilt(b, a, z_sum, padtype="odd", padlen=padlen)
+
+    return _fuse(bank, plan, filter_sum)
+
+
+def fuse_ground_truth_report_per_channel(bank, plan) -> tuple[Waveform, FusionDiagnostics]:
+    """Fusion with one filtfilt per channel and window, the filtered channels
+    added in bank order: the definition before filtering moved after the sum."""
+
+    def sum_filtered(b, a, padlen, z_by_site):
+        out = np.zeros_like(next(iter(z_by_site.values())))
+        for z in z_by_site.values():
+            out += sps.filtfilt(b, a, z, padtype="odd", padlen=padlen)
+        return out
+
+    return _fuse(bank, plan, sum_filtered)
 
 
 def ptt_window_rows(matrix) -> np.ndarray:

@@ -96,13 +96,21 @@ class TestFusion:
         assert np.max(np.abs(fused.samples - direct.samples)) < 1e-12
 
     def test_channel_order_invariance(self):
-        bank = make_bank(n_channels=4, duration_s=20.0)
-        shuffled = SensorBank(
-            channels=tuple(reversed(bank.channels)), oximeter_rate=bank.oximeter_rate
-        )
-        a = fuse_ground_truth(bank)
-        b = fuse_ground_truth(shuffled)
-        assert np.max(np.abs(a.samples - b.samples)) < 1e-9
+        # Channels are added in site-name order, so any permutation of the
+        # bank fuses to the same bits, with flat (skipped) windows too.
+        bank = make_bank(n_channels=4, duration_s=20.0, corrupt=(1,))
+        channels = list(bank.channels)
+        site, wave = channels[2]
+        flat = wave.samples.copy()
+        flat[int(3 * FS) : int(15 * FS)] = 2.0
+        channels[2] = (site, Waveform(flat, FS))
+        fused, diags = fuse_ground_truth_report(SensorBank(tuple(channels), bank.oximeter_rate))
+        assert diags.skipped_channel_windows[site] > 0
+        for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+            permuted = SensorBank(tuple(channels[i] for i in order), bank.oximeter_rate)
+            fused_p, diags_p = fuse_ground_truth_report(permuted)
+            np.testing.assert_array_equal(fused_p.samples, fused.samples)
+            assert diags_p.to_dict() == diags.to_dict()
 
     def test_channel_scale_invariance(self):
         bank = make_bank(n_channels=3, duration_s=20.0)
@@ -159,24 +167,29 @@ class TestFusion:
         assert np.sqrt(np.mean(d**2)) < 1e-3
 
 
-class TestFusionOracle:
-    """Batched per-window filtering equals the per-channel loop exactly."""
+def oracle_bank():
+    """Four channels with a motion burst, a flat stretch in one channel, a
+    span where all are flat, a ramping oximeter and a late start."""
+    bank = make_bank(n_channels=4, duration_s=40.0, corrupt=(2,), seed0=500)
+    channels = [wave.samples.copy() for _, wave in bank.channels]
+    channels[1][int(5 * FS) : int(20 * FS)] = 3.0  # flat for 15 s
+    for c in channels:  # every channel flat from 24 s to 36 s
+        c[int(24 * FS) : int(36 * FS)] = -1.5
+    times = np.arange(0.0, 40.0, 1.0 / 60.0)
+    oximeter = PulseRateSeries(times, np.linspace(60.0, 110.0, times.size), 0.0, (30.0, 240.0))
+    return SensorBank(
+        channels=tuple(
+            (site, Waveform(c, FS, 0.5)) for (site, _), c in zip(bank.channels, channels)
+        ),
+        oximeter_rate=oximeter,
+    )
 
-    def test_equals_per_channel_loop(self):
-        bank = make_bank(n_channels=4, duration_s=40.0, corrupt=(2,), seed0=500)
-        channels = [wave.samples.copy() for _, wave in bank.channels]
-        channels[1][int(5 * FS) : int(20 * FS)] = 3.0  # flat for 15 s
-        for c in channels:  # every channel flat from 24 s to 36 s
-            c[int(24 * FS) : int(36 * FS)] = -1.5
-        times = np.arange(0.0, 40.0, 1.0 / 60.0)
-        oximeter = PulseRateSeries(times, np.linspace(60.0, 110.0, times.size), 0.0, (30.0, 240.0))
-        bank = SensorBank(
-            channels=tuple(
-                (site, Waveform(c, FS, 0.5))
-                for (site, _), c in zip(bank.channels, channels)
-            ),
-            oximeter_rate=oximeter,
-        )
+
+class TestFusionOracle:
+    """Batched per-window filtering equals the per-window loop exactly."""
+
+    def test_equals_sum_first_loop(self):
+        bank = oracle_bank()
         plan = WindowPlan(10.0, 0.25)
         fused, diags = fuse_ground_truth_report(bank, plan)
         want, want_diags = loop_reference.fuse_ground_truth_report(bank, plan)
@@ -184,6 +197,37 @@ class TestFusionOracle:
         assert fused.start_time_s == want.start_time_s
         assert diags.to_dict() == want_diags.to_dict()
         assert diags.skipped_channel_windows["site1"] > len(diags.empty_window_times_s) > 0
+
+    def test_equals_sum_first_loop_with_clamped_bands(self):
+        # At 5.1 Hz the oximeter's 40-140 bpm ramp drives both band edges
+        # into their clamps: the 20 bpm floor and 0.99 of Nyquist (151.47 bpm).
+        fs = 5.1
+        rng = np.random.default_rng(11)
+        t = np.arange(int(60 * fs)) / fs
+        channels = tuple(
+            (f"s{i}", Waveform(np.sin(2 * np.pi * 1.5 * t) + 0.3 * rng.standard_normal(t.size), fs))
+            for i in range(3)
+        )
+        times = np.arange(0.0, 60.0, 0.5)
+        oximeter = PulseRateSeries(times, np.linspace(40.0, 140.0, times.size), 0.0, (30.0, 240.0))
+        bank = SensorBank(channels, oximeter)
+        plan = WindowPlan(10.0, 0.25)
+        fused, diags = fuse_ground_truth_report(bank, plan)
+        want, want_diags = loop_reference.fuse_ground_truth_report(bank, plan)
+        np.testing.assert_array_equal(fused.samples, want.samples)
+        assert diags.to_dict() == want_diags.to_dict()
+
+    @pytest.mark.parametrize("nine_channels", [False, True], ids=["flat-stretches", "nine-channels"])
+    def test_within_rounding_of_filtering_each_channel(self, nine_channels):
+        # Filtering the channel sum instead of each channel only reorders
+        # rounding: 4.7e-10 on nine channels and 5.4e-9 where flat stretches
+        # leave a small envelope to divide by, against unit-amplitude output.
+        bank = make_bank(corrupt=(2, 5), seed0=900) if nine_channels else oracle_bank()
+        plan = WindowPlan(10.0, 0.25)
+        fused, diags = fuse_ground_truth_report(bank, plan)
+        want, want_diags = loop_reference.fuse_ground_truth_report_per_channel(bank, plan)
+        np.testing.assert_allclose(fused.samples, want.samples, rtol=0.0, atol=1e-8)
+        assert diags.to_dict() == want_diags.to_dict()
 
 
 class TestChannelOrderProperty:
@@ -295,6 +339,14 @@ class TestSensorBank:
         bad = PulseRateSeries(np.array([0.0, 1.0]), np.array([10.0, 72.0]), 0.0, (5.0, 240.0))
         with pytest.raises(ValueError):
             SensorBank(channels=(("a", wave),), oximeter_rate=bad)
+
+    def test_duplicate_sites_rejected_by_name(self):
+        wave = Waveform(np.random.default_rng(0).standard_normal(4000), FS)
+        with pytest.raises(ValueError, match="'wrist'"):
+            SensorBank(
+                channels=(("wrist", wave), ("ear", wave), ("wrist", wave)),
+                oximeter_rate=oximeter_series(72.0, 10.0),
+            )
 
     def test_mismatched_rates_rejected(self):
         a = Waveform(np.ones(400), 400.0)

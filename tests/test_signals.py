@@ -10,6 +10,7 @@ from bodyppg import (
     WindowPlan,
     bandpass_zero_phase,
     design_bandpass,
+    design_bandpasses,
     divide_by_envelope,
     hilbert_envelope,
     resample_linear,
@@ -133,14 +134,30 @@ class TestDesignBandpass:
     @pytest.mark.parametrize("fs", [30.0, 90.0, 400.0])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_equals_scipy_butter(self, fs, order):
+        # 1,000 designs per rate and order, 12,000 in all, made in one batch;
+        # the first 25 also one at a time through design_bandpass.
         rng = np.random.default_rng(int(fs) * 10 + order)
         nyquist_bpm = fs / 2.0 * 60.0
-        for low, high in np.sort(rng.uniform(1.0, 0.99 * nyquist_bpm, (25, 2)), axis=1):
-            coeffs = design_bandpass(BandpassSpec(order, float(low), float(high)), fs)
+        pairs = np.sort(rng.uniform(1.0, 0.99 * nyquist_bpm, (1000, 2)), axis=1)
+        batch = design_bandpasses(order, pairs[:, 0], pairs[:, 1], fs)
+        assert len(batch) == len(pairs)
+        for i, ((low, high), batched) in enumerate(zip(pairs.tolist(), batch)):
+            spec = BandpassSpec(order, low, high)
             b, a = sps.butter(order, [low / 60.0, high / 60.0], btype="bandpass", fs=fs)
-            np.testing.assert_array_equal(coeffs.b, b)
-            np.testing.assert_array_equal(coeffs.a, a)
-            np.testing.assert_array_equal(coeffs.zi, sps.lfilter_zi(b, a))
+            zi = sps.lfilter_zi(b, a)
+            single = [design_bandpass(spec, fs)] if i < 25 else []
+            for coeffs in [batched, *single]:
+                assert coeffs.spec == spec
+                np.testing.assert_array_equal(coeffs.b, b)
+                np.testing.assert_array_equal(coeffs.a, a)
+                np.testing.assert_array_equal(coeffs.zi, zi)
+
+    def test_batch_rejects_a_bad_pair(self):
+        with pytest.raises(ValueError, match="low_bpm < high_bpm"):
+            design_bandpasses(2, [40.0, 90.0], [100.0, 80.0], 400.0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            design_bandpasses(2, [40.0, 40.0], [100.0, 1500.0], 50.0)
+        assert design_bandpasses(2, [], [], 400.0) == []
 
 
 class TestZeroPhaseFilter:
@@ -249,6 +266,12 @@ class TestHilbertEnvelope:
         edge = int(0.5 * fs)
         rel = np.abs(env.samples[edge:-edge] - a[edge:-edge]) / a[edge:-edge]
         assert np.max(rel) < 0.05
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 64, 127, 1000, 4025, 120_000, 120_001])
+    def test_equals_scipy_hilbert(self, n):
+        x = np.random.default_rng(n).standard_normal(n) * 5.0 + 3.0
+        env = hilbert_envelope(Waveform(x, 400.0)).samples
+        np.testing.assert_array_equal(env, np.abs(sps.hilbert(x)))
 
     def test_zero_signal(self):
         env = hilbert_envelope(Waveform(np.zeros(100), 10.0))
