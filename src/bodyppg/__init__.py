@@ -44,7 +44,6 @@ from .grid import (
     SubregionGrid,
     aggregate_heatmap,
     average_pose,
-    grid_traces,
     homography_from_poses,
     score_grid,
     upsample_frame,
@@ -103,7 +102,6 @@ __all__ = [
     "SubregionGrid",
     "ErrorFrame",
     "PoseKeypoints",
-    "grid_traces",
     "score_grid",
     "upsample_frame",
     "average_pose",

@@ -21,10 +21,13 @@ import numpy as np
 
 from . import __version__
 from .fusion import (
+    DEFAULT_FUSION_PLAN,
     DELTA_Y_BPM_DEFAULT,
     fuse_ground_truth_report,
     reference_pulse_rate,
 )
+# warp_error_frame is called through the module, where perfbench's tracer wraps it.
+from . import grid as grid_module
 from .grid import (
     aggregate_heatmap,
     average_pose,
@@ -32,11 +35,10 @@ from .grid import (
     score_grid,
     upsample_frame,
 )
-from .metrics import score_series
-from .pulse_rate import DEFAULT_BAND_BPM, stft_pulse_rate
+from .metrics import DEFAULT_SCORE_PLAN, score_series
+from .pulse_rate import DEFAULT_BAND_BPM, DEFAULT_RATE_PLAN, stft_pulse_rate
 from .rppg import MethodConfig, extract_pulse
 from .session import (
-    _FLOAT_FMT,
     SessionManifest,
     read_rate_csv,
     read_waveform_csv,
@@ -47,7 +49,13 @@ from .session import (
 )
 from .signals import WindowPlan
 from .synthetic_session import SyntheticSessionConfig, build_synthetic_session
-from .transit_time import DEFAULT_MAX_LAG_S, DEFAULT_MIN_PEAK_CORR, PTTMatrix, ptt_matrix
+from .transit_time import (
+    DEFAULT_MAX_LAG_S,
+    DEFAULT_MIN_PEAK_CORR,
+    DEFAULT_PTT_PLAN,
+    PTTMatrix,
+    ptt_matrix,
+)
 
 
 class _OutputStage:
@@ -108,10 +116,10 @@ def _param(params: dict, key: str, default=None):
     return default if value is None else value
 
 
-def _plan(params: dict, default_length: float, default_stride: float) -> WindowPlan:
+def _plan(params: dict, default: WindowPlan) -> WindowPlan:
     return WindowPlan(
-        length_s=_param(params, "window_s", default_length),
-        stride_s=_param(params, "stride_s", default_stride),
+        length_s=_param(params, "window_s", default.length_s),
+        stride_s=_param(params, "stride_s", default.stride_s),
     )
 
 
@@ -129,9 +137,9 @@ def _manifest_inputs(manifest: SessionManifest) -> list[Path]:
 
 def cmd_synth(params: dict, stage: _OutputStage) -> None:
     cfg = SyntheticSessionConfig(
-        seed=_param(params, "seed", 7),
-        duration_s=_param(params, "duration_s", 60.0),
-        corrupt_sites=tuple(_param(params, "corrupt_sites", ())),
+        seed=_param(params, "seed", SyntheticSessionConfig.seed),
+        duration_s=_param(params, "duration_s", SyntheticSessionConfig.duration_s),
+        corrupt_sites=tuple(_param(params, "corrupt_sites", SyntheticSessionConfig.corrupt_sites)),
     )
     build_synthetic_session(stage.out_dir, cfg)
     _config_echo(stage, "synth", params, [])
@@ -142,7 +150,7 @@ def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
     bank = manifest.load_sensor_bank(
         delta_y_bpm=_param(params, "delta_y_bpm", DELTA_Y_BPM_DEFAULT)
     )
-    plan = _plan(params, 10.0, 0.25)
+    plan = _plan(params, DEFAULT_FUSION_PLAN)
     fused, diags = fuse_ground_truth_report(bank, plan)
     write_waveform_csv(stage.path("fused.csv"), fused)
     rates = reference_pulse_rate(fused)
@@ -162,12 +170,12 @@ def _reference_rates(manifest: SessionManifest, params: dict):
 def cmd_estimate(params: dict, stage: _OutputStage) -> None:
     manifest = SessionManifest.load(_param(params, "manifest"))
     roi = _param(params, "roi", "face")
-    method = _param(params, "method", "pos")
+    method = _param(params, "method", MethodConfig.method)
     trace = manifest.load_trace(roi)
     cfg = MethodConfig(method=method)
     pulse = extract_pulse(trace, cfg)
     band = _param(params, "band_bpm", DEFAULT_BAND_BPM)
-    plan = _plan(params, 10.0, 1.0)
+    plan = _plan(params, DEFAULT_RATE_PLAN)
     rates = stft_pulse_rate(pulse, plan, band)
     ref = _reference_rates(manifest, params)
     report = score_series(rates, ref, waveform=pulse)
@@ -190,7 +198,7 @@ def cmd_estimate(params: dict, stage: _OutputStage) -> None:
 def cmd_pulse_rate(params: dict, stage: _OutputStage) -> None:
     wave = read_waveform_csv(_param(params, "input"))
     band = _param(params, "band_bpm", DEFAULT_BAND_BPM)
-    plan = _plan(params, 10.0, 1.0)
+    plan = _plan(params, DEFAULT_RATE_PLAN)
     rates = stft_pulse_rate(wave, plan, band)
     write_rate_csv(stage.path("rates.csv"), rates)
     _config_echo(stage, "pulse-rate", params, [Path(_param(params, "input"))])
@@ -208,7 +216,8 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     manifest = SessionManifest.load(_param(params, "manifest"))
     roi = _param(params, "roi", "face")
     grid = manifest.load_grid(roi)
-    plan = _plan(params, 10.0, _param(params, "window_s", 10.0))
+    length_s = _param(params, "window_s", DEFAULT_SCORE_PLAN.length_s)
+    plan = WindowPlan(length_s, _param(params, "stride_s", length_s))
     ref = _reference_rates(manifest, params)
     frames = score_grid(grid, ref, plan)
 
@@ -224,14 +233,12 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
         # homography once.
         maps = np.stack([up["mae"], up["snr"]])
         maps[:, ~up["mask"]] = np.nan
-        if target is not None and poses:
+        if target is not None:
             center = frame.window_start_s + plan.length_s / 2.0
             nearest = min(poses, key=lambda p: abs(p.frame_time_s - center))
             h = homography_from_poses(nearest, target)
             size = (maps.shape[2], maps.shape[1])
-            from .grid import warp_error_frame
-
-            maps = warp_error_frame(maps, h, size)
+            maps = grid_module.warp_error_frame(maps, h, size)
         mae_maps.append(maps[0])
         snr_maps.append(maps[1])
 
@@ -239,7 +246,7 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     snr_mean, _ = aggregate_heatmap(snr_maps)
     write_csv(stage.path("aggregate_mae.csv"), [mae_mean])
     write_csv(stage.path("aggregate_snr.csv"), [snr_mean])
-    write_csv(stage.path("aggregate_count.csv"), [count], fmt="%d")
+    write_csv(stage.path("aggregate_count.csv"), [count])
     write_json(
         stage.path("grid_meta.json"),
         {
@@ -258,12 +265,13 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     _config_echo(stage, "grid-map", params, _manifest_inputs(manifest))
 
 
-def ptt_window_rows(matrix: PTTMatrix) -> np.ndarray:
-    """``ptt_windows.csv`` rows (window center time, site a < site b, lag ms) in C order."""
+def ptt_window_rows(matrix: PTTMatrix) -> list[np.ndarray]:
+    """``ptt_windows.csv`` columns: window center time, site a < site b as
+    integers, lag ms; rows in C order of (window, a, b)."""
     lags = matrix.per_window_lag_s
     upper = np.triu(np.ones(lags.shape[1:], dtype=bool), k=1)
     widx, i, j = np.nonzero(np.isfinite(lags) & upper)
-    return np.column_stack([matrix.window_times_s[widx], i, j, lags[widx, i, j] * 1000.0])
+    return [matrix.window_times_s[widx], i, j, lags[widx, i, j] * 1000.0]
 
 
 def cmd_ptt(params: dict, stage: _OutputStage) -> None:
@@ -271,14 +279,14 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
     source = _param(params, "source", "sensors")
     if source == "sensors":
         waves = list(manifest.load_sensor_bank().channels)
-        plan = _plan(params, 5.0, 0.010)
+        plan = _plan(params, DEFAULT_PTT_PLAN)
     elif source == "rppg":
-        cfg = MethodConfig(method=_param(params, "method", "pos"))
+        cfg = MethodConfig(method=_param(params, "method", MethodConfig.method))
         waves = [
             (roi, extract_pulse(trace, cfg))
             for roi, trace in manifest.load_traces(manifest.trace_rois()).items()
         ]
-        plan = _plan(params, 5.0, 1.0 / manifest.fps)
+        plan = _plan(params, WindowPlan(DEFAULT_PTT_PLAN.length_s, 1.0 / manifest.fps))
     else:
         raise ValueError(f"unknown ptt source {source!r}; expected 'sensors' or 'rppg'")
 
@@ -292,11 +300,14 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
 
     write_csv(
         stage.path("ptt_windows.csv"),
-        [ptt_window_rows(matrix)],
+        ptt_window_rows(matrix),
         "window_center_time_s,site_a_index,site_b_index,lag_ms",
-        fmt=[_FLOAT_FMT, "%d", "%d", _FLOAT_FMT],
     )
     _config_echo(stage, "ptt", params, _manifest_inputs(manifest))
+
+
+def _plan_help(plan: WindowPlan) -> dict:
+    return {"window_s": f"{plan.length_s:g}", "stride_s": f"{plan.stride_s:g}"}
 
 
 # command -> (function, help, {parameter: its default as --help states it}).
@@ -304,25 +315,28 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
 # or from --config; a None default marks a parameter that must be given.
 _COMMANDS = {
     "synth": (cmd_synth, "emit a complete synthetic session",
-              {"seed": "7", "duration_s": "60", "corrupt_sites": "none"}),
+              {"seed": f"{SyntheticSessionConfig.seed}",
+               "duration_s": f"{SyntheticSessionConfig.duration_s:g}", "corrupt_sites": "none"}),
     "fuse-gt": (cmd_fuse_gt, "fuse contact sensors into a reference pulse",
                 {"manifest": None, "delta_y_bpm": f"{DELTA_Y_BPM_DEFAULT:g}",
-                 "window_s": "10", "stride_s": "0.25"}),
+                 **_plan_help(DEFAULT_FUSION_PLAN)}),
     "estimate": (cmd_estimate, "extract a pulse from one ROI and score it",
-                 {"manifest": None, "roi": "face", "method": "pos",
+                 {"manifest": None, "roi": "face", "method": MethodConfig.method,
                   "ref_rates": "fuse the contact sensors", "band_bpm": "%g:%g" % DEFAULT_BAND_BPM,
-                  "window_s": "10", "stride_s": "1"}),
+                  **_plan_help(DEFAULT_RATE_PLAN)}),
     "pulse-rate": (cmd_pulse_rate, "pulse-rate series from a waveform CSV",
                    {"input": None, "band_bpm": "%g:%g" % DEFAULT_BAND_BPM,
-                    "window_s": "10", "stride_s": "1"}),
+                    **_plan_help(DEFAULT_RATE_PLAN)}),
     "score": (cmd_score, "score a predicted rate CSV against a reference",
               {"pred": None, "ref": None}),
     "grid-map": (cmd_grid_map, "local quality maps over grid cell traces",
                  {"manifest": None, "roi": "face", "ref_rates": "fuse the contact sensors",
-                  "window_s": "10", "stride_s": "the window length"}),
+                  "window_s": f"{DEFAULT_SCORE_PLAN.length_s:g}",
+                  "stride_s": "the window length"}),
     "ptt": (cmd_ptt, "pairwise pulse-transit-time matrix",
-            {"manifest": None, "source": "sensors", "method": "pos", "window_s": "5",
-             "stride_s": "0.01 for sensors, one frame for rppg",
+            {"manifest": None, "source": "sensors", "method": MethodConfig.method,
+             "window_s": f"{DEFAULT_PTT_PLAN.length_s:g}",
+             "stride_s": f"{DEFAULT_PTT_PLAN.stride_s:g} for sensors, one frame for rppg",
              "max_lag_s": f"{DEFAULT_MAX_LAG_S:g}", "min_peak_corr": f"{DEFAULT_MIN_PEAK_CORR:g}"}),
 }
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .pulse_rate import (
     DEFAULT_BAND_BPM,
-    DEFAULT_STRIDE_S,
+    DEFAULT_RATE_PLAN,
     DEFAULT_WINDOW_LENGTH_S,
     PulseRateSeries,
     stft_pulse_rate,
@@ -238,5 +238,5 @@ def reference_pulse_rate(
     code path and settings.
     """
     if plan is None:
-        plan = WindowPlan(DEFAULT_WINDOW_LENGTH_S, DEFAULT_STRIDE_S)
+        plan = DEFAULT_RATE_PLAN
     return stft_pulse_rate(fused, plan, DEFAULT_BAND_BPM)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import harmonic_snrs
+from .metrics import DEFAULT_SCORE_PLAN, harmonic_snrs
 from .pulse_rate import DEFAULT_BAND_BPM, PulseRateSeries, spectral_peaks
 # Not called here: score_grid batches what these do for one pulse. The names
 # stay importable from this module because perfbench's tracer wraps them here.
@@ -27,7 +27,6 @@ __all__ = [
     "SubregionGrid",
     "ErrorFrame",
     "PoseKeypoints",
-    "grid_traces",
     "score_grid",
     "upsample_frame",
     "average_pose",
@@ -143,11 +142,12 @@ class PoseKeypoints:
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "visibility", vis)
 
-    def visible(self, threshold: float = VISIBILITY_THRESHOLD) -> dict[str, np.ndarray]:
+    def visible(self) -> dict[str, np.ndarray]:
+        """Positions of the keypoints visible at ``VISIBILITY_THRESHOLD`` or above."""
         return {
             name: self.xy[i]
             for i, name in enumerate(self.names)
-            if self.visibility[i] >= threshold
+            if self.visibility[i] >= VISIBILITY_THRESHOLD
         }
 
 
@@ -156,51 +156,6 @@ def grid_geometry(bbox_w: int, bbox_h: int, cell_px: int = DEFAULT_CELL_PX) -> t
     if cell_px < 1:
         raise ValueError("cell_px must be at least 1")
     return bbox_w // cell_px, bbox_h // cell_px
-
-
-def _check_frame_indices(idx: np.ndarray, n_frames: int) -> None:
-    if len(idx) != n_frames:
-        raise ValueError(f"{len(idx)} frame indices for {n_frames} frames of cell means")
-    wanted = np.arange(idx[0], idx[0] + n_frames)
-    bad = np.flatnonzero(idx != wanted)
-    if bad.size:
-        k = int(bad[0])
-        # idx[:k] holds idx[0] .. wanted[k] - 1, so a smaller index repeats one of them.
-        if idx[0] <= idx[k] < wanted[k]:
-            raise ValueError(f"duplicate frame index {idx[k]} at position {k}")
-        if np.any(idx[k + 1 :] == wanted[k]):
-            raise ValueError(f"frames out of order: position {k} holds {idx[k]}, not {wanted[k]}")
-        raise ValueError(f"missing frames: {wanted[k]} is absent (position {k} holds {idx[k]})")
-
-
-def grid_traces(
-    cell_means: np.ndarray,
-    sample_rate_hz: float,
-    origin_px: tuple[int, int],
-    cell_px: int,
-    skin_fraction: np.ndarray | None = None,
-    start_time_s: float = 0.0,
-    frame_indices: np.ndarray | None = None,
-) -> SubregionGrid:
-    """Assemble per-cell traces from per-frame, per-cell RGB means.
-
-    ``frame_indices``, when given, must count up by one from its first entry,
-    one per row of ``cell_means``; the error names the first duplicate,
-    out-of-order or missing index.
-    """
-    cell_means = np.asarray(cell_means, dtype=np.float64)
-    if frame_indices is not None:
-        _check_frame_indices(np.asarray(frame_indices), cell_means.shape[0])
-    if skin_fraction is None:
-        skin_fraction = np.ones(cell_means.shape[1:3])
-    return SubregionGrid(
-        values=cell_means,
-        sample_rate_hz=sample_rate_hz,
-        start_time_s=start_time_s,
-        origin_px=origin_px,
-        cell_px=cell_px,
-        skin_fraction=skin_fraction,
-    )
 
 
 def score_grid(
@@ -223,7 +178,7 @@ def score_grid(
     single-window pulse. A band outside (0, Nyquist) leaves every cell NaN.
     """
     if plan is None:
-        plan = WindowPlan(10.0, 10.0)
+        plan = DEFAULT_SCORE_PLAN
     fs = grid.sample_rate_hz
     n_len = plan.length_samples(fs)
     frames: list[ErrorFrame] = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .pulse_rate import PulseRateSeries, tapered_spectra
+from .pulse_rate import DEFAULT_WINDOW_LENGTH_S, PulseRateSeries, tapered_spectra
 from .signals import Waveform, WindowPlan, windows
 
 __all__ = [
@@ -18,11 +18,18 @@ __all__ = [
     "harmonic_snrs",
     "score_series",
     "NOISE_BAND_BPM",
+    "SNR_HALF_BAND_BPM",
+    "DEFAULT_SCORE_PLAN",
 ]
 
 # Outer support for the SNR noise sum: brackets the 40-180 bpm analysis band
 # with margin on both sides.
 NOISE_BAND_BPM = (24.0, 240.0)
+# Spectral power within this many bpm of the rate and of its second harmonic
+# counts as SNR signal.
+SNR_HALF_BAND_BPM = 6.0
+# Non-overlapping windows over which a waveform's SNR, and a grid's cells, are scored.
+DEFAULT_SCORE_PLAN = WindowPlan(DEFAULT_WINDOW_LENGTH_S, DEFAULT_WINDOW_LENGTH_S)
 
 SNR_CAP_DB = 60.0
 
@@ -98,12 +105,11 @@ def harmonic_snrs(
     rows: np.ndarray | Sequence[np.ndarray],
     sample_rate_hz: float,
     rates_bpm: float | Sequence[float] | np.ndarray,
-    half_band_bpm: float = 6.0,
 ) -> np.ndarray:
     """Harmonic SNR in dB of every row against its own reference rate.
 
     Rows are mean-removed and Hann-tapered (:func:`tapered_spectra`, no
-    zero-padding); spectral power within +-half_band_bpm of the row's rate
+    zero-padding); spectral power within +-SNR_HALF_BAND_BPM of the row's rate
     and of its second harmonic counts as signal, everything else inside
     NOISE_BAND_BPM as noise. Results are clipped to +-SNR_CAP_DB.
     ``rates_bpm`` is one rate per row, or one rate for all rows.
@@ -116,8 +122,8 @@ def harmonic_snrs(
     support = (f_bpm >= NOISE_BAND_BPM[0] - 1e-9) & (f_bpm <= NOISE_BAND_BPM[1] + 1e-9)
     for i, magnitude, _ in tapered_spectra(rows):
         for k, power in enumerate(magnitude**2, start=i):
-            sig = (np.abs(f_bpm - rates[k]) <= half_band_bpm + 1e-9) | (
-                np.abs(f_bpm - 2.0 * rates[k]) <= half_band_bpm + 1e-9
+            sig = (np.abs(f_bpm - rates[k]) <= SNR_HALF_BAND_BPM + 1e-9) | (
+                np.abs(f_bpm - 2.0 * rates[k]) <= SNR_HALF_BAND_BPM + 1e-9
             )
             # Per-row sums keep the summation order of a single window.
             signal_power = float(np.sum(power[sig]))
@@ -136,19 +142,18 @@ def harmonic_snrs(
 def snr_harmonics(
     w: Waveform,
     ref_rate: PulseRateSeries,
-    half_band_bpm: float = 6.0,
     plan: WindowPlan | None = None,
 ) -> float:
     """Harmonic signal-to-noise ratio of a waveform against a reference rate.
 
-    Per window, spectral power within +-half_band_bpm of the reference rate
+    Per window, spectral power within +-SNR_HALF_BAND_BPM of the reference rate
     and of its second harmonic counts as signal; everything else inside
     NOISE_BAND_BPM counts as noise. Window SNRs in dB are clipped to
     +-SNR_CAP_DB and averaged; the windows go through :func:`harmonic_snrs`
     as the rows of one batch.
     """
     if plan is None:
-        plan = WindowPlan(10.0, 10.0)
+        plan = DEFAULT_SCORE_PLAN
     if len(ref_rate) == 0:
         raise ValueError("reference rate series is empty")
     segs = windows(w, plan)
@@ -157,7 +162,7 @@ def snr_harmonics(
             f"waveform of {w.duration_s:g} s is shorter than one {plan.length_s:g} s window"
         )
     rates = [ref_rate.rate_at(seg.start_time_s + 0.5 * plan.length_s) for _, seg in segs]
-    snrs = harmonic_snrs([seg.samples for _, seg in segs], w.sample_rate_hz, rates, half_band_bpm)
+    snrs = harmonic_snrs([seg.samples for _, seg in segs], w.sample_rate_hz, rates)
     return float(np.mean(snrs))
 
 
@@ -165,7 +170,6 @@ def score_series(
     pred: PulseRateSeries,
     ref: PulseRateSeries,
     waveform: Waveform | None = None,
-    scope: str = "per-session",
 ) -> ScoreReport:
     """Bundle MAE, Pearson r, and (optionally) waveform SNR into one report."""
     p, r, _ = _matched_pairs(pred, ref)
@@ -175,5 +179,4 @@ def score_series(
         pearson_r=pearson_r(pred, ref),
         n_windows=int(p.size),
         snr_db=snr,
-        scope=scope,
     )

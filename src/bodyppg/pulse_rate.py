@@ -24,11 +24,13 @@ __all__ = [
     "DEFAULT_WINDOW_LENGTH_S",
     "DEFAULT_STRIDE_S",
     "DEFAULT_BAND_BPM",
+    "DEFAULT_RATE_PLAN",
 ]
 
 DEFAULT_WINDOW_LENGTH_S = 10.0
 DEFAULT_STRIDE_S = 1.0
 DEFAULT_BAND_BPM = (40.0, 180.0)
+DEFAULT_RATE_PLAN = WindowPlan(DEFAULT_WINDOW_LENGTH_S, DEFAULT_STRIDE_S)
 
 # Zero-padding keeps the FFT bin spacing at or below this many bpm, so peak
 # quantization error stays negligible next to real-world rate errors.
@@ -178,7 +180,7 @@ def stft_pulse_rate(
     as the rows of one batch.
     """
     if plan is None:
-        plan = WindowPlan(DEFAULT_WINDOW_LENGTH_S, DEFAULT_STRIDE_S)
+        plan = DEFAULT_RATE_PLAN
     segs = windows(w, plan)
     rates = spectral_peaks([seg.samples for _, seg in segs], w.sample_rate_hz, band)
     found = np.isfinite(rates)

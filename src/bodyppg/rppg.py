@@ -9,7 +9,7 @@ waveform morphology matters downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,12 +87,12 @@ class MethodConfig:
 
     ``internal_window_s`` is the overlap-add segment length; a value at least
     as long as the trace collapses processing to a single segment, which is
-    how per-window grid scoring runs.
+    how per-window grid scoring runs. Both methods band-pass their output
+    with ``DEFAULT_POST_FILTER``.
     """
 
     method: str = "pos"
     internal_window_s: float = DEFAULT_INTERNAL_WINDOW_S
-    post_filter: BandpassSpec = field(default_factory=lambda: DEFAULT_POST_FILTER)
 
     def __post_init__(self):
         if self.method not in ("chrom", "pos"):
@@ -170,8 +170,8 @@ def _overlap_add(trace: RGBTrace, cfg: MethodConfig, combine) -> np.ndarray:
     return out / np.maximum(weight, 1e-12)
 
 
-def _finish(trace: RGBTrace, cfg: MethodConfig, raw: np.ndarray) -> Waveform:
-    coeffs = design_bandpass(cfg.post_filter, trace.sample_rate_hz)
+def _finish(trace: RGBTrace, raw: np.ndarray) -> Waveform:
+    coeffs = design_bandpass(DEFAULT_POST_FILTER, trace.sample_rate_hz)
     filtered = bandpass_zero_phase(
         Waveform(raw, trace.sample_rate_hz, trace.start_time_s), coeffs
     )
@@ -193,7 +193,7 @@ def chrom(trace: RGBTrace, cfg: MethodConfig | None = None) -> Waveform:
     """
     if cfg is None:
         cfg = MethodConfig(method="chrom")
-    return _finish(trace, cfg, _overlap_add(trace, cfg, _chrom_segment))
+    return _finish(trace, _overlap_add(trace, cfg, _chrom_segment))
 
 
 def pos(trace: RGBTrace, cfg: MethodConfig | None = None) -> Waveform:
@@ -205,7 +205,7 @@ def pos(trace: RGBTrace, cfg: MethodConfig | None = None) -> Waveform:
     """
     if cfg is None:
         cfg = MethodConfig(method="pos")
-    return _finish(trace, cfg, _overlap_add(trace, cfg, _pos_segment))
+    return _finish(trace, _overlap_add(trace, cfg, _pos_segment))
 
 
 def extract_pulse(trace: RGBTrace, cfg: MethodConfig) -> Waveform:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .fusion import DELTA_Y_BPM_DEFAULT, OXIMETER_BAND_BPM, SensorBank
-from .grid import PoseKeypoints, SubregionGrid, grid_geometry
+from .grid import DEFAULT_CELL_PX, PoseKeypoints, SubregionGrid, grid_geometry
 from .pulse_rate import PulseRateSeries
 from .rppg import RGBTrace
 from .signals import Waveform
@@ -72,7 +72,7 @@ _FRAME_DUMP_HEADER_SIZE = 32
 # frames, never the whole video.
 _CHUNK_FRAMES = 16
 
-# Every float this package writes to CSV uses this format.
+# Every float this package writes to CSV uses this format, every integer %d.
 _FLOAT_FMT = "%.12g"
 # Rows that write_csv formats with one % operation. A block's text is held in
 # memory while it is written, so the block stays small.
@@ -116,14 +116,14 @@ def _load_uniform_csv(
     return data, declared
 
 
-def _write_blocks(path: Path | str, n_rows: int, block_columns, header: str, fmt) -> None:
+def _write_blocks(path: Path | str, n_rows: int, block_columns, header: str) -> None:
     """Rows ``0`` to ``n_rows`` as CSV, stacked and formatted one block of
     ``_CSV_BLOCK_ROWS`` rows at a time; ``block_columns(i0, i1)`` returns the
     columns of rows ``i0`` to ``i1``, as :func:`write_csv` takes them."""
-    n_cols = np.column_stack(block_columns(0, 0)).shape[1]
-    fmts = [fmt] * n_cols if isinstance(fmt, str) else list(fmt)
-    if len(fmts) != n_cols:
-        raise ValueError(f"{path}: {len(fmts)} formats for {n_cols} columns")
+    fmts = []
+    for c in block_columns(0, 0):
+        fmt = "%d" if np.issubdtype(c.dtype, np.integer) else _FLOAT_FMT
+        fmts += [fmt] * (c.shape[1] if c.ndim == 2 else 1)
     row_fmt = ",".join(fmts) + "\n"
     with open(path, "w") as fh:
         if header:
@@ -133,22 +133,23 @@ def _write_blocks(path: Path | str, n_rows: int, block_columns, header: str, fmt
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_csv(path: Path | str, columns: list, header: str = "", fmt=_FLOAT_FMT) -> None:
+def write_csv(path: Path | str, columns: list, header: str = "") -> None:
     """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV;
     no header line when ``header`` is empty.
 
-    ``fmt`` is one %-format for every column or one per column. The bytes are
-    those numpy's ``savetxt`` writes with ``delimiter=","`` and
-    ``comments=""``, but each block of ``_CSV_BLOCK_ROWS`` rows is stacked and
-    formatted by one ``%`` over the block's values rather than one call per
-    row, so the whole table is never held as one array.
+    Integer columns are written with ``%d`` and the others with
+    ``_FLOAT_FMT``. The bytes are those numpy's ``savetxt`` writes with these
+    formats, ``delimiter=","`` and ``comments=""``, but each block of
+    ``_CSV_BLOCK_ROWS`` rows is stacked and formatted by one ``%`` over the
+    block's values rather than one call per row, so the whole table is never
+    held as one array.
     """
     columns = [np.asarray(c) for c in columns]
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    _write_blocks(path, n_rows, lambda i0, i1: [c[i0:i1] for c in columns], header, fmt)
+    _write_blocks(path, n_rows, lambda i0, i1: [c[i0:i1] for c in columns], header)
 
 
 def write_json(path: Path | str, doc: dict) -> None:
@@ -329,8 +330,8 @@ class FrameDump:
     """A frame dump whose header and size :func:`read_frame_dump` checked.
 
     It holds no pixels: ``len()`` is the frame count, ``shape`` is
-    (n_frames, 3, height, width) of uint8, :meth:`blocks` reads the frames in
-    order, and ``np.asarray`` reads them all into a new array.
+    (n_frames, 3, height, width) of uint8, and :meth:`blocks` reads the
+    frames in order.
     """
 
     def __init__(self, path: Path | str, shape: tuple[int, int, int, int]):
@@ -351,15 +352,6 @@ class FrameDump:
                 block = buffer[: min(size, n - f0)]
                 self._read_into(fh, block)
                 yield block
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError(f"{self.path}: a frame dump can only be read into a new array")
-        frames = np.empty(self.shape, dtype=np.uint8)
-        with open(self.path, "rb") as fh:
-            fh.seek(_FRAME_DUMP_HEADER_SIZE)
-            self._read_into(fh, frames)
-        return frames if dtype is None else frames.astype(dtype, copy=False)
 
     def _read_into(self, fh, block: np.ndarray) -> None:
         start = fh.tell()
@@ -442,13 +434,7 @@ def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid)
         frame_t = grid.start_time_s + line // cells / grid.sample_rate_hz
         return [frame_t, line % cells // cols, line % cols, flat[i0:i1]]
 
-    _write_blocks(
-        path_csv,
-        n * cells,
-        block_columns,
-        "time_s,row,col,r,g,b",
-        [_FLOAT_FMT, "%d", "%d", _FLOAT_FMT, _FLOAT_FMT, _FLOAT_FMT],
-    )
+    _write_blocks(path_csv, n * cells, block_columns, "time_s,row,col,r,g,b")
     meta = {
         "rows": rows,
         "cols": cols,
@@ -581,22 +567,22 @@ class _Region:
             sums = _cell_sums(block[(..., *self.box)], *self.cells.shape[1:3], self.cell_px)
             self.cells[f0:f1] = sums.transpose(0, 2, 3, 1)
 
-    def rgb_trace(self, fps: float, start_time_s: float) -> RGBTrace:
+    def rgb_trace(self, fps: float) -> RGBTrace:
         means = np.divide(self.trace, self.picked.size, out=self.trace)
         return RGBTrace(
-            Waveform(means[:, 0], fps, start_time_s),
-            Waveform(means[:, 1], fps, start_time_s),
-            Waveform(means[:, 2], fps, start_time_s),
+            Waveform(means[:, 0], fps),
+            Waveform(means[:, 1], fps),
+            Waveform(means[:, 2], fps),
             roi_label=self.label,
         )
 
-    def grid(self, fps: float, start_time_s: float) -> SubregionGrid:
+    def grid(self, fps: float) -> SubregionGrid:
         return SubregionGrid(
             # C-ordered (n, rows, cols, 3): scoring reduces along its axes,
             # and a strided layout could change the sums' last bits.
             values=np.divide(self.cells, self.cell_px**2, out=self.cells),
             sample_rate_hz=fps,
-            start_time_s=start_time_s,
+            start_time_s=0.0,
             origin_px=(self.box[1].start, self.box[0].start),
             cell_px=self.cell_px,
             skin_fraction=self.skin_fraction,
@@ -608,13 +594,13 @@ def extract_traces(
     fps: float,
     masks: dict[str, np.ndarray],
     grid_cell_px: int | None = None,
-    start_time_s: float = 0.0,
 ) -> tuple[dict[str, RGBTrace], dict[str, SubregionGrid]]:
     """Spatially average masked skin pixels of each region, per frame.
 
-    Returns per-region RGB traces, plus (when ``grid_cell_px`` is given) a
-    grid of per-cell means tiling each region's mask bounding box with
-    :func:`~bodyppg.grid.grid_geometry` whole cells. Cell means average all
+    Returns per-region RGB traces starting at time 0, plus (when
+    ``grid_cell_px`` is given) a grid of per-cell means tiling each region's
+    mask bounding box with :func:`~bodyppg.grid.grid_geometry` whole cells,
+    starting at time 0 too. Cell means average all
     pixels in the cell; the mask only determines each cell's skin fraction,
     which gates scoring later.
 
@@ -655,8 +641,8 @@ def extract_traces(
             region.add(block, planes, f0)
         f0 += len(block)
 
-    traces = {r.label: r.rgb_trace(fps, start_time_s) for r in regions}
-    grids = {r.label: r.grid(fps, start_time_s) for r in regions if r.cells is not None}
+    traces = {r.label: r.rgb_trace(fps) for r in regions}
+    grids = {r.label: r.grid(fps) for r in regions if r.cells is not None}
     return traces, grids
 
 
@@ -809,15 +795,16 @@ class SessionManifest:
     def load_sensor_bank(self, delta_y_bpm: float = DELTA_Y_BPM_DEFAULT) -> SensorBank:
         return SensorBank(self.sensor_channels, self.oximeter, delta_y_bpm)
 
-    def load_grid(self, roi: str, cell_px: int = 20) -> SubregionGrid:
-        """Grid cell means from their CSV, or extracted from the frame dump."""
+    def load_grid(self, roi: str) -> SubregionGrid:
+        """Grid cell means from their CSV, or extracted from the frame dump in
+        cells of ``DEFAULT_CELL_PX``."""
         if roi in self.grid_paths:
             return read_grid(*self.grid_paths[roi])
         masked = self._masked_rois()
         if roi not in masked:
             valid = sorted(set(self.grid_paths) | masked)
             raise KeyError(f"unknown ROI {roi!r}; valid labels: {valid}")
-        _, grids = self._extract([roi], grid_cell_px=cell_px)
+        _, grids = self._extract([roi], grid_cell_px=DEFAULT_CELL_PX)
         return grids[roi]
 
     def load_poses(self) -> list[PoseKeypoints]:

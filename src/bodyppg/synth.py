@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 RATE_LIMITS_BPM = (40.0, 180.0)
+# Motion bursts fill the pulse band, so filtering alone cannot remove them.
+BURST_BAND_HZ = (0.5, 4.0)
 
 
 def constant_rate(bpm: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -135,20 +137,19 @@ def motion_burst_noise(
     duration_s: float,
     bursts: tuple[Burst, ...] | list[Burst],
     seed: int = 0,
-    band_hz: tuple[float, float] = (0.5, 4.0),
 ) -> np.ndarray:
     """Band-limited noise bursts, the way body movement corrupts a PPG channel.
 
-    White noise is band-passed into the pulse band (so filtering alone cannot
-    remove it), normalized to unit standard deviation, scaled per burst, and
-    gated to each burst interval with short cosine ramps.
+    White noise is band-passed into BURST_BAND_HZ, normalized to unit
+    standard deviation, scaled per burst, and gated to each burst interval
+    with short cosine ramps.
     """
     n = int(round(duration_s * fs_hz))
     out = np.zeros(n)
     if not bursts:
         return out
     rng = np.random.default_rng(seed)
-    b, a = sps.butter(2, [band_hz[0], band_hz[1]], btype="bandpass", fs=fs_hz)
+    b, a = sps.butter(2, list(BURST_BAND_HZ), btype="bandpass", fs=fs_hz)
     base = sps.filtfilt(b, a, rng.standard_normal(n))
     base /= max(base.std(), np.finfo(float).tiny)
     t = np.arange(n) / fs_hz

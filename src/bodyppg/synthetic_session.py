@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .grid import PoseKeypoints
+from .grid import PoseKeypoints, SubregionGrid
 from .session import (
     write_grid,
     write_json,
@@ -103,25 +104,27 @@ POSE_BASE_XY = np.array(
 
 @dataclass(frozen=True)
 class SyntheticSessionConfig:
-    """Knobs for the generated session."""
+    """Knobs for the generated session; the class constants are fixed for
+    every session."""
 
     seed: int = 7
     duration_s: float = 60.0
-    video_fps: float = 90.0
-    sensor_rate_hz: float = 400.0
-    oximeter_rate_hz: float = 60.0
-    rate_start_bpm: float = 66.0
-    rate_end_bpm: float = 78.0
-    sensor_noise_std: float = 0.08
-    trace_noise_std: float = 0.0008
-    grid_roi: str = "face"
     grid_rows: int = 3
     grid_cols: int = 4
-    grid_cell_px: int = 20
     corrupt_sites: tuple[str, ...] = ()
-    burst_span_s: tuple[float, float] = (2.0, 5.0)
-    burst_amplitude: float = 8.0
-    harmonics: tuple[tuple[float, float, float], ...] = (
+
+    video_fps: ClassVar[float] = 90.0
+    sensor_rate_hz: ClassVar[float] = 400.0
+    oximeter_rate_hz: ClassVar[float] = 60.0
+    rate_start_bpm: ClassVar[float] = 66.0
+    rate_end_bpm: ClassVar[float] = 78.0
+    sensor_noise_std: ClassVar[float] = 0.08
+    trace_noise_std: ClassVar[float] = 0.0008
+    grid_roi: ClassVar[str] = "face"
+    grid_cell_px: ClassVar[int] = 20
+    burst_span_s: ClassVar[tuple[float, float]] = (2.0, 5.0)
+    burst_amplitude: ClassVar[float] = 8.0
+    harmonics: ClassVar[tuple[tuple[float, float, float], ...]] = (
         (1.0, 1.0, 0.0),
         (2.0, 0.30, 1.1),
         (3.0, 0.12, 2.3),
@@ -230,17 +233,15 @@ def build_synthetic_session(
     n_frames = len(grid_pulse)
     values = np.empty((n_frames, cfg.grid_rows, cfg.grid_cols, 3))
     rng = np.random.default_rng(cfg.seed + 29)
-    base = ROI_BASELINES[cfg.grid_roi]
+    pulsed = 1.0 + np.multiply(DEFAULT_MODULATION, grid_pulse.samples[:, None])
+    clean = np.multiply(ROI_BASELINES[cfg.grid_roi], pulsed)
     for row in range(cfg.grid_rows):
-        for col in range(cfg.grid_cols):
-            for c in range(3):
-                values[:, row, col, c] = base[c] * (
-                    1.0 + DEFAULT_MODULATION[c] * grid_pulse.samples
-                ) + rng.normal(0.0, cfg.trace_noise_std, n_frames)
+        # The noise fills cells in row, col, channel order, n_frames values
+        # each; drawing one grid row at a time keeps the temporary small.
+        noise = rng.normal(0.0, cfg.trace_noise_std, (cfg.grid_cols, 3, n_frames))
+        np.add(clean[:, None, :], noise.transpose(2, 0, 1), out=values[:, row])
     fraction = np.ones((cfg.grid_rows, cfg.grid_cols))
     fraction[-1, -1] = 0.3
-    from .grid import SubregionGrid
-
     grid = SubregionGrid(
         values=values,
         sample_rate_hz=cfg.video_fps,

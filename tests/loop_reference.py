@@ -178,7 +178,7 @@ def ptt_window_rows(matrix) -> np.ndarray:
     return np.asarray(rows) if rows else np.empty((0, 4))
 
 
-def extract_traces(frames, fps, masks, grid_cell_px=None, start_time_s=0.0):
+def extract_traces(frames, fps, masks, grid_cell_px=None):
     """ROI and grid-cell means from a float64 copy of the frames, boolean-mask
     gathers and a per-cell loop."""
     pixels = np.asarray(frames).astype(np.float64)
@@ -187,9 +187,9 @@ def extract_traces(frames, fps, masks, grid_cell_px=None, start_time_s=0.0):
         mask = np.asarray(mask, dtype=bool)
         means = pixels[:, :, mask].mean(axis=2)
         traces[label] = RGBTrace(
-            Waveform(means[:, 0], fps, start_time_s),
-            Waveform(means[:, 1], fps, start_time_s),
-            Waveform(means[:, 2], fps, start_time_s),
+            Waveform(means[:, 0], fps),
+            Waveform(means[:, 1], fps),
+            Waveform(means[:, 2], fps),
             roi_label=label,
         )
         if grid_cell_px is not None:
@@ -209,7 +209,7 @@ def extract_traces(frames, fps, masks, grid_cell_px=None, start_time_s=0.0):
             grids[label] = SubregionGrid(
                 values=values,
                 sample_rate_hz=fps,
-                start_time_s=start_time_s,
+                start_time_s=0.0,
                 origin_px=(x0, y0),
                 cell_px=grid_cell_px,
                 skin_fraction=fraction,

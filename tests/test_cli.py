@@ -9,7 +9,7 @@ import pytest
 
 import bodyppg.session
 import loop_reference
-from bodyppg.cli import main, ptt_window_rows, run_pipeline
+from bodyppg.cli import _COMMANDS, _FLAGS, main, ptt_window_rows, run_pipeline
 from bodyppg.session import write_frame_dump, write_oximeter_csv, write_pgm
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
 from bodyppg.transit_time import PTTMatrix
@@ -366,6 +366,60 @@ class TestDeterminism:
         assert first == second
 
 
+class TestStatedDefaults:
+    """Each number, band and choice a command's --help states as its default
+    is the value it uses: giving all of them as flags changes no artifact
+    but the config echo."""
+
+    @pytest.fixture(scope="class")
+    def short_session(self, tmp_path_factory):
+        # 15 s keeps ptt at its default 10 ms stride to about a thousand windows.
+        root = tmp_path_factory.mktemp("short")
+        assert main(["synth", "--out-dir", str(root / "session"), "--seed", "4",
+                     "--duration-s", "15"]) == 0
+        assert main(["fuse-gt", "--manifest", str(root / "session" / "manifest.json"),
+                     "--out-dir", str(root / "fused")]) == 0
+        return root
+
+    @staticmethod
+    def flag_takes(options: dict, value: str) -> bool:
+        if "choices" in options:
+            return value in options["choices"]
+        try:
+            options["type"](value)
+        except (KeyError, ValueError):
+            return False  # a path, a site list, or words such as "the window length"
+        return True
+
+    @classmethod
+    def stated_flags(cls, command: str) -> list[str]:
+        flags = []
+        for key, stated in _COMMANDS[command][2].items():
+            # "0.01 for sensors, ..." states 0.01 for the default source.
+            value = stated.split()[0] if stated is not None else None
+            if value is not None and cls.flag_takes(_FLAGS[key], value):
+                flags += ["--" + key.replace("_", "-"), value]
+        return flags
+
+    @pytest.mark.parametrize("command", ["synth", "fuse-gt", "estimate", "pulse-rate",
+                                         "grid-map", "ptt"])
+    def test_stated_defaults_change_no_artifact(self, short_session, tmp_path, command):
+        required = {"manifest": str(short_session / "session" / "manifest.json"),
+                    "input": str(short_session / "fused" / "fused.csv")}
+        base = [command]
+        for key, stated in _COMMANDS[command][2].items():
+            if stated is None:
+                base += ["--" + key, required[key]]
+        stated = self.stated_flags(command)
+        assert stated, f"{command} states no default to give"
+        trees = []
+        for name, argv in (("omitted", base), ("stated", base + stated)):
+            assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+            tree = digest_tree(tmp_path / name)
+            trees.append({k: v for k, v in tree.items() if not k.endswith("_config.json")})
+        assert trees[0] == trees[1] and len(trees[0]) > 0
+
+
 class TestExplicitZeroFlags:
     """A flag given as 0 is used as 0, never replaced by the default."""
 
@@ -439,13 +493,16 @@ class TestPttWindowRows:
         lags[[0, 7, 39]] = np.nan  # windows with nothing retained
         lags[:, np.arange(9), np.arange(9)] = 0.0  # a finite diagonal is never a row
         matrix = _ptt_matrix(lags)
-        fast, slow = ptt_window_rows(matrix), loop_reference.ptt_window_rows(matrix)
+        columns = ptt_window_rows(matrix)
+        assert [np.issubdtype(c.dtype, np.integer) for c in columns] == [False, True, True, False]
+        fast, slow = np.column_stack(columns), loop_reference.ptt_window_rows(matrix)
         assert fast.shape == slow.shape and len(fast) > 0
         assert _ptt_windows_csv(fast) == _ptt_windows_csv(slow)
 
     def test_no_window_retained(self):
         matrix = _ptt_matrix(np.full((5, 4, 4), np.nan))
-        fast, slow = ptt_window_rows(matrix), loop_reference.ptt_window_rows(matrix)
+        fast = np.column_stack(ptt_window_rows(matrix))
+        slow = loop_reference.ptt_window_rows(matrix)
         assert fast.shape == slow.shape == (0, 4)
         assert _ptt_windows_csv(fast) == _ptt_windows_csv(slow)
 

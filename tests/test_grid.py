@@ -13,7 +13,7 @@ from bodyppg import (
     upsample_frame,
     warp_error_frame,
 )
-from bodyppg.grid import ErrorFrame, grid_geometry, grid_traces
+from bodyppg.grid import ErrorFrame, grid_geometry
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
 
 import loop_reference
@@ -68,33 +68,6 @@ class TestGeometry:
 
     def test_partial_cells_dropped(self):
         assert grid_geometry(39, 39, 20) == (1, 1)
-
-    def test_missing_frames_listed(self):
-        with pytest.raises(ValueError, match="missing frames"):
-            grid_traces(
-                np.ones((3, 2, 2, 3)),
-                FS,
-                (0, 0),
-                20,
-                frame_indices=np.array([0, 2, 3]),
-            )
-
-    @pytest.mark.parametrize(
-        "indices, message",
-        [
-            ([0, 2, 1, 3], "out of order: position 1 holds 2, not 1"),
-            ([0, 1, 1, 2], "duplicate frame index 1 at position 2"),
-            ([4, 5, 7, 8], "missing frames: 6 is absent"),
-            ([0, 1, 2], "3 frame indices for 4 frames"),
-        ],
-    )
-    def test_frame_indices_must_count_up_by_one(self, indices, message):
-        with pytest.raises(ValueError, match=message):
-            grid_traces(np.ones((4, 2, 2, 3)), FS, (0, 0), 20, frame_indices=np.array(indices))
-
-    def test_contiguous_frame_indices_accepted(self):
-        grid = grid_traces(np.ones((4, 2, 2, 3)), FS, (0, 0), 20, frame_indices=np.arange(3, 7))
-        assert grid.values.shape == (4, 2, 2, 3)
 
 
 class TestScoreGrid:

@@ -50,7 +50,7 @@ def test_write_csv_holds_one_block(tmp_path):
     # Stacking the whole 200,000 x 6 table first allocated 9.7 MB. Small
     # integers keep tolist() from allocating, so tracing stays quick.
     table = np.arange(200_000 * 6).reshape(200_000, 6) % 200
-    peak = traced_peak(lambda: write_csv(tmp_path / "t.csv", [table], fmt="%d"))
+    peak = traced_peak(lambda: write_csv(tmp_path / "t.csv", [table]))
     assert peak < 1 * MB
 
 

@@ -13,6 +13,7 @@ from bodyppg import (
     pos,
     stft_pulse_rate,
 )
+from bodyppg.rppg import DEFAULT_POST_FILTER
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
 
 
@@ -123,9 +124,8 @@ class TestPosSpecifics:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = MethodConfig()
-        assert cfg.post_filter == BandpassSpec(4, 40.0, 180.0)
-        assert cfg.internal_window_s == pytest.approx(1.6)
+        assert DEFAULT_POST_FILTER == BandpassSpec(4, 40.0, 180.0)
+        assert MethodConfig().internal_window_s == pytest.approx(1.6)
 
     def test_dispatch(self, chromatic_trace):
         a = extract_pulse(chromatic_trace, MethodConfig(method="chrom"))

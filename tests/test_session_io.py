@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import loop_reference
 from bodyppg import PoseKeypoints, PulseRateSeries, RGBTrace, SubregionGrid, Waveform, session
+from bodyppg.grid import DEFAULT_CELL_PX
 from bodyppg.session import (
     RATE_TOLERANCE,
     SessionManifest,
@@ -131,11 +132,12 @@ class TestOtherCsv:
 
 
 class TestWriteCsvOracle:
-    """write_csv writes the bytes np.savetxt writes, block by block."""
+    """write_csv writes the bytes np.savetxt writes, block by block, with %d
+    for integer columns and %.12g for the others."""
 
     @staticmethod
     def _assert_savetxt_bytes(tmp_path, columns, header="", fmt="%.12g"):
-        write_csv(tmp_path / "block.csv", columns, header, fmt=fmt)
+        write_csv(tmp_path / "block.csv", columns, header)
         np.savetxt(tmp_path / "rows.csv", np.column_stack(columns), delimiter=",",
                    header=header, comments="", fmt=fmt)
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -149,8 +151,10 @@ class TestWriteCsvOracle:
         rng = np.random.default_rng(0)
         block = rng.normal(0.0, 1e3, (50, 3))
         ints = rng.integers(-10**6, 10**6, 50)
-        self._assert_savetxt_bytes(tmp_path, [np.arange(50) / 90.0, ints, ints * 2.0, block],
+        self._assert_savetxt_bytes(tmp_path, [np.arange(50) / 90.0, ints, ints // 2, block],
                                    "t,i,j,r,g,b", fmt=["%.12g", "%d", "%d", "%.12g", "%.12g", "%.12g"])
+        self._assert_savetxt_bytes(tmp_path, [ints * 2.0, ints.astype(np.uint8)], "x,i",
+                                   fmt=["%.12g", "%d"])
         self._assert_savetxt_bytes(tmp_path, [rng.integers(0, 9, (4, 5))], fmt="%d")
 
     @pytest.mark.parametrize("header", ["", "time_s,value"])
@@ -168,10 +172,6 @@ class TestWriteCsvOracle:
         monkeypatch.setattr(session, "_CSV_BLOCK_ROWS", block_rows)
         values = np.random.default_rng(block_rows).standard_normal((20, 2))
         self._assert_savetxt_bytes(tmp_path, [values], "x,y")
-
-    def test_format_count_must_match_columns(self, tmp_path):
-        with pytest.raises(ValueError, match="2 formats for 3 columns"):
-            write_csv(tmp_path / "x.csv", [np.ones((4, 3))], fmt=["%d", "%d"])
 
 
 class TestGridCsv:
@@ -261,7 +261,8 @@ class TestRasters:
         write_frame_dump(path, frames, 90.0)
         back, fps = read_frame_dump(path)
         assert fps == 90.0
-        assert np.array_equal(back, frames)
+        [block] = back.blocks(len(back))
+        assert np.array_equal(block, frames)
 
     def test_truncated_dump_rejected(self, tmp_path):
         path = tmp_path / "f.rfd"
@@ -422,16 +423,13 @@ class TestExtractTracesOracle:
         h, w = 49, 53
         frames = rng.integers(0, 256, size=(7, 3, h, w), dtype=np.uint8)
         masks = _oracle_masks(rng, h, w)
-        traces, grids = extract_traces(frames, 90.0, masks, cell_px, start_time_s=1.5)
-        want_traces, want_grids = loop_reference.extract_traces(
-            frames, 90.0, masks, cell_px, start_time_s=1.5
-        )
+        traces, grids = extract_traces(frames, 90.0, masks, cell_px)
+        want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
         assert traces.keys() == grids.keys() == masks.keys()
         for label in masks:
             assert np.array_equal(
                 traces[label].channel_matrix(), want_traces[label].channel_matrix()
             )
-            assert traces[label].r.start_time_s == 1.5
             got, want = grids[label], want_grids[label]
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.skin_fraction, want.skin_fraction)
@@ -472,16 +470,18 @@ class TestStreamedIngestion:
         masks = _oracle_masks(rng, h, w)
         manifest = _frame_session(tmp_path, frames, masks)
         want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
+        _, want_loaded_grids = loop_reference.extract_traces(frames, 90.0, masks, DEFAULT_CELL_PX)
         array_traces, array_grids = extract_traces(frames, 90.0, masks, cell_px)
         loaded = manifest.load_traces(list(masks))
         for label in masks:
             want = want_traces[label].channel_matrix()
             assert np.array_equal(loaded[label].channel_matrix(), want)
             assert np.array_equal(array_traces[label].channel_matrix(), want)
-            for grid in (manifest.load_grid(label, cell_px=cell_px), array_grids[label]):
-                assert np.array_equal(grid.values, want_grids[label].values)
-                assert np.array_equal(grid.skin_fraction, want_grids[label].skin_fraction)
-                assert grid.origin_px == want_grids[label].origin_px
+            for grid, want_grid in ((manifest.load_grid(label), want_loaded_grids[label]),
+                                    (array_grids[label], want_grids[label])):
+                assert np.array_equal(grid.values, want_grid.values)
+                assert np.array_equal(grid.skin_fraction, want_grid.skin_fraction)
+                assert grid.origin_px == want_grid.origin_px
 
     def test_dump_truncated_after_its_header_check_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setattr(session, "_CHUNK_FRAMES", 7)
@@ -493,7 +493,7 @@ class TestStreamedIngestion:
         with pytest.raises(ValueError, match=expected):
             extract_traces(frames, fps, {"all": np.ones((4, 4), dtype=bool)})
         with pytest.raises(ValueError, match=r"f\.rfd: truncated frame data"):
-            np.asarray(frames)
+            list(frames.blocks(len(frames)))
 
     def test_memory_grows_only_by_the_outputs(self, tmp_path):
         import tracemalloc
@@ -601,8 +601,8 @@ class TestManifest:
         assert len(trace) == n_frames
         expected = frames[:, :, mask].astype(float).mean(axis=2)
         assert np.allclose(trace.channel_matrix(), expected)
-        grid = manifest.load_grid("face", cell_px=10)
-        assert (grid.rows, grid.cols) == (2, 4)
+        grid = manifest.load_grid("face")  # 20 px cells over the 40x24 box
+        assert (grid.rows, grid.cols) == (1, 2)
         assert np.all(grid.skin_fraction == 1.0)
 
     def test_dump_size_differs_from_manifest(self, tmp_path):
