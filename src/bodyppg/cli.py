@@ -87,9 +87,17 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+# Parameters that name an input file; each one given is read by its command.
+_INPUT_FILES = ("manifest", "input", "pred", "ref", "ref_rates")
+
+
 def _config_echo(
-    stage: _OutputStage, command: str, params: dict, inputs: list[Path]
+    stage: _OutputStage, command: str, params: dict, manifest: SessionManifest | None = None
 ) -> None:
+    """The command's parameters, and the digest of every file it read: the
+    files its parameters name and those ``manifest`` lists in ``files_read``."""
+    inputs = [Path(params[k]) for k in _INPUT_FILES if _param(params, k) is not None]
+    inputs += manifest.files_read if manifest else []
     # out_dir is where artifacts land, not part of what they contain; leaving
     # it out keeps echoes byte-identical across output locations.
     echo = {
@@ -123,18 +131,6 @@ def _plan(params: dict, default: WindowPlan) -> WindowPlan:
     )
 
 
-def _manifest_inputs(manifest: SessionManifest) -> list[Path]:
-    inputs = [manifest.root / "manifest.json"]
-    inputs += [p for p in manifest.trace_paths.values()]
-    inputs += [p for _, p, _ in manifest.sensors]
-    inputs.append(manifest.oximeter_path)
-    for means, meta in manifest.grid_paths.values():
-        inputs += [means, meta]
-    if manifest.keypoints_path:
-        inputs.append(manifest.keypoints_path)
-    return [p for p in inputs if p.exists()]
-
-
 def cmd_synth(params: dict, stage: _OutputStage) -> None:
     cfg = SyntheticSessionConfig(
         seed=_param(params, "seed", SyntheticSessionConfig.seed),
@@ -142,7 +138,7 @@ def cmd_synth(params: dict, stage: _OutputStage) -> None:
         corrupt_sites=tuple(_param(params, "corrupt_sites", SyntheticSessionConfig.corrupt_sites)),
     )
     build_synthetic_session(stage.out_dir, cfg)
-    _config_echo(stage, "synth", params, [])
+    _config_echo(stage, "synth", params)
 
 
 def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
@@ -156,7 +152,7 @@ def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
     rates = reference_pulse_rate(fused)
     write_rate_csv(stage.path("fused_rates.csv"), rates)
     write_json(stage.path("fused_diagnostics.json"), diags.to_dict())
-    _config_echo(stage, "fuse-gt", params, _manifest_inputs(manifest))
+    _config_echo(stage, "fuse-gt", params, manifest)
 
 
 def _reference_rates(manifest: SessionManifest, params: dict):
@@ -192,7 +188,7 @@ def cmd_estimate(params: dict, stage: _OutputStage) -> None:
             **report.to_dict(),
         },
     )
-    _config_echo(stage, "estimate", params, _manifest_inputs(manifest))
+    _config_echo(stage, "estimate", params, manifest)
 
 
 def cmd_pulse_rate(params: dict, stage: _OutputStage) -> None:
@@ -201,7 +197,7 @@ def cmd_pulse_rate(params: dict, stage: _OutputStage) -> None:
     plan = _plan(params, DEFAULT_RATE_PLAN)
     rates = stft_pulse_rate(wave, plan, band)
     write_rate_csv(stage.path("rates.csv"), rates)
-    _config_echo(stage, "pulse-rate", params, [Path(_param(params, "input"))])
+    _config_echo(stage, "pulse-rate", params)
 
 
 def cmd_score(params: dict, stage: _OutputStage) -> None:
@@ -209,7 +205,7 @@ def cmd_score(params: dict, stage: _OutputStage) -> None:
     ref = read_rate_csv(_param(params, "ref"))
     report = score_series(pred, ref)
     write_json(stage.path("score.json"), report.to_dict())
-    _config_echo(stage, "score", params, [Path(_param(params, k)) for k in ("pred", "ref")])
+    _config_echo(stage, "score", params)
 
 
 def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
@@ -262,7 +258,7 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             "mask_provenance": "skin_fraction >= 0.5 from manifest grid meta",
         },
     )
-    _config_echo(stage, "grid-map", params, _manifest_inputs(manifest))
+    _config_echo(stage, "grid-map", params, manifest)
 
 
 def ptt_window_rows(matrix: PTTMatrix) -> list[np.ndarray]:
@@ -303,7 +299,7 @@ def cmd_ptt(params: dict, stage: _OutputStage) -> None:
         ptt_window_rows(matrix),
         "window_center_time_s,site_a_index,site_b_index,lag_ms",
     )
-    _config_echo(stage, "ptt", params, _manifest_inputs(manifest))
+    _config_echo(stage, "ptt", params, manifest)
 
 
 def _plan_help(plan: WindowPlan) -> dict:

@@ -151,7 +151,7 @@ class PoseKeypoints:
         }
 
 
-def grid_geometry(bbox_w: int, bbox_h: int, cell_px: int = DEFAULT_CELL_PX) -> tuple[int, int]:
+def grid_geometry(bbox_w: int, bbox_h: int, cell_px: int) -> tuple[int, int]:
     """(cols, rows) of whole cells tiling a bounding box; partial cells drop."""
     if cell_px < 1:
         raise ValueError("cell_px must be at least 1")
@@ -162,7 +162,6 @@ def score_grid(
     grid: SubregionGrid,
     ref_rate: PulseRateSeries,
     plan: WindowPlan | None = None,
-    band_bpm: tuple[float, float] = DEFAULT_BAND_BPM,
 ) -> list[ErrorFrame]:
     """Score every grid cell per non-overlapping window.
 
@@ -175,7 +174,7 @@ def score_grid(
     POS runs once per skin cell and window; the pulses of one window are then
     rated and scored as the rows of one batch, exactly as
     :func:`stft_pulse_rate` and :func:`snr_harmonics` rate and score a
-    single-window pulse. A band outside (0, Nyquist) leaves every cell NaN.
+    single-window pulse. A ``DEFAULT_BAND_BPM`` past Nyquist leaves every cell NaN.
     """
     if plan is None:
         plan = DEFAULT_SCORE_PLAN
@@ -200,7 +199,7 @@ def score_grid(
             extracted[i] = True
         rates = np.full(len(cells), np.nan)
         try:
-            rates[extracted] = spectral_peaks(pulses[extracted], fs, band_bpm)
+            rates[extracted] = spectral_peaks(pulses[extracted], fs, DEFAULT_BAND_BPM)
         except ValueError:
             pass  # the band admits no rate at this sample rate: no cell is scored
         scored = np.isfinite(rates)
@@ -260,7 +259,7 @@ def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return top
 
 
-def upsample_frame(frame: ErrorFrame, factor: int = DEFAULT_CELL_PX) -> dict[str, np.ndarray]:
+def upsample_frame(frame: ErrorFrame, factor: int) -> dict[str, np.ndarray]:
     """Bilinearly interpolate cell maps up to pixel resolution.
 
     Maps grow by ``factor`` along each axis on a corner-aligned grid; the

@@ -139,21 +139,16 @@ def harmonic_snrs(
     return out
 
 
-def snr_harmonics(
-    w: Waveform,
-    ref_rate: PulseRateSeries,
-    plan: WindowPlan | None = None,
-) -> float:
+def snr_harmonics(w: Waveform, ref_rate: PulseRateSeries) -> float:
     """Harmonic signal-to-noise ratio of a waveform against a reference rate.
 
-    Per window, spectral power within +-SNR_HALF_BAND_BPM of the reference rate
-    and of its second harmonic counts as signal; everything else inside
-    NOISE_BAND_BPM counts as noise. Window SNRs in dB are clipped to
-    +-SNR_CAP_DB and averaged; the windows go through :func:`harmonic_snrs`
-    as the rows of one batch.
+    Per window of ``DEFAULT_SCORE_PLAN``, spectral power within
+    +-SNR_HALF_BAND_BPM of the reference rate and of its second harmonic
+    counts as signal; everything else inside NOISE_BAND_BPM counts as noise.
+    Window SNRs in dB are clipped to +-SNR_CAP_DB and averaged; the windows
+    go through :func:`harmonic_snrs` as the rows of one batch.
     """
-    if plan is None:
-        plan = DEFAULT_SCORE_PLAN
+    plan = DEFAULT_SCORE_PLAN
     if len(ref_rate) == 0:
         raise ValueError("reference rate series is empty")
     segs = windows(w, plan)

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -648,11 +648,13 @@ def extract_traces(
 
 @dataclass(frozen=True)
 class SessionManifest:
-    """Parsed and validated description of one recording session.
+    """Validated description of one recording session.
 
-    :meth:`load` parses every trace, sensor and oximeter CSV exactly once;
-    ``traces``, ``sensor_channels`` and ``oximeter`` hold what it read, and the
-    loaders hand those objects out instead of reading the files again.
+    :meth:`load` checks that every file the manifest names exists and parses
+    none. The loaders parse each trace, sensor and oximeter CSV when first
+    needed, and only once, checking each trace and sensor stream against the
+    portions. ``files_read`` lists every trace, sensor, oximeter, grid and
+    keypoint file the loaders read; frame dumps and PGM masks are not listed.
     """
 
     session_id: str
@@ -669,9 +671,9 @@ class SessionManifest:
     rois: tuple[dict, ...]
     keypoints_path: Path | None
     portions: tuple[tuple[str, float, float], ...]
-    traces: dict[str, RGBTrace]
-    sensor_channels: tuple[tuple[str, Waveform], ...]
-    oximeter: PulseRateSeries
+    files_read: list[Path] = field(default_factory=list, init=False, compare=False)
+    # ("trace", ROI label) -> its parsed trace; "sensors" -> (channels, oximeter).
+    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, path: Path | str) -> "SessionManifest":
@@ -687,64 +689,49 @@ class SessionManifest:
             return p
 
         video, oximeter = doc["video"], doc["oximeter"]
-        fps, oximeter_rate_hz = float(video["fps"]), float(oximeter["rate_hz"])
-        frames_path = resolve(video["frames"]) if "frames" in video else None
-        trace_paths = {
-            label: resolve(rel) for label, rel in video.get("traces", {}).items()
-        }
-        grid_paths = {
-            label: (resolve(entry["means"]), resolve(entry["meta"]))
-            for label, entry in video.get("grids", {}).items()
-        }
-        sensors = tuple(
-            (s["site"], resolve(s["path"]), s.get("channel", "ir"))
-            for s in doc.get("sensors", [])
-        )
-        oximeter_path = resolve(oximeter["path"])
-        keypoints_path = resolve(doc["keypoints"]) if "keypoints" in doc else None
-        # Every referenced file exists; parse each CSV once.
         manifest = cls(
             session_id=doc["session_id"],
             root=root,
-            fps=fps,
+            fps=float(video["fps"]),
             width=int(video["width"]),
             height=int(video["height"]),
-            frames_path=frames_path,
-            trace_paths=trace_paths,
-            grid_paths=grid_paths,
-            sensors=sensors,
-            oximeter_path=oximeter_path,
-            oximeter_rate_hz=oximeter_rate_hz,
+            frames_path=resolve(video["frames"]) if "frames" in video else None,
+            trace_paths={label: resolve(rel) for label, rel in video.get("traces", {}).items()},
+            grid_paths={
+                label: (resolve(entry["means"]), resolve(entry["meta"]))
+                for label, entry in video.get("grids", {}).items()
+            },
+            sensors=tuple(
+                (s["site"], resolve(s["path"]), s.get("channel", "ir"))
+                for s in doc.get("sensors", [])
+            ),
+            oximeter_path=resolve(oximeter["path"]),
+            oximeter_rate_hz=float(oximeter["rate_hz"]),
             rois=tuple(doc.get("rois", [])),
-            keypoints_path=keypoints_path,
+            keypoints_path=resolve(doc["keypoints"]) if "keypoints" in doc else None,
             portions=tuple(
                 (p["name"], float(p["start_s"]), float(p["end_s"]))
                 for p in doc.get("portions", [])
             ),
-            traces={
-                label: read_trace_csv(p, roi_label=label, declared_rate_hz=fps)
-                for label, p in trace_paths.items()
-            },
-            sensor_channels=tuple(
-                (site, read_sensor_csv(p, channel=channel)) for site, p, channel in sensors
-            ),
-            oximeter=read_oximeter_csv(oximeter_path, declared_rate_hz=oximeter_rate_hz),
         )
         manifest.validate()
         return manifest
 
     def validate(self) -> None:
-        """Check the portion spans against the parsed traces and sensors."""
-        ends = [trace.r.end_time_s for trace in self.traces.values()]
-        duration = max(ends + [wave.end_time_s for _, wave in self.sensor_channels], default=0.0)
+        """Check that every portion span starts at 0 or later and before it ends."""
         for name, start_s, end_s in self.portions:
             if not (0.0 <= start_s < end_s):
                 raise ValueError(f"portion {name!r} has a bad span [{start_s}, {end_s}]")
-            if duration and end_s > duration + 1e-6:
+
+    def _checked_stream(self, path: Path, wave: Waveform) -> Waveform:
+        """``wave``, read from ``path``, once every portion ends within it."""
+        for name, _, end_s in self.portions:
+            if end_s > wave.end_time_s + 1e-6:
                 raise ValueError(
-                    f"portion {name!r} ends at {end_s} s, beyond the session "
-                    f"duration {duration:.3f} s"
+                    f"portion {name!r} ends at {end_s} s, beyond the end of {path} "
+                    f"at {wave.end_time_s:.3f} s"
                 )
+        return wave
 
     def _masked_rois(self) -> set[str]:
         """Labels of the ROIs that can be extracted from the frame dump."""
@@ -779,26 +766,45 @@ class SessionManifest:
         return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
 
     def load_traces(self, rois: list[str]) -> dict[str, RGBTrace]:
-        """ROI traces from their CSVs; the others are extracted together from
-        the frame dump and their masks."""
-        missing = [roi for roi in rois if roi not in self.traces]
+        """ROI traces from their CSVs, each parsed on first use; the others are
+        extracted together from the frame dump and their masks."""
+        missing = [roi for roi in rois if roi not in self.trace_paths]
         unknown = [roi for roi in missing if roi not in self._masked_rois()]
         if unknown:
             raise KeyError(f"unknown ROI {unknown[0]!r}; valid labels: {self.trace_rois()}")
         extracted = self._extract(missing)[0] if missing else {}
-        return {roi: self.traces.get(roi, extracted.get(roi)) for roi in rois}
+        for roi in rois:
+            if roi in self.trace_paths and ("trace", roi) not in self._parsed:
+                path = self.trace_paths[roi]
+                self.files_read.append(path)
+                trace = read_trace_csv(path, roi_label=roi, declared_rate_hz=self.fps)
+                self._checked_stream(path, trace.r)
+                self._parsed["trace", roi] = trace
+        return {roi: self._parsed.get(("trace", roi), extracted.get(roi)) for roi in rois}
 
     def load_trace(self, roi: str) -> RGBTrace:
         """ROI trace from its CSV, or extracted from the frame dump + mask."""
         return self.load_traces([roi])[roi]
 
     def load_sensor_bank(self, delta_y_bpm: float = DELTA_Y_BPM_DEFAULT) -> SensorBank:
-        return SensorBank(self.sensor_channels, self.oximeter, delta_y_bpm)
+        """The contact sensors and the oximeter, parsed on the first call."""
+        if "sensors" not in self._parsed:
+            self.files_read.extend([p for _, p, _ in self.sensors] + [self.oximeter_path])
+            channels = tuple(
+                (site, self._checked_stream(p, read_sensor_csv(p, channel=channel)))
+                for site, p, channel in self.sensors
+            )
+            oximeter = read_oximeter_csv(
+                self.oximeter_path, declared_rate_hz=self.oximeter_rate_hz
+            )
+            self._parsed["sensors"] = (channels, oximeter)
+        return SensorBank(*self._parsed["sensors"], delta_y_bpm)
 
     def load_grid(self, roi: str) -> SubregionGrid:
         """Grid cell means from their CSV, or extracted from the frame dump in
         cells of ``DEFAULT_CELL_PX``."""
         if roi in self.grid_paths:
+            self.files_read.extend(self.grid_paths[roi])
             return read_grid(*self.grid_paths[roi])
         masked = self._masked_rois()
         if roi not in masked:
@@ -810,4 +816,5 @@ class SessionManifest:
     def load_poses(self) -> list[PoseKeypoints]:
         if self.keypoints_path is None:
             return []
+        self.files_read.append(self.keypoints_path)
         return read_poses_json(self.keypoints_path)

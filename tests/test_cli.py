@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,14 @@ import pytest
 import bodyppg.session
 import loop_reference
 from bodyppg.cli import _COMMANDS, _FLAGS, main, ptt_window_rows, run_pipeline
-from bodyppg.session import write_frame_dump, write_oximeter_csv, write_pgm
+from bodyppg.pulse_rate import PulseRateSeries
+from bodyppg.session import (
+    read_rate_csv,
+    write_frame_dump,
+    write_oximeter_csv,
+    write_pgm,
+    write_rate_csv,
+)
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
 from bodyppg.transit_time import PTTMatrix
 
@@ -572,7 +580,8 @@ class TestPttMaskOnlyRois:
 
 
 class TestEachInputParsedOnce:
-    """Every CSV a command reads is parsed exactly once."""
+    """A command parses exactly the CSVs it uses, each once, and its echo
+    hashes exactly the files it read."""
 
     @pytest.fixture(scope="class")
     def ref_rates(self, session, tmp_path_factory):
@@ -582,31 +591,98 @@ class TestEachInputParsedOnce:
         return out / "fused_rates.csv"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, parsed, also_hashed",
         [
-            ["fuse-gt"],
-            ["estimate", "--roi", "face"],
-            ["estimate", "--roi", "palm", "--method", "chrom", "--ref-rates", "REF"],
-            ["grid-map", "--roi", "face"],
-            ["ptt", "--source", "rppg", "--stride-s", "1.0"],
+            (["fuse-gt"], {"SENSORS"}, set()),
+            (["estimate", "--roi", "face"], {"trace_face.csv", "SENSORS"}, set()),
+            (["estimate", "--roi", "palm", "--method", "chrom", "--ref-rates", "REF"],
+             {"trace_palm.csv", "fused_rates.csv"}, set()),
+            (["grid-map", "--roi", "face"], {"grid_face.csv", "SENSORS"},
+             {"grid_face.json", "poses.json"}),
+            (["ptt", "--source", "rppg", "--stride-s", "1.0"], {"TRACES"}, set()),
         ],
         ids=["fuse-gt", "estimate", "estimate-ref-rates", "grid-map", "ptt-rppg"],
     )
-    def test_csv_session(self, session, ref_rates, tmp_path, monkeypatch, argv):
+    def test_csv_session(self, session, ref_rates, tmp_path, monkeypatch, argv, parsed,
+                         also_hashed):
         argv = [str(ref_rates) if a == "REF" else a for a in argv]
-        reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
-        assert main(argv + ["--manifest", str(session / "manifest.json"),
-                            "--out-dir", str(tmp_path / "out")]) == 0
-        counts = Counter(Path(p).name for p in reads)
-        assert counts and set(counts.values()) == {1}, counts
-        # Loading the manifest parses every sensor, trace and oximeter CSV.
-        assert {n for n in counts if n.startswith(("sensor_", "trace_"))} >= {
-            p.name for p in session.iterdir() if p.name.startswith(("sensor_", "trace_"))
+        names = [p.name for p in session.iterdir()]
+        groups = {
+            "SENSORS": {n for n in names if n.startswith("sensor_")} | {"oximeter.csv"},
+            "TRACES": {n for n in names if n.startswith("trace_")},
         }
+        want = set().union(*(groups.get(n, {n}) for n in parsed))
+        reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
+        out = tmp_path / "out"
+        assert main(argv + ["--manifest", str(session / "manifest.json"),
+                            "--out-dir", str(out)]) == 0
+        assert Counter(Path(p).name for p in reads) == dict.fromkeys(want, 1)
+        (echo,) = out.glob("*_config.json")
+        hashed = set(json.loads(echo.read_text())["inputs"])
+        assert hashed == want | also_hashed | {"manifest.json"}
 
     def test_frame_dump_session(self, tmp_path, monkeypatch):
         manifest = _mask_only_session(tmp_path)
         reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
         assert main(["ptt", "--source", "rppg", "--manifest", str(manifest),
                      "--stride-s", "1.0", "--out-dir", str(tmp_path / "out")]) == 0
-        assert [Path(p).name for p in reads] == ["oximeter.csv"]
+        assert reads == []
+
+
+class TestUnreadInputs:
+    """A file a command does not read neither fails it nor enters its echo."""
+
+    @pytest.fixture
+    def copied(self, session, tmp_path):
+        """A copy of the session, its reference rates and the first sensor CSV."""
+        root = tmp_path / "session"
+        shutil.copytree(session, root)
+        assert main(["fuse-gt", "--manifest", str(root / "manifest.json"),
+                     "--out-dir", str(tmp_path / "ref")]) == 0
+        return root, tmp_path / "ref" / "fused_rates.csv", sorted(root.glob("sensor_*.csv"))[0]
+
+    def test_corrupt_sensor_fails_only_the_commands_that_read_it(self, copied, tmp_path,
+                                                                capsys):
+        root, ref, sensor = copied
+        runs = {
+            "estimate": ["estimate", "--roi", "palm", "--ref-rates", str(ref)],
+            "ptt": ["ptt", "--source", "rppg", "--stride-s", "1.0"],
+        }
+
+        def run_all(tag):
+            for name, argv in runs.items():
+                assert main(argv + ["--manifest", str(root / "manifest.json"),
+                                    "--out-dir", str(tmp_path / tag / name)]) == 0
+            return digest_tree(tmp_path / tag)
+
+        clean = run_all("clean")
+        with open(sensor, "a") as fh:
+            fh.write("1e9,not-a-number,0\n")
+        assert run_all("corrupt") == clean
+        capsys.readouterr()
+        assert main(["fuse-gt", "--manifest", str(root / "manifest.json"),
+                     "--out-dir", str(tmp_path / "fused")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and sensor.name in error["message"]
+
+    def test_estimate_echo_hashes_the_trace_and_the_reference_rates(self, copied, tmp_path):
+        root, ref, sensor = copied
+
+        def echo(tag):
+            out = tmp_path / tag
+            assert main(["estimate", "--manifest", str(root / "manifest.json"), "--roi", "palm",
+                         "--ref-rates", str(ref), "--out-dir", str(out)]) == 0
+            return json.loads((out / "estimate_config.json").read_text())["inputs"]
+
+        first = echo("a")
+        assert sorted(first) == ["fused_rates.csv", "manifest.json", "trace_palm.csv"]
+        sensor.write_text(sensor.read_text().replace("\n0,", "\n0.0,", 1))
+        assert echo("b") == first
+        rates = read_rate_csv(ref)
+        write_rate_csv(ref, PulseRateSeries(rates.times_s, rates.rates_bpm + 1.0,
+                                            rates.window_length_s, rates.band_bpm))
+        changed = echo("c")
+        assert changed["fused_rates.csv"] != first["fused_rates.csv"]
+        assert {k: v for k, v in changed.items() if k != "fused_rates.csv"} == {
+            k: v for k, v in first.items() if k != "fused_rates.csv"
+        }

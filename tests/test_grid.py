@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,8 @@ class TestScoreGridOracle:
         grid = self.edge_grid()
         ref = flat_reference(72.0, 40.0)
         band = (40.0, 3000.0)  # Nyquist is 2700 bpm at 90 Hz
-        got = score_grid(grid, ref, band_bpm=band)
+        with mock.patch("bodyppg.grid.DEFAULT_BAND_BPM", band):
+            got = score_grid(grid, ref)
         self.assert_frames_equal(got, loop_reference.score_grid(grid, ref, band_bpm=band))
         assert len(got) == 4
         assert all(np.isnan(f.mae_map).all() and np.isnan(f.snr_map).all() for f in got)

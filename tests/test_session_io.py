@@ -567,8 +567,12 @@ class TestManifest:
         doc = json.loads(manifest_path.read_text())
         doc["portions"] = [{"name": "late", "start_s": 0.0, "end_s": 500.0}]
         manifest_path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="portion"):
-            SessionManifest.load(manifest_path)
+        # Each stream is checked against the portions when it is first parsed.
+        manifest = SessionManifest.load(manifest_path)
+        with pytest.raises(ValueError, match="portion 'late'.*trace_face.csv"):
+            manifest.load_trace("face")
+        with pytest.raises(ValueError, match="portion 'late'.*sensor_"):
+            manifest.load_sensor_bank()
 
     def test_frame_dump_ingestion(self, tmp_path):
         import json
@@ -632,8 +636,11 @@ class TestManifest:
         lines = path.read_text().splitlines(keepends=True)
         lines[5] = lines[5].rsplit(",", 1)[0] + ",abc\n"
         path.write_text("".join(lines))
+        # The sensors are parsed when the bank is first loaded, not with the manifest.
+        manifest = SessionManifest.load(manifest_path)
+        manifest.load_trace("face")
         with pytest.raises(ValueError, match="sensor_neck.csv"):
-            SessionManifest.load(manifest_path)
+            manifest.load_sensor_bank()
 
     def test_unknown_grid_roi_names_grid_labels(self, tmp_path):
         manifest_path = build_synthetic_session(

@@ -255,12 +255,12 @@ class TestPttMatrixOracle:
     """ptt_matrix against a brute-force scan of every window slice."""
 
     @staticmethod
-    def sensor_like_waves(fs):
+    def sensor_like_waves(fs, duration_s=12.0):
         # Three sites 30 ms apart on the 5000-count offset the sensor CSVs
-        # carry; the middle site drops out flat for longer than one window and
-        # the last turns to noise for a stretch, so windows fail and fall
+        # carry; the middle site drops out flat for longer than one window
+        # from a third of the way in, and the last turns to noise for a
+        # stretch from two thirds of the way in, so windows fail and fall
         # below the correlation threshold as well as pass.
-        duration_s = 12.0
         waves = []
         for i in range(3):
             samples = 5000.0 + 40.0 * noisy_pulse(
@@ -268,8 +268,9 @@ class TestPttMatrixOracle:
             ).samples
             waves.append(samples)
         t = np.arange(waves[0].size) / fs
-        waves[1][(t >= 4.0) & (t < 6.2)] = 5000.0
-        burst = (t >= 8.0) & (t < 10.0)
+        flat_s, burst_s = duration_s / 3.0, 2.0 * duration_s / 3.0
+        waves[1][(t >= flat_s) & (t < flat_s + 2.2)] = 5000.0
+        burst = (t >= burst_s) & (t < burst_s + 2.0)
         waves[2][burst] = 5000.0 + 40.0 * np.random.default_rng(41).standard_normal(burst.sum())
         return [(f"site{i}", Waveform(w, fs)) for i, w in enumerate(waves)]
 
@@ -277,9 +278,21 @@ class TestPttMatrixOracle:
     @pytest.mark.parametrize("subsample", [False, True])
     def test_every_window_matches_brute_force(self, fs, max_lag, subsample):
         waves = self.sensor_like_waves(fs)
-        plan = WindowPlan(1.5, 0.75)
+        self.assert_matches_brute_force(waves, WindowPlan(1.5, 0.75), max_lag, subsample)
+
+    @pytest.mark.parametrize("subsample", [False, True])
+    def test_ten_minute_recording_matches_brute_force(self, subsample):
+        # Ten minutes on the 5000-count offset, where cancellation in a scan
+        # would show first; the 50 s stride keeps it to 12 windows, two of
+        # them on the dropout and the noise burst.
+        waves = self.sensor_like_waves(400.0, duration_s=600.0)
+        self.assert_matches_brute_force(waves, WindowPlan(1.5, 50.0), 120, subsample)
+
+    @staticmethod
+    def assert_matches_brute_force(waves, plan, max_lag, subsample):
+        fs = waves[0][1].sample_rate_hz
         min_peak_corr = 0.5
-        mtx = ptt_matrix(waves, plan, max_lag_s=0.3, min_peak_corr=min_peak_corr,
+        mtx = ptt_matrix(waves, plan, max_lag_s=max_lag / fs, min_peak_corr=min_peak_corr,
                          subsample=subsample)
         spans = windows(waves[0][1], plan)
         assert mtx.per_window_lag_s.shape == (len(spans), 3, 3)
