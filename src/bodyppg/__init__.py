@@ -22,13 +22,8 @@ from .signals import (
     z_normalize,
 )
 from .rppg import MethodConfig, RGBTrace, chrom, extract_pulse, pos
-from .fusion import (
-    SensorBank,
-    fuse_ground_truth,
-    fuse_ground_truth_report,
-    reference_pulse_rate,
-)
-from .pulse_rate import PulseRateSeries, spectral_peak, stft_pulse_rate
+from .fusion import SensorBank, fuse_ground_truth_report, reference_pulse_rate
+from .pulse_rate import PulseRateSeries, stft_pulse_rate
 from .metrics import ScoreReport, mae, pearson_r, score_series, snr_harmonics
 from .transit_time import (
     LagEstimate,
@@ -82,12 +77,10 @@ __all__ = [
     "pos",
     "extract_pulse",
     "SensorBank",
-    "fuse_ground_truth",
     "fuse_ground_truth_report",
     "reference_pulse_rate",
     "PulseRateSeries",
     "stft_pulse_rate",
-    "spectral_peak",
     "ScoreReport",
     "mae",
     "pearson_r",

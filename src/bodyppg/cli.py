@@ -94,17 +94,19 @@ _INPUT_FILES = ("manifest", "input", "pred", "ref", "ref_rates")
 def _config_echo(
     stage: _OutputStage, command: str, params: dict, manifest: SessionManifest | None = None
 ) -> None:
-    """The command's parameters, and the digest of every file it read: the
-    files its parameters name and those ``manifest`` lists in ``files_read``."""
-    inputs = [Path(params[k]) for k in _INPUT_FILES if _param(params, k) is not None]
-    inputs += manifest.files_read if manifest else []
+    """The command's parameters, and the digest of every file it read: each
+    file its parameters name, keyed by the parameter, and each file ``manifest``
+    lists in ``files_read``, keyed by its path relative to the manifest."""
+    inputs = {k: Path(params[k]) for k in _INPUT_FILES if _param(params, k) is not None}
+    for p in manifest.files_read if manifest else []:
+        inputs[p.relative_to(manifest.root).as_posix()] = p
     # out_dir is where artifacts land, not part of what they contain; leaving
     # it out keeps echoes byte-identical across output locations.
     echo = {
         "command": command,
         "version": __version__,
         "parameters": {k: v for k, v in sorted(params.items()) if k != "out_dir"},
-        "inputs": {p.name: _sha256(p) for p in sorted(set(inputs))},
+        "inputs": {key: _sha256(p) for key, p in inputs.items()},
     }
     write_json(stage.path(f"{command.replace('-', '_')}_config.json"), echo)
 

@@ -38,8 +38,8 @@ from .signals import design_bandpass  # noqa: F401
 
 __all__ = [
     "SensorBank",
+    "channel_conflict",
     "FusionDiagnostics",
-    "fuse_ground_truth",
     "fuse_ground_truth_report",
     "reference_pulse_rate",
     "FUSION_FILTER_ORDER",
@@ -61,6 +61,32 @@ OXIMETER_BAND_BPM = (30.0, 240.0)
 DEFAULT_FUSION_PLAN = WindowPlan(length_s=DEFAULT_WINDOW_LENGTH_S, stride_s=0.25)
 
 
+def channel_conflict(
+    channels: tuple[tuple[str, Waveform], ...]
+) -> tuple[str, str, str] | None:
+    """Two sites whose channels cannot share a sensor bank, and why, or None.
+
+    The channels must share the first channel's sample rate, and their time
+    spans must overlap; the latest start must come before the earliest end.
+    """
+    first, first_wave = channels[0]
+    fs = first_wave.sample_rate_hz
+    for site, wave in channels:
+        if abs(wave.sample_rate_hz - fs) > 1e-9 * fs:
+            return first, site, (
+                f"channels {first!r} and {site!r} differ in sample rate: "
+                f"{fs:.9g} Hz and {wave.sample_rate_hz:.9g} Hz"
+            )
+    late, late_wave = max(channels, key=lambda channel: channel[1].start_time_s)
+    early, early_wave = min(channels, key=lambda channel: channel[1].end_time_s)
+    if early_wave.end_time_s <= late_wave.start_time_s:
+        return late, early, (
+            f"channel time spans do not overlap: {late!r} starts at "
+            f"{late_wave.start_time_s:.9g} s, {early!r} ends at {early_wave.end_time_s:.9g} s"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class SensorBank:
     """Contact-PPG channels plus the oximeter rate series that guides filtering."""
@@ -73,19 +99,14 @@ class SensorBank:
         channels = tuple(self.channels)
         if not channels:
             raise ValueError("sensor bank needs at least one channel")
-        fs = channels[0][1].sample_rate_hz
         seen = set()
         for site, _ in channels:
             if site in seen:
                 raise ValueError(f"site {site!r} appears more than once in the sensor bank")
             seen.add(site)
-        for site, wave in channels:
-            if abs(wave.sample_rate_hz - fs) > 1e-9 * fs:
-                raise ValueError(f"channel {site!r} has a different sample rate")
-        start = max(wave.start_time_s for _, wave in channels)
-        end = min(wave.end_time_s for _, wave in channels)
-        if end <= start:
-            raise ValueError("channel time spans do not overlap")
+        conflict = channel_conflict(channels)
+        if conflict is not None:
+            raise ValueError(conflict[2])
         if len(self.oximeter_rate) == 0:
             raise ValueError("oximeter rate series is empty")
         rates = self.oximeter_rate.rates_bpm
@@ -223,20 +244,10 @@ def fuse_ground_truth_report(
     return divide_by_envelope(combined), diags
 
 
-def fuse_ground_truth(bank: SensorBank, plan: WindowPlan | None = None) -> Waveform:
-    """Fused reference pulse waveform; see :func:`fuse_ground_truth_report`."""
-    fused, _ = fuse_ground_truth_report(bank, plan)
-    return fused
-
-
-def reference_pulse_rate(
-    fused: Waveform, plan: WindowPlan | None = None
-) -> PulseRateSeries:
+def reference_pulse_rate(fused: Waveform) -> PulseRateSeries:
     """Pulse rate of the fused reference, via the same estimator used for rPPG.
 
     Exists so reference and prediction are always scored through an identical
-    code path and settings.
+    code path and settings: ``DEFAULT_RATE_PLAN`` and ``DEFAULT_BAND_BPM``.
     """
-    if plan is None:
-        plan = DEFAULT_RATE_PLAN
-    return stft_pulse_rate(fused, plan, DEFAULT_BAND_BPM)
+    return stft_pulse_rate(fused, DEFAULT_RATE_PLAN, DEFAULT_BAND_BPM)

@@ -18,7 +18,6 @@ from .signals import Waveform, WindowPlan, windows
 __all__ = [
     "PulseRateSeries",
     "stft_pulse_rate",
-    "spectral_peak",
     "spectral_peaks",
     "tapered_spectra",
     "DEFAULT_WINDOW_LENGTH_S",
@@ -123,22 +122,8 @@ def _peak_rates(
     return bpm[idx[0] + np.argmax(magnitude[..., idx[0] : idx[-1] + 1], axis=-1)]
 
 
-def spectral_peak(
-    spectrum: np.ndarray, bin_spacing_bpm: float, band: tuple[float, float]
-) -> float:
-    """Rate in bpm of the strongest in-band bin; ties go to the lower frequency.
-
-    Raises:
-        ValueError: if fewer than two spectrum bins fall inside the band.
-    """
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    return float(_peak_rates(spectrum, bin_spacing_bpm, band))
-
-
 def spectral_peaks(
-    rows: np.ndarray | Sequence[np.ndarray],
-    sample_rate_hz: float,
-    band: tuple[float, float] = DEFAULT_BAND_BPM,
+    rows: np.ndarray | Sequence[np.ndarray], sample_rate_hz: float, band: tuple[float, float]
 ) -> np.ndarray:
     """Spectral-peak rate of every row, as :func:`stft_pulse_rate` takes it.
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import DELTA_Y_BPM_DEFAULT, OXIMETER_BAND_BPM, SensorBank
+from .fusion import DELTA_Y_BPM_DEFAULT, OXIMETER_BAND_BPM, SensorBank, channel_conflict
 from .grid import DEFAULT_CELL_PX, PoseKeypoints, SubregionGrid, grid_geometry
 from .pulse_rate import PulseRateSeries
 from .rppg import RGBTrace
@@ -159,8 +159,8 @@ def write_json(path: Path | str, doc: dict) -> None:
         fh.write("\n")
 
 
-def read_waveform_csv(path: Path | str, declared_rate_hz: float | None = None) -> Waveform:
-    data, rate = _load_uniform_csv(path, 2, declared_rate_hz)
+def read_waveform_csv(path: Path | str) -> Waveform:
+    data, rate = _load_uniform_csv(path, 2, None)
     return Waveform(data[:, 1], rate, float(data[0, 0]))
 
 
@@ -168,14 +168,12 @@ def write_waveform_csv(path: Path | str, w: Waveform) -> None:
     write_csv(path, [w.times(), w.samples], "time_s,value")
 
 
-def read_sensor_csv(
-    path: Path | str, channel: str = "ir", declared_rate_hz: float | None = None
-) -> Waveform:
+def read_sensor_csv(path: Path | str, channel: str = "ir") -> Waveform:
     """One channel of a two-channel (red, infrared) contact sensor CSV."""
     columns = {"red": 1, "ir": 2}
     if channel not in columns:
         raise ValueError(f"unknown sensor channel {channel!r}; expected one of {sorted(columns)}")
-    data, rate = _load_uniform_csv(path, 3, declared_rate_hz)
+    data, rate = _load_uniform_csv(path, 3, None)
     return Waveform(data[:, columns[channel]], rate, float(data[0, 0]))
 
 
@@ -219,13 +217,16 @@ def read_rate_csv(path: Path | str) -> PulseRateSeries:
     comment = next((line for line in lines if line.startswith("#")), "")
     for token in comment[1:].split():
         key, _, value = token.partition("=")
-        if key == "window_length_s":
-            meta["window_length_s"] = float(value)
-        elif key == "band_bpm":
-            lo, _, hi = value.partition(":")
-            meta["band_bpm"] = (float(lo), float(hi))
-        elif key == "n_skipped":
-            meta["n_skipped"] = int(value)
+        try:
+            if key == "window_length_s":
+                meta["window_length_s"] = float(value)
+            elif key == "band_bpm":
+                lo, _, hi = value.partition(":")
+                meta["band_bpm"] = (float(lo), float(hi))
+            elif key == "n_skipped":
+                meta["n_skipped"] = int(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad metadata token {token!r}: {exc}") from exc
     data = _load_csv(path, 2)
     return PulseRateSeries(
         times_s=data[:, 0],
@@ -525,14 +526,6 @@ def _cell_sums(a: np.ndarray, rows: int, cols: int, cell_px: int) -> np.ndarray:
     return rows_summed.reshape(lead + (rows, cols, cell_px)).sum(axis=-1)
 
 
-def _frame_blocks(frames: np.ndarray | FrameDump, size: int):
-    """Consecutive blocks of at most ``size`` frames: views of an array, or
-    the reused buffer of a :class:`FrameDump`."""
-    if isinstance(frames, FrameDump):
-        return frames.blocks(size)
-    return (frames[f0 : f0 + size] for f0 in range(0, len(frames), size))
-
-
 class _Region:
     """Per-frame sums of one mask's pixels and, given a cell size, of the
     grid cells tiling its bounding box. The sums are exact integers, kept in
@@ -590,7 +583,7 @@ class _Region:
 
 
 def extract_traces(
-    frames: np.ndarray | FrameDump,
+    frames: FrameDump,
     fps: float,
     masks: dict[str, np.ndarray],
     grid_cell_px: int | None = None,
@@ -604,25 +597,17 @@ def extract_traces(
     pixels in the cell; the mask only determines each cell's skin fraction,
     which gates scoring later.
 
-    ``frames`` is a uint8 array of shape (n_frames, 3, height, width) or the
-    :class:`FrameDump` that :func:`read_frame_dump` returns. Either is read
-    once, in blocks of ``_CHUNK_FRAMES`` frames, so a dump is never held in
-    memory whole. Every mean is an int64 sum of the 8-bit pixels divided by
-    their count: such sums are exact in any order, so each mean is the exact
-    average whatever the block size.
+    ``frames`` is the :class:`FrameDump` that :func:`read_frame_dump`
+    returns; the format holds uint8 pixels only. It is read once, in blocks
+    of ``_CHUNK_FRAMES`` frames, so the video is never held in memory whole. Every mean is an int64 sum of the 8-bit pixels divided
+    by their count: such sums are exact in any order, so each mean is the
+    exact average whatever the block size.
 
     Raises:
-        ValueError: for frames that are not uint8 of shape
-            (n_frames, 3, height, width), an empty mask, a mask that does not
-            match the frame dimensions, a ``grid_cell_px`` below 1, or a
-            frame dump that no longer holds the frames its header declares.
+        ValueError: for an empty mask, a mask that does not match the frame
+            dimensions, a ``grid_cell_px`` below 1, or a frame dump that no
+            longer holds the frames its header declares.
     """
-    if not isinstance(frames, FrameDump):
-        frames = np.asarray(frames)
-        if frames.ndim != 4 or frames.shape[1] != 3:
-            raise ValueError("frames must have shape (n_frames, 3, height, width)")
-        if frames.dtype != np.uint8:
-            raise ValueError(f"frames must be uint8, not {frames.dtype}")
     n, _, height, width = frames.shape
 
     regions = []
@@ -635,7 +620,7 @@ def extract_traces(
         regions.append(_Region(label, mask, n, grid_cell_px))
 
     f0 = 0
-    for block in _frame_blocks(frames, _CHUNK_FRAMES):
+    for block in frames.blocks(_CHUNK_FRAMES):
         planes = block.reshape(len(block), 3, height * width)
         for region in regions:
             region.add(block, planes, f0)
@@ -797,6 +782,11 @@ class SessionManifest:
             oximeter = read_oximeter_csv(
                 self.oximeter_path, declared_rate_hz=self.oximeter_rate_hz
             )
+            conflict = channel_conflict(channels) if channels else None
+            if conflict is not None:
+                paths = {site: p for site, p, _ in self.sensors}
+                site_a, site_b, problem = conflict
+                raise ValueError(f"{paths[site_a]}, {paths[site_b]}: {problem}")
             self._parsed["sensors"] = (channels, oximeter)
         return SensorBank(*self._parsed["sensors"], delta_y_bpm)
 

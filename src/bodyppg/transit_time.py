@@ -115,7 +115,7 @@ class LagStats:
 
 
 def _scan_lags(
-    segs: np.ndarray, first: np.ndarray, second: np.ndarray, max_lag: int, subsample: bool
+    segs: np.ndarray, first: np.ndarray, second: np.ndarray, max_lag: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best lag and peak correlation for site pairs over a batch of windows.
 
@@ -179,13 +179,6 @@ def _scan_lags(
     best = order[np.argmax(corr[..., order], axis=-1)]
     peak = np.take_along_axis(corr, best[..., None], axis=-1)[..., 0]
     lag = ks[best].astype(np.float64)
-    if subsample:
-        lo = np.take_along_axis(corr, np.maximum(best - 1, 0)[..., None], axis=-1)[..., 0]
-        hi = np.take_along_axis(corr, np.minimum(best + 1, ks.size - 1)[..., None], axis=-1)[..., 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = lo - 2.0 * peak + hi
-            inner = (abs_ks[best] < max_lag) & np.isfinite(lo) & np.isfinite(hi) & (denom < 0.0)
-            lag = np.where(inner, lag + 0.5 * (lo - hi) / denom, lag)
 
     failed = ~valid.any(axis=-1)
     lag[failed] = np.nan
@@ -193,17 +186,13 @@ def _scan_lags(
     return lag, peak
 
 
-def xcorr_lag(
-    x: Waveform, y: Waveform, max_lag_s: float, subsample: bool = False
-) -> LagEstimate:
+def xcorr_lag(x: Waveform, y: Waveform, max_lag_s: float) -> LagEstimate:
     """Best integer-sample lag between two waveforms by correlation scan.
 
     For every integer lag k in [-L, L] the Pearson correlation between the
     overlapping parts of x and y (y shifted by k) is evaluated; the lag with
     the maximum correlation wins, ties going to the smaller |k|. A positive
-    result means x leads y. With ``subsample`` a parabolic fit around the peak
-    refines the lag below one sample (off by default; integer-sample
-    resolution is the documented behavior).
+    result means x leads y; the lag is a whole number of samples.
 
     This is the batched scan of :func:`ptt_matrix` run on one window and one
     pair: the overlap sums come from prefix sums and the cross products from
@@ -223,9 +212,7 @@ def xcorr_lag(
             f"max_lag_s must sit in (0, {x.duration_s / 2.0:g}) s, got {max_lag_s}"
         )
     segs = np.stack([x.samples, y.samples])[:, None, :]
-    lag, peak = _scan_lags(
-        segs, np.array([0]), np.array([1]), int(round(max_lag_s * fs)), subsample
-    )
+    lag, peak = _scan_lags(segs, np.array([0]), np.array([1]), int(round(max_lag_s * fs)))
     if np.isnan(lag[0, 0]):
         raise ValueError("zero variance in every tested overlap; no lag defined")
     return LagEstimate(
@@ -240,7 +227,6 @@ def ptt_matrix(
     plan: WindowPlan | None = None,
     max_lag_s: float = DEFAULT_MAX_LAG_S,
     min_peak_corr: float = DEFAULT_MIN_PEAK_CORR,
-    subsample: bool = False,
 ) -> PTTMatrix:
     """Pairwise transit-time matrix over sliding windows.
 
@@ -285,9 +271,7 @@ def ptt_matrix(
     offsets = np.arange(n_len)
     for c in range(0, n_windows, chunk):
         segs = signals[:, starts[c : c + chunk, None] + offsets]
-        lag[:, c : c + chunk], peak[:, c : c + chunk] = _scan_lags(
-            segs, first, second, max_lag, subsample
-        )
+        lag[:, c : c + chunk], peak[:, c : c + chunk] = _scan_lags(segs, first, second, max_lag)
 
     failed = np.isnan(lag)
     low = peak < min_peak_corr  # False where failed: NaN compares False

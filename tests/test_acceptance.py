@@ -23,7 +23,7 @@ from bodyppg import (
     chrom,
     design_bandpass,
     divide_by_envelope,
-    fuse_ground_truth,
+    fuse_ground_truth_report,
     hilbert_envelope,
     homography_from_poses,
     mae,
@@ -138,7 +138,7 @@ def test_criterion_03_fusion_robustness():
     coeffs = design_bandpass(BandpassSpec(2, 42.0, 102.0), fs)
     reference = divide_by_envelope(bandpass_zero_phase(z_normalize(clean), coeffs))
 
-    fused = fuse_ground_truth(bank)
+    fused = fuse_ground_truth_report(bank)[0]
     assert np.corrcoef(fused.samples, reference.samples)[0, 1] >= 0.95
     worst = min(
         np.corrcoef(z_normalize(bank.channels[i][1]).samples, reference.samples)[0, 1]

@@ -596,7 +596,7 @@ class TestEachInputParsedOnce:
             (["fuse-gt"], {"SENSORS"}, set()),
             (["estimate", "--roi", "face"], {"trace_face.csv", "SENSORS"}, set()),
             (["estimate", "--roi", "palm", "--method", "chrom", "--ref-rates", "REF"],
-             {"trace_palm.csv", "fused_rates.csv"}, set()),
+             {"trace_palm.csv", "fused_rates.csv"}, {"ref_rates"}),
             (["grid-map", "--roi", "face"], {"grid_face.csv", "SENSORS"},
              {"grid_face.json", "poses.json"}),
             (["ptt", "--source", "rppg", "--stride-s", "1.0"], {"TRACES"}, set()),
@@ -619,7 +619,8 @@ class TestEachInputParsedOnce:
         assert Counter(Path(p).name for p in reads) == dict.fromkeys(want, 1)
         (echo,) = out.glob("*_config.json")
         hashed = set(json.loads(echo.read_text())["inputs"])
-        assert hashed == want | also_hashed | {"manifest.json"}
+        # Flag files are keyed by their parameter, manifest-listed ones by name.
+        assert hashed == (want - {ref_rates.name}) | also_hashed | {"manifest"}
 
     def test_frame_dump_session(self, tmp_path, monkeypatch):
         manifest = _mask_only_session(tmp_path)
@@ -675,14 +676,50 @@ class TestUnreadInputs:
             return json.loads((out / "estimate_config.json").read_text())["inputs"]
 
         first = echo("a")
-        assert sorted(first) == ["fused_rates.csv", "manifest.json", "trace_palm.csv"]
+        assert sorted(first) == ["manifest", "ref_rates", "trace_palm.csv"]
         sensor.write_text(sensor.read_text().replace("\n0,", "\n0.0,", 1))
         assert echo("b") == first
         rates = read_rate_csv(ref)
         write_rate_csv(ref, PulseRateSeries(rates.times_s, rates.rates_bpm + 1.0,
                                             rates.window_length_s, rates.band_bpm))
         changed = echo("c")
-        assert changed["fused_rates.csv"] != first["fused_rates.csv"]
-        assert {k: v for k, v in changed.items() if k != "fused_rates.csv"} == {
-            k: v for k, v in first.items() if k != "fused_rates.csv"
+        assert changed["ref_rates"] != first["ref_rates"]
+        assert {k: v for k, v in changed.items() if k != "ref_rates"} == {
+            k: v for k, v in first.items() if k != "ref_rates"
         }
+
+
+class TestEchoKeys:
+    """No two inputs share a key in the config echo, whatever their base names."""
+
+    def test_flag_files_keyed_by_parameter(self, tmp_path):
+        for name, shift in (("a", 0.0), ("b", 1.0)):
+            (tmp_path / name).mkdir()
+            write_rate_csv(tmp_path / name / "fused_rates.csv", PulseRateSeries(
+                np.arange(20.0), 70.0 + shift + np.arange(20.0) % 3, 10.0, (40.0, 180.0)))
+        pred, ref = tmp_path / "b" / "fused_rates.csv", tmp_path / "a" / "fused_rates.csv"
+        out = tmp_path / "out"
+        assert main(["score", "--pred", str(pred), "--ref", str(ref),
+                     "--out-dir", str(out)]) == 0
+        inputs = json.loads((out / "score_config.json").read_text())["inputs"]
+        assert inputs == {"pred": hashlib.sha256(pred.read_bytes()).hexdigest(),
+                          "ref": hashlib.sha256(ref.read_bytes()).hexdigest()}
+
+    def test_manifest_files_keyed_by_relative_path(self, session, tmp_path):
+        root = tmp_path / "session"
+        shutil.copytree(session, root)
+        doc = json.loads((root / "manifest.json").read_text())
+        moved = []
+        for entry in doc["sensors"][:2]:
+            (root / entry["site"]).mkdir()
+            (root / entry["path"]).rename(root / entry["site"] / "ppg.csv")
+            entry["path"] = f"{entry['site']}/ppg.csv"
+            moved.append(entry["path"])
+        (root / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["fuse-gt", "--manifest", str(root / "manifest.json"),
+                     "--out-dir", str(out)]) == 0
+        inputs = json.loads((out / "fuse_gt_config.json").read_text())["inputs"]
+        for rel in moved:
+            assert inputs[rel] == hashlib.sha256((root / rel).read_bytes()).hexdigest()
+        assert len(inputs) == len(doc["sensors"]) + 2  # and the oximeter and the manifest

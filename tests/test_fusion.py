@@ -12,13 +12,13 @@ from bodyppg import (
     bandpass_zero_phase,
     design_bandpass,
     divide_by_envelope,
-    fuse_ground_truth,
     fuse_ground_truth_report,
     hilbert_envelope,
     reference_pulse_rate,
     z_normalize,
 )
 from bodyppg.fusion import _crop_to_common_span
+from bodyppg.pulse_rate import DEFAULT_RATE_PLAN
 from bodyppg.synth import Burst, PulseModel, constant_rate, motion_burst_noise, ramp_rate, synth_pulse
 
 import loop_reference
@@ -67,7 +67,7 @@ def clean_reference(duration_s=60.0):
 class TestFusion:
     def test_identical_clean_channels(self):
         bank = make_bank(noise=0.02)
-        fused = fuse_ground_truth(bank)
+        fused = fuse_ground_truth_report(bank)[0]
         rates = reference_pulse_rate(fused)
         assert np.max(np.abs(rates.rates_bpm - 72.0)) < 0.5
         env = hilbert_envelope(fused).samples
@@ -76,7 +76,7 @@ class TestFusion:
 
     def test_robust_to_corrupted_channels(self):
         bank = make_bank(corrupt=(1, 4, 7))
-        fused = fuse_ground_truth(bank)
+        fused = fuse_ground_truth_report(bank)[0]
         ref = clean_reference()
         r_fused = np.corrcoef(fused.samples, ref.samples)[0, 1]
         assert r_fused >= 0.95
@@ -90,7 +90,7 @@ class TestFusion:
         site, wave = bank.channels[0]
         # one window covering the whole signal reduces fusion to the direct
         # band-pass + envelope normalization of that channel
-        fused = fuse_ground_truth(bank, WindowPlan(30.0, 30.0))
+        fused = fuse_ground_truth_report(bank, WindowPlan(30.0, 30.0))[0]
         coeffs = design_bandpass(BandpassSpec(2, 42.0, 102.0), FS)
         direct = divide_by_envelope(bandpass_zero_phase(z_normalize(wave), coeffs))
         assert np.max(np.abs(fused.samples - direct.samples)) < 1e-12
@@ -119,13 +119,13 @@ class TestFusion:
             channels=((site0, wave0.with_samples(wave0.samples * 37.0)),) + bank.channels[1:],
             oximeter_rate=bank.oximeter_rate,
         )
-        a = fuse_ground_truth(bank)
-        b = fuse_ground_truth(scaled)
+        a = fuse_ground_truth_report(bank)[0]
+        b = fuse_ground_truth_report(scaled)[0]
         assert np.max(np.abs(a.samples - b.samples)) < 1e-9
 
     def test_envelope_flat_for_noisy_banks(self):
         bank = make_bank(n_channels=5, duration_s=30.0, noise=0.3, seed0=400)
-        fused = fuse_ground_truth(bank)
+        fused = fuse_ground_truth_report(bank)[0]
         env = hilbert_envelope(fused).samples
         lo, hi = int(0.1 * len(env)), int(0.9 * len(env))
         assert np.max(np.abs(env[lo:hi] - 1.0)) < 0.1
@@ -160,8 +160,8 @@ class TestFusion:
         # from the first and last half window the two agree to well under
         # 1e-3 RMS (edge regions differ in window coverage)
         bank = make_bank(n_channels=3, duration_s=14.0, noise=0.05, seed0=300)
-        fine = fuse_ground_truth(bank, WindowPlan(10.0, 1.0 / FS))
-        coarse = fuse_ground_truth(bank, WindowPlan(10.0, 0.25))
+        fine = fuse_ground_truth_report(bank, WindowPlan(10.0, 1.0 / FS))[0]
+        coarse = fuse_ground_truth_report(bank, WindowPlan(10.0, 0.25))[0]
         half_window = int(5.0 * FS)
         d = fine.samples[half_window:-half_window] - coarse.samples[half_window:-half_window]
         assert np.sqrt(np.mean(d**2)) < 1e-3
@@ -285,7 +285,7 @@ class TestOximeterCoverage:
 class TestReferencePulseRate:
     def test_constant_rate(self):
         bank = make_bank(n_channels=3, duration_s=30.0, noise=0.02)
-        series = reference_pulse_rate(fuse_ground_truth(bank))
+        series = reference_pulse_rate(fuse_ground_truth_report(bank)[0])
         assert np.max(np.abs(series.rates_bpm - 72.0)) < 0.5
 
     def test_ramp_tracked(self):
@@ -300,14 +300,16 @@ class TestReferencePulseRate:
         t_ox = np.arange(n_ox) / 60.0
         ox = PulseRateSeries(t_ox, profile(t_ox), 0.0, (30.0, 240.0))
         bank = SensorBank(channels=tuple(channels), oximeter_rate=ox)
-        series = reference_pulse_rate(fuse_ground_truth(bank))
+        series = reference_pulse_rate(fuse_ground_truth_report(bank)[0])
         truth = profile(series.times_s)
         assert np.max(np.abs(series.rates_bpm - truth)) < 2.0
 
     def test_window_longer_than_signal(self):
-        bank = make_bank(n_channels=1, duration_s=12.0)
-        fused = fuse_ground_truth(bank)
-        series = reference_pulse_rate(fused, WindowPlan(60.0, 1.0))
+        # 8 s of reference, fused in 4 s windows, against 10 s rate windows.
+        bank = make_bank(n_channels=1, duration_s=8.0)
+        fused = fuse_ground_truth_report(bank, WindowPlan(4.0, 1.0))[0]
+        assert fused.duration_s < DEFAULT_RATE_PLAN.length_s
+        series = reference_pulse_rate(fused)
         assert len(series) == 0
 
 
@@ -348,5 +350,12 @@ class TestSensorBank:
     def test_mismatched_rates_rejected(self):
         a = Waveform(np.ones(400), 400.0)
         b = Waveform(np.ones(90), 90.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"channels 'a' and 'b' differ in sample rate: "
+                           r"400 Hz and 90 Hz$"):
+            SensorBank(channels=(("a", a), ("b", b)), oximeter_rate=oximeter_series(72.0, 1.0))
+
+    def test_disjoint_spans_rejected(self):
+        a = Waveform(np.ones(400), 400.0)
+        b = Waveform(np.ones(400), 400.0, start_time_s=2.0)
+        with pytest.raises(ValueError, match=r"overlap: 'b' starts at 2 s, 'a' ends at 1 s$"):
             SensorBank(channels=(("a", a), ("b", b)), oximeter_rate=oximeter_series(72.0, 1.0))

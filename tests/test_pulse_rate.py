@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodyppg import Waveform, WindowPlan, snr_harmonics, spectral_peak, stft_pulse_rate
+from bodyppg import Waveform, WindowPlan, snr_harmonics, stft_pulse_rate
 from bodyppg.metrics import harmonic_snrs
-from bodyppg.pulse_rate import PulseRateSeries, spectral_peaks
+from bodyppg.pulse_rate import PulseRateSeries, _peak_rates, spectral_peaks
 from bodyppg.synth import PulseModel, ramp_rate, synth_pulse
 
 import loop_reference
@@ -80,24 +80,26 @@ class TestStftPulseRate:
 
 
 class TestSpectralPeak:
+    """The in-band peak of one magnitude spectrum, as spectral_peaks takes it per row."""
+
     def test_delta_spectrum(self):
         spectrum = np.zeros(100)
         spectrum[37] = 1.0
-        assert spectral_peak(spectrum, 0.5, (10.0, 40.0)) == pytest.approx(18.5)
+        assert _peak_rates(spectrum, 0.5, (10.0, 40.0)) == pytest.approx(18.5)
 
     def test_flat_spectrum_lowest_bin(self):
         spectrum = np.ones(100)
-        assert spectral_peak(spectrum, 1.0, (20.0, 50.0)) == pytest.approx(20.0)
+        assert _peak_rates(spectrum, 1.0, (20.0, 50.0)) == pytest.approx(20.0)
 
     def test_out_of_band_peak_ignored(self):
         spectrum = np.zeros(200)
         spectrum[150] = 10.0  # global max outside the band
         spectrum[60] = 1.0
-        assert spectral_peak(spectrum, 1.0, (40.0, 100.0)) == pytest.approx(60.0)
+        assert _peak_rates(spectrum, 1.0, (40.0, 100.0)) == pytest.approx(60.0)
 
     def test_band_outside_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_peak(np.ones(10), 1.0, (500.0, 600.0))
+        with pytest.raises(ValueError, match="fewer than two spectrum bins"):
+            _peak_rates(np.ones(10), 1.0, (500.0, 600.0))
 
 
 class TestPulseRateSeries:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -32,29 +33,36 @@ from bodyppg.session import (
 from bodyppg.synthetic_session import SyntheticSessionConfig, build_synthetic_session
 
 
+def _flat_trace(n: int) -> RGBTrace:
+    return RGBTrace(*(Waveform(np.full(n, 1.5), 90.0) for _ in range(3)))
+
+
 class TestWaveformCsv:
+    """Uniformly sampled CSVs; a trace CSV checks the rate its manifest declares."""
+
     def test_round_trip(self, tmp_path):
         w = Waveform(np.sin(np.arange(400) / 7.0), 90.0, start_time_s=2.0)
         path = tmp_path / "w.csv"
         write_waveform_csv(path, w)
-        back = read_waveform_csv(path, declared_rate_hz=90.0)
+        back = read_waveform_csv(path)
         assert np.allclose(back.samples, w.samples, atol=1e-9)
-        assert back.sample_rate_hz == 90.0
+        assert back.sample_rate_hz == pytest.approx(90.0, rel=1e-9)
         assert back.start_time_s == pytest.approx(2.0)
 
     def test_rate_mismatch_rejected(self, tmp_path):
-        w = Waveform(np.ones(100) * 1.5, 90.0)
-        path = tmp_path / "w.csv"
-        write_waveform_csv(path, w)
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, _flat_trace(100))
         with pytest.raises(ValueError, match="declared"):
-            read_waveform_csv(path, declared_rate_hz=60.0)
+            read_trace_csv(path, declared_rate_hz=60.0)
+        write_oximeter_csv(path, np.arange(60) / 60.0, np.full(60, 72.0))
+        with pytest.raises(ValueError, match="declared"):
+            read_oximeter_csv(path, declared_rate_hz=90.0)
 
     def test_within_tolerance_accepted(self, tmp_path):
-        w = Waveform(np.ones(1000) * 1.5, 90.0)
-        path = tmp_path / "w.csv"
-        write_waveform_csv(path, w)
-        back = read_waveform_csv(path, declared_rate_hz=90.005)
-        assert back.sample_rate_hz == 90.005
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, _flat_trace(1000))
+        back = read_trace_csv(path, declared_rate_hz=90.005)
+        assert back.r.sample_rate_hz == 90.005
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -115,6 +123,17 @@ class TestOtherCsv:
         assert back.window_length_s == 10.0
         assert back.band_bpm == (40.0, 180.0)
         assert back.n_skipped == 2
+
+    @pytest.mark.parametrize("token, problem", [
+        ("band_bpm=40", "could not convert string to float: ''"),
+        ("window_length_s=ten", "could not convert string to float: 'ten'"),
+    ])
+    def test_bad_rate_metadata_names_file_and_token(self, tmp_path, token, problem):
+        path = tmp_path / "r.csv"
+        path.write_text(f"time_s,bpm\n# n_skipped=0 {token}\n1,70\n2,71\n")
+        with pytest.raises(ValueError) as info:
+            read_rate_csv(path)
+        assert str(info.value) == f"{path}: bad metadata token {token!r}: {problem}"
 
     def test_trace_round_trip(self, tmp_path):
         n = 200
@@ -336,45 +355,52 @@ class TestRasters:
             read_pgm(path)
 
 
+def _dump(tmp_path, frames):
+    """``frames`` at 90 fps, written to a frame dump and opened for extraction."""
+    write_frame_dump(tmp_path / "frames.rfd", frames, 90.0)
+    return read_frame_dump(tmp_path / "frames.rfd")[0]
+
+
 class TestExtractTraces:
-    def test_uniform_gray(self):
-        frames = np.full((4, 3, 6, 6), 128, dtype=np.uint8)
+    def test_uniform_gray(self, tmp_path):
+        frames = _dump(tmp_path, np.full((4, 3, 6, 6), 128, dtype=np.uint8))
         mask = np.zeros((6, 6), dtype=bool)
         mask[2:5, 2:5] = True
         traces, _ = extract_traces(frames, 90.0, {"roi": mask})
         assert np.all(traces["roi"].channel_matrix() == 128.0)
 
-    def test_single_pixel_mask(self):
+    def test_single_pixel_mask(self, tmp_path):
         frames = np.zeros((3, 3, 4, 4), dtype=np.uint8)
         frames[:, 0, 1, 2] = 200
         frames[:, 1, 1, 2] = 100
         frames[:, 2, 1, 2] = 50
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = True
-        traces, _ = extract_traces(frames, 90.0, {"pixel": mask})
+        traces, _ = extract_traces(_dump(tmp_path, frames), 90.0, {"pixel": mask})
         assert np.all(traces["pixel"].r.samples == 200.0)
         assert np.all(traces["pixel"].g.samples == 100.0)
         assert np.all(traces["pixel"].b.samples == 50.0)
 
-    def test_checkerboard_mean(self):
+    def test_checkerboard_mean(self, tmp_path):
         frames = np.zeros((2, 3, 4, 4), dtype=np.uint8)
         checker = np.indices((4, 4)).sum(axis=0) % 2 == 0
         frames[:, :, checker] = 255
-        traces, _ = extract_traces(frames, 90.0, {"all": np.ones((4, 4), dtype=bool)})
+        all_pixels = {"all": np.ones((4, 4), dtype=bool)}
+        traces, _ = extract_traces(_dump(tmp_path, frames), 90.0, all_pixels)
         assert np.all(traces["all"].channel_matrix() == 127.5)
 
-    def test_empty_mask_rejected(self):
-        frames = np.zeros((2, 3, 4, 4), dtype=np.uint8)
+    def test_empty_mask_rejected(self, tmp_path):
+        frames = _dump(tmp_path, np.zeros((2, 3, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="no pixels"):
             extract_traces(frames, 90.0, {"empty": np.zeros((4, 4), dtype=bool)})
 
-    def test_dimension_mismatch_rejected(self):
-        frames = np.zeros((2, 3, 4, 4), dtype=np.uint8)
+    def test_dimension_mismatch_rejected(self, tmp_path):
+        frames = _dump(tmp_path, np.zeros((2, 3, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="shape"):
             extract_traces(frames, 90.0, {"bad": np.ones((5, 5), dtype=bool)})
 
-    def test_grid_cells_and_skin_fraction(self):
-        frames = np.full((3, 3, 8, 12), 100, dtype=np.uint8)
+    def test_grid_cells_and_skin_fraction(self, tmp_path):
+        frames = _dump(tmp_path, np.full((3, 3, 8, 12), 100, dtype=np.uint8))
         mask = np.zeros((8, 12), dtype=bool)
         mask[0:8, 0:8] = True  # bbox 8x8 -> 2x2 cells of 4px
         mask[4:8, 4:8] = False  # lower-right cell has no skin
@@ -385,13 +411,13 @@ class TestExtractTraces:
         assert grid.skin_fraction[1, 1] == 0.0
         assert np.all(grid.values == 100.0)
 
-    def test_float_frames_rejected(self):
-        frames = np.zeros((2, 3, 4, 4))
+    def test_float_frames_rejected(self, tmp_path):
+        # Frames reach extraction only through a dump, whose writer takes uint8 alone.
         with pytest.raises(ValueError, match="uint8, not float64"):
-            extract_traces(frames, 90.0, {"all": np.ones((4, 4), dtype=bool)})
+            _dump(tmp_path, np.zeros((2, 3, 4, 4)))
 
-    def test_zero_cell_size_rejected(self):
-        frames = np.zeros((2, 3, 4, 4), dtype=np.uint8)
+    def test_zero_cell_size_rejected(self, tmp_path):
+        frames = _dump(tmp_path, np.zeros((2, 3, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="cell_px"):
             extract_traces(frames, 90.0, {"all": np.ones((4, 4), dtype=bool)}, grid_cell_px=0)
 
@@ -418,12 +444,12 @@ class TestExtractTracesOracle:
 
     @pytest.mark.parametrize("cell_px", [1, 3, 20])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_loop_reference(self, cell_px, seed):
+    def test_equals_loop_reference(self, tmp_path, cell_px, seed):
         rng = np.random.default_rng(seed)
         h, w = 49, 53
         frames = rng.integers(0, 256, size=(7, 3, h, w), dtype=np.uint8)
         masks = _oracle_masks(rng, h, w)
-        traces, grids = extract_traces(frames, 90.0, masks, cell_px)
+        traces, grids = extract_traces(_dump(tmp_path, frames), 90.0, masks, cell_px)
         want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
         assert traces.keys() == grids.keys() == masks.keys()
         for label in masks:
@@ -471,14 +497,15 @@ class TestStreamedIngestion:
         manifest = _frame_session(tmp_path, frames, masks)
         want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
         _, want_loaded_grids = loop_reference.extract_traces(frames, 90.0, masks, DEFAULT_CELL_PX)
-        array_traces, array_grids = extract_traces(frames, 90.0, masks, cell_px)
+        dump, _ = read_frame_dump(manifest.frames_path)
+        dump_traces, dump_grids = extract_traces(dump, 90.0, masks, cell_px)
         loaded = manifest.load_traces(list(masks))
         for label in masks:
             want = want_traces[label].channel_matrix()
             assert np.array_equal(loaded[label].channel_matrix(), want)
-            assert np.array_equal(array_traces[label].channel_matrix(), want)
+            assert np.array_equal(dump_traces[label].channel_matrix(), want)
             for grid, want_grid in ((manifest.load_grid(label), want_loaded_grids[label]),
-                                    (array_grids[label], want_grids[label])):
+                                    (dump_grids[label], want_grids[label])):
                 assert np.array_equal(grid.values, want_grid.values)
                 assert np.array_equal(grid.skin_fraction, want_grid.skin_fraction)
                 assert grid.origin_px == want_grid.origin_px
@@ -541,6 +568,18 @@ class TestManifest:
         grid = manifest.load_grid("face")
         assert (grid.rows, grid.cols) == (3, 4)
         assert len(manifest.load_poses()) == 2
+
+    def test_sensor_rate_mismatch_names_both_files(self, tmp_path):
+        manifest = SessionManifest.load(
+            build_synthetic_session(tmp_path, SyntheticSessionConfig(seed=3, duration_s=20.0))
+        )
+        (site_a, path_a, _), (site_b, path_b, _) = manifest.sensors[:2]
+        lines = path_a.read_text().splitlines(keepends=True)
+        path_a.write_text("".join(lines[:100] + lines[120:]))  # 20 rows lost: a lower rate
+        wanted = (re.escape(f"{path_a}, {path_b}: channels '{site_a}' and '{site_b}' differ in ")
+                  + r"sample rate: 398\.\d+ Hz and 400 Hz$")
+        with pytest.raises(ValueError, match=wanted):
+            manifest.load_sensor_bank()
 
     def test_missing_file_rejected(self, tmp_path):
         manifest_path = build_synthetic_session(
