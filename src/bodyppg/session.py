@@ -4,7 +4,8 @@ One recording session is described by a JSON manifest pointing at sensor
 CSVs, an oximeter CSV, RGB traces (or a raw frame dump plus masks), grid
 cell means, and pose keypoints. All 1-D signals travel as CSV, structured
 results as JSON, and maps as plain float grids, so every artifact stays
-diffable and language-neutral.
+diffable and language-neutral; only the bulk inputs, video frames and grid
+cell means, are raw binary.
 
 File formats:
   - waveform CSV: header ``time_s,value``
@@ -16,6 +17,11 @@ File formats:
   - frame dump (.rfd): 32-byte header (magic ``RFD1``, uint32 width, height,
     frame count, float64 fps, little endian, zero padded), then per frame the
     R, G, B planes as row-major uint8
+  - grid store (.rgm): 16-byte header (magic ``RGM1``, uint32 frames, rows,
+    cols, little endian), then the cell means as C-ordered little-endian
+    float64 of shape (frames, rows, cols, 3), each the value a ``%.12g`` CSV
+    round trip gives; a JSON sidecar holds the rate, start time, geometry
+    and per-cell skin fraction
 """
 
 from __future__ import annotations
@@ -77,8 +83,14 @@ _FLOAT_FMT = "%.12g"
 # Rows that write_csv formats with one % operation. A block's text is held in
 # memory while it is written, so the block stays small.
 _CSV_BLOCK_ROWS = 1024
-# Grid CSVs are checked in blocks of whole frames of about this many lines.
-_GRID_CHECK_LINES = 1 << 15
+
+_GRID_MAGIC = b"RGM1"
+_GRID_HEADER = struct.Struct("<4sIII")  # magic, frames, rows, cols
+# Grid values rounded and written at a time: the writer holds one block of
+# whole frames of about this many values.
+_GRID_BLOCK_VALUES = 1 << 13
+# Exact powers of ten: 10**22 is the largest that a float64 holds exactly.
+_POW10 = np.array([float(10**i) for i in range(23)])
 
 
 def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
@@ -93,19 +105,48 @@ def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
     return data
 
 
+def _line_of_row(path: Path | str, row: int) -> int:
+    """The file line (line 1 is the header) of data row ``row`` as
+    :func:`_load_csv` counts rows, skipping blank and comment lines."""
+    with open(path) as fh:
+        fh.readline()
+        data_lines = [n for n, line in enumerate(fh, start=2) if line.split("#", 1)[0].strip()]
+    return data_lines[row]
+
+
 def _load_uniform_csv(
-    path: Path | str, expected_columns: int, declared: float | None
+    path: Path | str, expected_columns: int, declared: float | None, regular: bool = True
 ) -> tuple[np.ndarray, float]:
-    """A uniformly sampled CSV and its sample rate, inferred from the time
-    column; a declared rate wins when the two agree within RATE_TOLERANCE."""
+    """A CSV sampled at one rate, and that rate, inferred from the time
+    column; a declared rate wins when the two agree within RATE_TOLERANCE.
+
+    Times must increase strictly. In a ``regular`` stream every interval
+    must also be within RATE_TOLERANCE of the median interval, so that a gap
+    is named at its own line: measured against the row count over the span,
+    every interval of a stream with a gap would be off. Errors name the file
+    and the first bad line (line 1 is the header)."""
     data = _load_csv(path, expected_columns)
     times = data[:, 0]
     if times.size < 2:
         raise ValueError(f"{path}: need at least two samples to infer a rate")
-    span = times[-1] - times[0]
-    if span <= 0:
-        raise ValueError(f"{path}: timestamps must increase")
-    inferred = (times.size - 1) / span
+    intervals = np.diff(times)
+    bad = ~(intervals > 0)
+    if regular:
+        period = float(np.median(intervals))
+        # A median that does not increase means most intervals are bad already.
+        if period > 0:
+            bad |= ~(np.abs(intervals / period - 1) <= RATE_TOLERANCE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if intervals[i] > 0:
+            problem = f"intervals must be within {RATE_TOLERANCE:.1%} of the median {period:.6g} s"
+        else:
+            problem = "timestamps must increase"
+        raise ValueError(
+            f"{path}, line {_line_of_row(path, i + 1)}: time_s {times[i + 1]:.12g} follows "
+            f"{times[i]:.12g} on the line before; {problem}"
+        )
+    inferred = (times.size - 1) / (times[-1] - times[0])
     if declared is None:
         return data, inferred
     if abs(inferred - declared) > RATE_TOLERANCE * declared:
@@ -114,23 +155,6 @@ def _load_uniform_csv(
             f"{RATE_TOLERANCE:.1%} from the declared {declared:.6g} Hz"
         )
     return data, declared
-
-
-def _write_blocks(path: Path | str, n_rows: int, block_columns, header: str) -> None:
-    """Rows ``0`` to ``n_rows`` as CSV, stacked and formatted one block of
-    ``_CSV_BLOCK_ROWS`` rows at a time; ``block_columns(i0, i1)`` returns the
-    columns of rows ``i0`` to ``i1``, as :func:`write_csv` takes them."""
-    fmts = []
-    for c in block_columns(0, 0):
-        fmt = "%d" if np.issubdtype(c.dtype, np.integer) else _FLOAT_FMT
-        fmts += [fmt] * (c.shape[1] if c.ndim == 2 else 1)
-    row_fmt = ",".join(fmts) + "\n"
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        for i in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack(block_columns(i, min(i + _CSV_BLOCK_ROWS, n_rows)))
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path: Path | str, columns: list, header: str = "") -> None:
@@ -149,7 +173,17 @@ def write_csv(path: Path | str, columns: list, header: str = "") -> None:
     if len(lengths) > 1:
         raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    _write_blocks(path, n_rows, lambda i0, i1: [c[i0:i1] for c in columns], header)
+    fmts = []
+    for c in columns:
+        fmt = "%d" if np.issubdtype(c.dtype, np.integer) else _FLOAT_FMT
+        fmts += [fmt] * (c.shape[1] if c.ndim == 2 else 1)
+    row_fmt = ",".join(fmts) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write(header + "\n")
+        for i in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i : i + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_json(path: Path | str, doc: dict) -> None:
@@ -186,8 +220,9 @@ def write_sensor_csv(
 def read_oximeter_csv(
     path: Path | str, declared_rate_hz: float | None = None
 ) -> PulseRateSeries:
-    """Fingertip oximeter pulse-rate stream; the SpO2 column is ignored."""
-    data, _ = _load_uniform_csv(path, 3, declared_rate_hz)
+    """Fingertip oximeter pulse-rate stream; the SpO2 column is ignored.
+    Its times must increase, but may step irregularly."""
+    data, _ = _load_uniform_csv(path, 3, declared_rate_hz, regular=False)
     return PulseRateSeries(
         times_s=data[:, 0],
         rates_bpm=data[:, 1],
@@ -423,19 +458,49 @@ def read_poses_json(path: Path | str) -> list[PoseKeypoints]:
     return poses
 
 
-def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid) -> None:
-    """Cell means as a long-format CSV plus a JSON geometry sidecar."""
+def _round_as_written(v: np.ndarray) -> np.ndarray:
+    """``float(_FLOAT_FMT % x)`` for every ``x`` of ``v``, as array work.
+
+    The 12 significant digits of ``|x|`` are the integer ``m = rint(|x| *
+    10**k)`` with ``k = 11 - floor(log10 |x|)``, and ``m / 10**k`` (or
+    ``m * 10**-k``) is a correctly rounded operation on exact operands, so
+    it equals the parsed decimal. Scaling rounds once, by at most 2**-14 at
+    these magnitudes, so ``rint`` gives the decimal rounding unless the
+    scaled fraction lies near one half. ``%`` formats the rest: zeros,
+    non-finite values, ``|k| > 22`` (where ``10**|k|`` is not exact), a
+    ``log10`` that missed the decade, and fractions within 1e-3 of 0.5.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        usable = np.isfinite(a) & (a > 0)
+        k = 11 - np.floor(np.log10(np.where(usable, a, 1.0))).astype(np.int64)
+        usable &= np.abs(k) <= 22
+        k = np.where(usable, k, 0)
+        up = k >= 0
+        scale = _POW10[np.abs(k)]
+        scaled = np.where(up, a * scale, a / scale)
+        m = np.rint(scaled)
+        usable &= (m >= 1e11) & (m < 1e12) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-3)
+        out = np.copysign(np.where(up, m / scale, m * scale), v)
+    rest = ~usable
+    out[rest] = [float(_FLOAT_FMT % x) for x in v[rest].tolist()]
+    return out
+
+
+def write_grid(path_means: Path | str, path_meta: Path | str, grid: SubregionGrid) -> None:
+    """Cell means as a grid store plus a JSON geometry sidecar.
+
+    Each stored value is the one a ``%.12g`` CSV round trip gives, so a grid
+    read back scores exactly as one written and parsed as text. Values are
+    rounded and written in blocks of whole frames."""
     n, rows, cols, _ = grid.values.shape
-    cells = rows * cols
-    flat = grid.values.reshape(n * cells, 3)
-
-    def block_columns(i0: int, i1: int) -> list:
-        # Line i is cell i % cells of frame i // cells, in row-major order.
-        line = np.arange(i0, i1)
-        frame_t = grid.start_time_s + line // cells / grid.sample_rate_hz
-        return [frame_t, line % cells // cols, line % cols, flat[i0:i1]]
-
-    _write_blocks(path_csv, n * cells, block_columns, "time_s,row,col,r,g,b")
+    step = max(1, _GRID_BLOCK_VALUES // (rows * cols * 3))
+    with open(path_means, "wb") as fh:
+        fh.write(_GRID_HEADER.pack(_GRID_MAGIC, n, rows, cols))
+        for f0 in range(0, n, step):
+            block = _round_as_written(grid.values[f0 : f0 + step])
+            fh.write(block.astype("<f8", copy=False).data)
     meta = {
         "rows": rows,
         "cols": cols,
@@ -448,64 +513,40 @@ def write_grid(path_csv: Path | str, path_meta: Path | str, grid: SubregionGrid)
     write_json(path_meta, meta)
 
 
-def _check_grid_order(data: np.ndarray, rows: int, cols: int, path: Path | str) -> None:
-    """Reject grid CSV rows that are not in the order :func:`write_grid` writes.
-
-    That order is frame-major, then row-major within a frame: every frame
-    holds rows x cols lines with ``row``/``col`` counting 0,0 0,1 ... , one
-    ``time_s`` shared by the frame, and frame times increasing. Errors name
-    the first offending line (line 1 is the header).
-    """
-    cells = rows * cols
-    if data.shape[0] % cells:
-        first = data.shape[0] - data.shape[0] % cells
-        raise ValueError(
-            f"{path}: {data.shape[0]} data lines do not fill whole frames of "
-            f"{rows}x{cols} cells; the frame starting at line {first + 2} is incomplete"
-        )
-    frames = data.reshape(-1, rows, cols, 6)
-    frame_t = frames[:, 0, 0, 0]
-    late = np.flatnonzero(~(frame_t[1:] > frame_t[:-1]))
-    late_line = (int(late[0]) + 1) * cells if late.size else data.shape[0]
-    # Blocks of whole frames keep the comparison temporaries small next to
-    # the parsed file, so checking adds nothing to peak memory.
-    step = max(1, _GRID_CHECK_LINES // cells)
-    for f0 in range(0, min(len(frames), late_line // cells + 1), step):
-        block = frames[f0 : f0 + step]
-        t = block[..., 0]
-        bad_cell = (block[..., 1] != np.arange(rows)[:, None]) | (block[..., 2] != np.arange(cols))
-        bad = (bad_cell | (t != t[:, :1, :1])).ravel()
-        if not bad.any():
-            continue
-        j = int(np.argmax(bad))
-        i = f0 * cells + j
-        if i > late_line:
-            break
-        if bad_cell.flat[j]:
-            raise ValueError(
-                f"{path}, line {i + 2}: expected row {i % cells // cols}, col {i % cols} "
-                f"(frames hold cells in row-major order), found row {data[i, 1]:g}, "
-                f"col {data[i, 2]:g}"
-            )
-        raise ValueError(
-            f"{path}, line {i + 2}: time_s {data[i, 0]:.12g} differs from its frame's "
-            f"time_s {data[i - i % cells, 0]:.12g}"
-        )
-    if late.size:
-        raise ValueError(
-            f"{path}, line {late_line + 2}: frame time_s {data[late_line, 0]:.12g} does not "
-            f"increase past the previous frame's {data[late_line - cells, 0]:.12g}"
-        )
-
-
-def read_grid(path_csv: Path | str, path_meta: Path | str) -> SubregionGrid:
-    """Grid written by :func:`write_grid`; lines out of its order are rejected."""
+def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
+    """Grid written by :func:`write_grid`. The store must have the magic,
+    exactly the values its header declares, and the rows and cols of the
+    meta file."""
     with open(path_meta) as fh:
         meta = json.load(fh)
-    data = _load_csv(path_csv, 6)
-    rows, cols = meta["rows"], meta["cols"]
-    _check_grid_order(data, rows, cols, path_csv)
-    values = data[:, 3:6].reshape(-1, rows, cols, 3)
+    with open(path_means, "rb") as fh:
+        header = fh.read(_GRID_HEADER.size)
+        magic = header[:4]
+        if magic != _GRID_MAGIC:
+            raise ValueError(
+                f"{path_means}: bad grid-store magic {magic!r}, expected {_GRID_MAGIC!r}; "
+                "grid cell means are no longer read from CSV, so re-run `bodyppg synth` "
+                "to write the session's grid store"
+            )
+        if len(header) < _GRID_HEADER.size:
+            raise ValueError(f"{path_means}: truncated grid-store header")
+        _, n, rows, cols = _GRID_HEADER.unpack(header)
+        if (rows, cols) != (meta["rows"], meta["cols"]):
+            raise ValueError(
+                f"{path_means}: the header declares {rows}x{cols} cells, but "
+                f"{path_meta} declares {meta['rows']}x{meta['cols']}"
+            )
+        size = os.fstat(fh.fileno()).st_size
+        expected = _GRID_HEADER.size + n * rows * cols * 3 * 8
+        if size != expected:
+            problem = "truncated grid values" if size < expected else "trailing bytes"
+            raise ValueError(
+                f"{path_means}: {problem}: the file has {size} bytes, but its header "
+                f"declares {n} frames of {rows}x{cols}x3 float64, {expected} bytes "
+                "with the header"
+            )
+        values = np.empty((n, rows, cols, 3), dtype="<f8")
+        fh.readinto(values.data)
     return SubregionGrid(
         values=values,
         sample_rate_hz=meta["sample_rate_hz"],
@@ -791,8 +832,8 @@ class SessionManifest:
         return SensorBank(*self._parsed["sensors"], delta_y_bpm)
 
     def load_grid(self, roi: str) -> SubregionGrid:
-        """Grid cell means from their CSV, or extracted from the frame dump in
-        cells of ``DEFAULT_CELL_PX``."""
+        """Grid cell means from their grid store, or extracted from the frame
+        dump in cells of ``DEFAULT_CELL_PX``."""
         if roi in self.grid_paths:
             self.files_read.extend(self.grid_paths[roi])
             return read_grid(*self.grid_paths[roi])

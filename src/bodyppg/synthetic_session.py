@@ -250,7 +250,7 @@ def build_synthetic_session(
         cell_px=cfg.grid_cell_px,
         skin_fraction=fraction,
     )
-    write_grid(out_dir / "grid_face.csv", out_dir / "grid_face.json", grid)
+    write_grid(out_dir / "grid_face.rgm", out_dir / "grid_face.json", grid)
 
     # One pose per 10-second window, jittered around a fixed skeleton.
     rng = np.random.default_rng(cfg.seed + 41)
@@ -276,7 +276,7 @@ def build_synthetic_session(
             "height": 320,
             "traces": trace_entries,
             "grids": {
-                cfg.grid_roi: {"means": "grid_face.csv", "meta": "grid_face.json"}
+                cfg.grid_roi: {"means": "grid_face.rgm", "meta": "grid_face.json"}
             },
         },
         "sensors": sensor_entries,

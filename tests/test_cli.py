@@ -44,7 +44,7 @@ class TestSynthCommand:
         assert "manifest.json" in names
         assert "oximeter.csv" in names
         assert "poses.json" in names
-        assert "grid_face.csv" in names and "grid_face.json" in names
+        assert "grid_face.rgm" in names and "grid_face.json" in names
         assert sum(1 for n in names if n.startswith("sensor_")) == 9
         assert sum(1 for n in names if n.startswith("trace_")) == 6
 
@@ -597,7 +597,7 @@ class TestEachInputParsedOnce:
             (["estimate", "--roi", "face"], {"trace_face.csv", "SENSORS"}, set()),
             (["estimate", "--roi", "palm", "--method", "chrom", "--ref-rates", "REF"],
              {"trace_palm.csv", "fused_rates.csv"}, {"ref_rates"}),
-            (["grid-map", "--roi", "face"], {"grid_face.csv", "SENSORS"},
+            (["grid-map", "--roi", "face"], {"grid_face.rgm", "SENSORS"},
              {"grid_face.json", "poses.json"}),
             (["ptt", "--source", "rppg", "--stride-s", "1.0"], {"TRACES"}, set()),
         ],
@@ -613,10 +613,14 @@ class TestEachInputParsedOnce:
         }
         want = set().union(*(groups.get(n, {n}) for n in parsed))
         reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
+        grid_reads = _count_calls(monkeypatch, bodyppg.session, "read_grid")
         out = tmp_path / "out"
         assert main(argv + ["--manifest", str(session / "manifest.json"),
                             "--out-dir", str(out)]) == 0
-        assert Counter(Path(p).name for p in reads) == dict.fromkeys(want, 1)
+        # The grid store is read whole by read_grid; CSVs are parsed by _load_csv.
+        grids = {n for n in want if n.endswith(".rgm")}
+        assert Counter(Path(p).name for p in reads) == dict.fromkeys(want - grids, 1)
+        assert Counter(Path(p).name for p in grid_reads) == dict.fromkeys(grids, 1)
         (echo,) = out.glob("*_config.json")
         hashed = set(json.loads(echo.read_text())["inputs"])
         # Flag files are keyed by their parameter, manifest-listed ones by name.
@@ -687,6 +691,40 @@ class TestUnreadInputs:
         assert {k: v for k, v in changed.items() if k != "ref_rates"} == {
             k: v for k, v in first.items() if k != "ref_rates"
         }
+
+
+class TestDamagedSensorTimes:
+    """A sensor stream whose time column was damaged fails ``fuse-gt``, naming
+    the file and its first bad line (line 1 is the header)."""
+
+    @pytest.fixture(scope="class")
+    def seed7(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("seed7")
+        assert main(["synth", "--out-dir", str(root), "--seed", "7"]) == 0
+        return root
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["swap-repeat", "swap-repeat-drop"])
+    def test_fuse_gt_names_the_file_and_line(self, seed7, tmp_path, capsys, drop):
+        root = tmp_path / "session"
+        shutil.copytree(seed7, root)
+        sensor = root / "sensor_left-arm-lower.csv"
+        # Indices count the header as 0: file line i + 1 is lines[i].
+        lines = sensor.read_text().splitlines(keepends=True)
+        lines[5000], lines[5001] = lines[5001], lines[5000]
+        lines[15000] = lines[14999]
+        if drop:
+            del lines[10000:10020]
+        sensor.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["fuse-gt", "--manifest", str(root / "manifest.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        # Line 5,001 now holds line 5,002's sample, two periods after line 5,000's.
+        assert error["message"] == (
+            f"{sensor}, line 5001: time_s 12.5 follows 12.495 on the line before; "
+            "intervals must be within 0.1% of the median 0.0025 s"
+        )
 
 
 class TestEchoKeys:

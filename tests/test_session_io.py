@@ -27,6 +27,7 @@ from bodyppg.session import (
     write_oximeter_csv,
     write_pgm,
     write_rate_csv,
+    write_sensor_csv,
     write_trace_csv,
     write_waveform_csv,
 )
@@ -150,6 +151,85 @@ class TestOtherCsv:
         assert np.allclose(back.channel_matrix(), trace.channel_matrix(), atol=1e-9)
 
 
+_UNIFORM_READERS = {
+    "sensor": (lambda path, t: write_sensor_csv(path, t, np.sin(t), np.cos(t)), read_sensor_csv),
+    "trace": (lambda path, t: write_trace_csv(path, _flat_trace(len(t))), read_trace_csv),
+    "waveform": (lambda path, t: write_waveform_csv(path, Waveform(np.sin(t), 90.0)),
+                 read_waveform_csv),
+}
+
+
+class TestTimeColumn:
+    """Every interval of a uniform stream is checked on its first parse; the
+    error names the file and the first bad line, the header being line 1."""
+
+    @staticmethod
+    def damaged(tmp_path, kind, damage):
+        write, read = _UNIFORM_READERS[kind]
+        path = tmp_path / f"{kind}.csv"
+        write(path, np.arange(100) / 90.0)
+        lines = path.read_text().splitlines(keepends=True)
+        damage(lines)
+        path.write_text("".join(lines))
+        return lambda: read(path)
+
+    @pytest.mark.parametrize("kind", sorted(_UNIFORM_READERS))
+    def test_swapped_rows_rejected_at_the_first_long_step(self, tmp_path, kind):
+        def swap(lines):
+            lines[10], lines[11] = lines[11], lines[10]
+
+        read = self.damaged(tmp_path, kind, swap)
+        wanted = (rf"{kind}\.csv, line 11: time_s 0\.111111111111 follows 0\.0888888888889 "
+                  r"on the line before; intervals must be within 0\.1% of the median "
+                  r"0\.0111111 s$")
+        with pytest.raises(ValueError, match=wanted):
+            read()
+
+    @pytest.mark.parametrize("kind", sorted(_UNIFORM_READERS))
+    def test_repeated_row_rejected(self, tmp_path, kind):
+        def repeat(lines):
+            lines[51] = lines[50]
+
+        read = self.damaged(tmp_path, kind, repeat)
+        wanted = rf"{kind}\.csv, line 52: .* on the line before; timestamps must increase$"
+        with pytest.raises(ValueError, match=wanted):
+            read()
+
+    @pytest.mark.parametrize("kind", sorted(_UNIFORM_READERS))
+    def test_dropped_rows_named_at_the_gap(self, tmp_path, kind):
+        def drop(lines):
+            del lines[20:25]
+
+        read = self.damaged(tmp_path, kind, drop)
+        with pytest.raises(ValueError, match=rf"{kind}\.csv, line 21: time_s 0\.266666666667 "):
+            read()
+
+    def test_line_counts_blank_and_comment_lines(self, tmp_path):
+        def repeat_after_skipped_lines(lines):
+            lines[51] = lines[50]
+            lines[5:5] = ["\n", "# a note\n"]
+
+        read = self.damaged(tmp_path, "sensor", repeat_after_skipped_lines)
+        with pytest.raises(ValueError, match=r"sensor\.csv, line 54: .* timestamps must increase$"):
+            read()
+
+    def test_small_jitter_accepted(self, tmp_path):
+        t = np.arange(100) / 400.0
+        t[1:-1] += np.random.default_rng(3).uniform(-1e-7, 1e-7, 98)  # 0.004% of 2.5 ms
+        write_sensor_csv(tmp_path / "s.csv", t, np.sin(t), np.cos(t))
+        assert read_sensor_csv(tmp_path / "s.csv").sample_rate_hz == pytest.approx(400.0)
+
+    def test_oximeter_may_step_irregularly_but_must_increase(self, tmp_path):
+        path = tmp_path / "ox.csv"
+        t = np.cumsum(np.random.default_rng(4).uniform(0.01, 0.03, 60))
+        write_oximeter_csv(path, t, np.full(60, 72.0))
+        assert read_oximeter_csv(path).times_s.tolist() == _as_written(t).tolist()
+        t[30] = t[29]
+        write_oximeter_csv(path, t, np.full(60, 72.0))
+        with pytest.raises(ValueError, match=r"ox\.csv, line 32: .* timestamps must increase$"):
+            read_oximeter_csv(path)
+
+
 class TestWriteCsvOracle:
     """write_csv writes the bytes np.savetxt writes, block by block, with %d
     for integer columns and %.12g for the others."""
@@ -193,15 +273,56 @@ class TestWriteCsvOracle:
         self._assert_savetxt_bytes(tmp_path, [values], "x,y")
 
 
-class TestGridCsv:
-    """Grid CSVs must hold whole frames, cells in row-major order, one time per frame."""
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
 
-    @pytest.fixture(autouse=True, params=[None, 6, 12], ids=["default", "1-frame", "2-frame"])
-    def check_block(self, request, monkeypatch):
-        # The check walks blocks of whole frames; small blocks put each error
-        # case into a later block.
-        if request.param is not None:
-            monkeypatch.setattr(session, "_GRID_CHECK_LINES", request.param)
+
+def _as_written(values) -> np.ndarray:
+    """The values a ``%.12g`` CSV round trip gives, one ``%`` at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.array([float("%.12g" % v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+_MAX = np.finfo(np.float64).max
+_POWERS_OF_TEN = np.array([float(f"1e{e}") for e in range(-323, 309)])
+_ROUNDING_CASES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, 1e22, 1e23, -1e23, np.inf, -np.inf, np.nan],
+    _POWERS_OF_TEN,
+    np.nextafter(_POWERS_OF_TEN, 0.0),
+    np.nextafter(_POWERS_OF_TEN, np.inf),
+    # Exact binary values whose 13th significant digit is a 5 and nothing
+    # follows: ties at the 12th digit, rounded half to even.
+    [123456789012.5, 123456789013.5, -123456789012.5, 999999999999.5, 12345678901.25,
+     1234567890.125, 1000000000005.0, 1000000000015.0],
+])
+
+
+class TestRoundAsWritten:
+    """The grid writer's array rounding equals a ``%.12g`` round trip bit for bit."""
+
+    def test_fixed_cases(self):
+        assert _bits(session._round_as_written(_ROUNDING_CASES)) == _bits(
+            _as_written(_ROUNDING_CASES)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_double(self, values):
+        assert _bits(session._round_as_written(values)) == _bits(_as_written(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.2, 0.9), min_size=1, max_size=200))
+    def test_cell_means(self, values):
+        assert _bits(session._round_as_written(values)) == _bits(_as_written(values))
+
+    def test_keeps_the_shape(self):
+        values = np.random.default_rng(2).uniform(0.2, 0.8, (3, 2, 4, 3))
+        np.testing.assert_array_equal(session._round_as_written(values), _as_written(values))
+
+
+class TestGridStore:
+    """Grid stores hold the header's frames of cells, as the meta file's rows x cols."""
 
     @staticmethod
     def write(tmp_path, n_frames=4, rows=2, cols=3):
@@ -210,59 +331,72 @@ class TestGridCsv:
             rng.uniform(0.2, 0.8, (n_frames, rows, cols, 3)), 30.0, 1.5, (4, 8), 20,
             rng.uniform(0.0, 1.0, (rows, cols)),
         )
-        write_grid(tmp_path / "grid.csv", tmp_path / "grid.json", grid)
-        lines = (tmp_path / "grid.csv").read_text().splitlines()
-        return grid, lines
+        write_grid(tmp_path / "grid.rgm", tmp_path / "grid.json", grid)
+        return grid
 
     @staticmethod
-    def read(tmp_path, lines):
-        (tmp_path / "grid.csv").write_text("\n".join(lines) + "\n")
-        return read_grid(tmp_path / "grid.csv", tmp_path / "grid.json")
+    def read(tmp_path):
+        return read_grid(tmp_path / "grid.rgm", tmp_path / "grid.json")
 
-    def test_round_trip(self, tmp_path):
-        grid, lines = self.write(tmp_path)
-        back = self.read(tmp_path, lines)
-        np.testing.assert_allclose(back.values, grid.values, rtol=1e-11)
+    # The writer rounds and writes blocks of whole frames; 18 values are one
+    # frame of 2x3 cells.
+    @pytest.mark.parametrize("block_values", [None, 18, 36], ids=["default", "1-frame", "2-frame"])
+    def test_round_trip(self, tmp_path, monkeypatch, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(session, "_GRID_BLOCK_VALUES", block_values)
+        grid = self.write(tmp_path)
+        back = self.read(tmp_path)
+        assert back.values.shape == (4, 2, 3, 3)
+        assert _bits(back.values) == _bits(_as_written(grid.values))
         np.testing.assert_array_equal(back.skin_fraction, grid.skin_fraction)
         assert (back.sample_rate_hz, back.start_time_s) == (30.0, 1.5)
+        assert (back.origin_px, back.cell_px) == ((4, 8), 20)
+        assert (tmp_path / "grid.rgm").stat().st_size == 16 + 4 * 2 * 3 * 3 * 8
 
-    def test_short_file_names_the_incomplete_frame(self, tmp_path):
-        _, lines = self.write(tmp_path)
-        with pytest.raises(ValueError, match=r"grid\.csv: 22 data lines do not fill whole "
-                           r"frames of 2x3 cells; the frame starting at line 20 is incomplete"):
-            self.read(tmp_path, lines[:-2])
+    def test_old_csv_grid_rejected(self, tmp_path):
+        self.write(tmp_path)
+        (tmp_path / "grid.rgm").write_text("time_s,row,col,r,g,b\n1.5,0,0,0.5,0.5,0.5\n")
+        with pytest.raises(ValueError, match=r"grid\.rgm: bad grid-store magic b'time'.*"
+                           r"re-run `bodyppg synth`"):
+            self.read(tmp_path)
 
-    def test_swapped_cell_rows_rejected(self, tmp_path):
-        _, lines = self.write(tmp_path)
-        lines[9], lines[10] = lines[10], lines[9]  # frame 1, cells (0, 2) and (1, 0)
-        with pytest.raises(
-            ValueError, match=r"grid\.csv, line 10: expected row 0, col 2 .* found row 1, col 0$"
-        ):
-            self.read(tmp_path, lines)
+    def test_truncated_header_rejected(self, tmp_path):
+        self.write(tmp_path)
+        path = tmp_path / "grid.rgm"
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match=r"grid\.rgm: truncated grid-store header"):
+            self.read(tmp_path)
 
-    def test_wrong_col_value_rejected(self, tmp_path):
-        _, lines = self.write(tmp_path)
-        fields = lines[15].split(",")
-        fields[2] = "7"
-        lines[15] = ",".join(fields)
-        wanted = r"line 16: expected row 0, col 2 .* found row 0, col 7$"
+    def test_truncated_payload_rejected(self, tmp_path):
+        self.write(tmp_path)
+        path = tmp_path / "grid.rgm"
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError, match=r"grid\.rgm: truncated grid values: the file has "
+                           r"582 bytes, but its header declares 4 frames of 2x3x3 float64, "
+                           r"592 bytes with the header$"):
+            self.read(tmp_path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        self.write(tmp_path)
+        path = tmp_path / "grid.rgm"
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match=r"grid\.rgm: trailing bytes: the file has 600 "
+                           r"bytes, but its header declares 4 frames"):
+            self.read(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("rows", 3), ("cols", 2)])
+    def test_shape_must_match_the_meta(self, tmp_path, key, value):
+        import json
+
+        self.write(tmp_path)
+        meta_path = tmp_path / "grid.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        wanted = (re.escape(f"{tmp_path / 'grid.rgm'}: the header declares 2x3 cells, but ")
+                  + re.escape(f"{meta_path} declares {meta['rows']}x{meta['cols']}"))
         with pytest.raises(ValueError, match=wanted):
-            self.read(tmp_path, lines)
-
-    def test_time_must_be_constant_within_a_frame(self, tmp_path):
-        _, lines = self.write(tmp_path)
-        fields = lines[5].split(",")
-        fields[0] = "1.51"
-        lines[5] = ",".join(fields)
-        wanted = r"line 6: time_s 1.51 differs from its frame's time_s 1.5$"
-        with pytest.raises(ValueError, match=wanted):
-            self.read(tmp_path, lines)
-
-    def test_frame_times_must_increase(self, tmp_path):
-        _, lines = self.write(tmp_path)
-        lines[1:7], lines[7:13] = lines[7:13], lines[1:7]  # frames 0 and 1 swapped
-        with pytest.raises(ValueError, match=r"line 8: frame time_s 1.5 does not increase"):
-            self.read(tmp_path, lines)
+            self.read(tmp_path)
 
 
 class TestRasters:
@@ -575,7 +709,13 @@ class TestManifest:
         )
         (site_a, path_a, _), (site_b, path_b, _) = manifest.sensors[:2]
         lines = path_a.read_text().splitlines(keepends=True)
-        path_a.write_text("".join(lines[:100] + lines[120:]))  # 20 rows lost: a lower rate
+        # 20 rows lost and the rest retimed evenly over the same span: a
+        # regular stream at a lower rate.
+        rows = lines[1:100] + lines[120:]
+        times = np.linspace(0.0, float(rows[-1].split(",")[0]), len(rows))
+        path_a.write_text(lines[0] + "".join(
+            f"{t:.12g},{row.split(',', 1)[1]}" for t, row in zip(times, rows)
+        ))
         wanted = (re.escape(f"{path_a}, {path_b}: channels '{site_a}' and '{site_b}' differ in ")
                   + r"sample rate: 398\.\d+ Hz and 400 Hz$")
         with pytest.raises(ValueError, match=wanted):
