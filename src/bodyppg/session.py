@@ -516,9 +516,15 @@ def write_grid(path_means: Path | str, path_meta: Path | str, grid: SubregionGri
 def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
     """Grid written by :func:`write_grid`. The store must have the magic,
     exactly the values its header declares, and the rows and cols of the
-    meta file."""
+    meta file, whose rate must be finite and positive so frame times increase."""
     with open(path_meta) as fh:
         meta = json.load(fh)
+    fps = meta["sample_rate_hz"]
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(
+            f"{path_meta}: sample_rate_hz {fps} must be finite and positive, "
+            "or the frame times of the grid do not increase"
+        )
     with open(path_means, "rb") as fh:
         header = fh.read(_GRID_HEADER.size)
         magic = header[:4]
@@ -537,14 +543,20 @@ def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
                 f"{path_meta} declares {meta['rows']}x{meta['cols']}"
             )
         size = os.fstat(fh.fileno()).st_size
-        expected = _GRID_HEADER.size + n * rows * cols * 3 * 8
+        frame_bytes = rows * cols * 3 * 8
+        expected = _GRID_HEADER.size + n * frame_bytes
         if size != expected:
             problem = "truncated grid values" if size < expected else "trailing bytes"
-            raise ValueError(
+            message = (
                 f"{path_means}: {problem}: the file has {size} bytes, but its header "
                 f"declares {n} frames of {rows}x{cols}x3 float64, {expected} bytes "
                 "with the header"
             )
+            if size < expected:
+                whole = (size - _GRID_HEADER.size) // frame_bytes
+                message += (f"; frame {whole}, starting at byte "
+                            f"{_GRID_HEADER.size + whole * frame_bytes}, is incomplete")
+            raise ValueError(message)
         values = np.empty((n, rows, cols, 3), dtype="<f8")
         fh.readinto(values.data)
     return SubregionGrid(

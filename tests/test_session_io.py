@@ -321,31 +321,44 @@ class TestRoundAsWritten:
         np.testing.assert_array_equal(session._round_as_written(values), _as_written(values))
 
 
-class TestGridStore:
-    """Grid stores hold the header's frames of cells, as the meta file's rows x cols."""
+def _write_grid_store(tmp_path, n_frames=4, rows=2, cols=3):
+    rng = np.random.default_rng(5)
+    grid = SubregionGrid(
+        rng.uniform(0.2, 0.8, (n_frames, rows, cols, 3)), 30.0, 1.5, (4, 8), 20,
+        rng.uniform(0.0, 1.0, (rows, cols)),
+    )
+    write_grid(tmp_path / "grid.rgm", tmp_path / "grid.json", grid)
+    return grid
 
-    @staticmethod
-    def write(tmp_path, n_frames=4, rows=2, cols=3):
-        rng = np.random.default_rng(5)
-        grid = SubregionGrid(
-            rng.uniform(0.2, 0.8, (n_frames, rows, cols, 3)), 30.0, 1.5, (4, 8), 20,
-            rng.uniform(0.0, 1.0, (rows, cols)),
-        )
-        write_grid(tmp_path / "grid.rgm", tmp_path / "grid.json", grid)
-        return grid
 
-    @staticmethod
-    def read(tmp_path):
-        return read_grid(tmp_path / "grid.rgm", tmp_path / "grid.json")
+def _read_grid_store(tmp_path):
+    return read_grid(tmp_path / "grid.rgm", tmp_path / "grid.json")
+
+
+def _edit_grid_meta(tmp_path, key, value):
+    import json
+
+    meta_path = tmp_path / "grid.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    return meta_path, meta
+
+
+class TestGridCsv:
+    """The grid store keeps what the grid CSV it replaced guaranteed: the
+    ``%.12g`` values of whole frames, at frame times that increase."""
 
     # The writer rounds and writes blocks of whole frames; 18 values are one
     # frame of 2x3 cells.
-    @pytest.mark.parametrize("block_values", [None, 18, 36], ids=["default", "1-frame", "2-frame"])
-    def test_round_trip(self, tmp_path, monkeypatch, block_values):
-        if block_values is not None:
-            monkeypatch.setattr(session, "_GRID_BLOCK_VALUES", block_values)
-        grid = self.write(tmp_path)
-        back = self.read(tmp_path)
+    @pytest.fixture(autouse=True, params=[None, 18, 36], ids=["default", "1-frame", "2-frame"])
+    def write_block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(session, "_GRID_BLOCK_VALUES", request.param)
+
+    def test_round_trip(self, tmp_path):
+        grid = _write_grid_store(tmp_path)
+        back = _read_grid_store(tmp_path)
         assert back.values.shape == (4, 2, 3, 3)
         assert _bits(back.values) == _bits(_as_written(grid.values))
         np.testing.assert_array_equal(back.skin_fraction, grid.skin_fraction)
@@ -353,50 +366,60 @@ class TestGridStore:
         assert (back.origin_px, back.cell_px) == ((4, 8), 20)
         assert (tmp_path / "grid.rgm").stat().st_size == 16 + 4 * 2 * 3 * 3 * 8
 
-    def test_old_csv_grid_rejected(self, tmp_path):
-        self.write(tmp_path)
-        (tmp_path / "grid.rgm").write_text("time_s,row,col,r,g,b\n1.5,0,0,0.5,0.5,0.5\n")
-        with pytest.raises(ValueError, match=r"grid\.rgm: bad grid-store magic b'time'.*"
-                           r"re-run `bodyppg synth`"):
-            self.read(tmp_path)
-
-    def test_truncated_header_rejected(self, tmp_path):
-        self.write(tmp_path)
-        path = tmp_path / "grid.rgm"
-        path.write_bytes(path.read_bytes()[:10])
-        with pytest.raises(ValueError, match=r"grid\.rgm: truncated grid-store header"):
-            self.read(tmp_path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        self.write(tmp_path)
+    def test_short_file_names_the_incomplete_frame(self, tmp_path):
+        _write_grid_store(tmp_path)
         path = tmp_path / "grid.rgm"
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match=r"grid\.rgm: truncated grid values: the file has "
                            r"582 bytes, but its header declares 4 frames of 2x3x3 float64, "
-                           r"592 bytes with the header$"):
-            self.read(tmp_path)
+                           r"592 bytes with the header; frame 3, starting at byte 448, "
+                           r"is incomplete$"):
+            _read_grid_store(tmp_path)
+
+    def test_frame_times_must_increase(self, tmp_path):
+        # Frame i is at start_time_s + i / sample_rate_hz of the meta file.
+        _write_grid_store(tmp_path)
+        for fps in [0.0, -30.0, float("nan"), float("inf")]:
+            meta_path, _ = _edit_grid_meta(tmp_path, "sample_rate_hz", fps)
+            wanted = re.escape(f"{meta_path}: sample_rate_hz {fps} must be finite and "
+                               "positive, or the frame times of the grid do not increase")
+            with pytest.raises(ValueError, match=wanted):
+                _read_grid_store(tmp_path)
+
+
+class TestGridStore:
+    """Grid stores hold the header's frames of cells, as the meta file's rows x cols."""
+
+    def test_old_csv_grid_rejected(self, tmp_path):
+        _write_grid_store(tmp_path)
+        (tmp_path / "grid.rgm").write_text("time_s,row,col,r,g,b\n1.5,0,0,0.5,0.5,0.5\n")
+        with pytest.raises(ValueError, match=r"grid\.rgm: bad grid-store magic b'time'.*"
+                           r"re-run `bodyppg synth`"):
+            _read_grid_store(tmp_path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        _write_grid_store(tmp_path)
+        path = tmp_path / "grid.rgm"
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match=r"grid\.rgm: truncated grid-store header"):
+            _read_grid_store(tmp_path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        self.write(tmp_path)
+        _write_grid_store(tmp_path)
         path = tmp_path / "grid.rgm"
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match=r"grid\.rgm: trailing bytes: the file has 600 "
-                           r"bytes, but its header declares 4 frames"):
-            self.read(tmp_path)
+                           r"bytes, but its header declares 4 frames[^;]*$"):
+            _read_grid_store(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("rows", 3), ("cols", 2)])
     def test_shape_must_match_the_meta(self, tmp_path, key, value):
-        import json
-
-        self.write(tmp_path)
-        meta_path = tmp_path / "grid.json"
-        meta = json.loads(meta_path.read_text())
-        meta[key] = value
-        meta_path.write_text(json.dumps(meta))
+        _write_grid_store(tmp_path)
+        meta_path, meta = _edit_grid_meta(tmp_path, key, value)
         wanted = (re.escape(f"{tmp_path / 'grid.rgm'}: the header declares 2x3 cells, but ")
                   + re.escape(f"{meta_path} declares {meta['rows']}x{meta['cols']}"))
         with pytest.raises(ValueError, match=wanted):
-            self.read(tmp_path)
+            _read_grid_store(tmp_path)
 
 
 class TestRasters:
