@@ -40,6 +40,8 @@ from .pulse_rate import DEFAULT_BAND_BPM, DEFAULT_RATE_PLAN, stft_pulse_rate
 from .rppg import MethodConfig, extract_pulse
 from .session import (
     SessionManifest,
+    _is_int,
+    _is_number,
     read_rate_csv,
     read_waveform_csv,
     write_csv,
@@ -47,7 +49,7 @@ from .session import (
     write_rate_csv,
     write_waveform_csv,
 )
-from .signals import WindowPlan
+from .signals import WindowPlan, window_starts
 from .synthetic_session import SyntheticSessionConfig, build_synthetic_session
 from .transit_time import (
     DEFAULT_MAX_LAG_S,
@@ -216,35 +218,39 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     grid = manifest.load_grid(roi)
     length_s = _param(params, "window_s", DEFAULT_SCORE_PLAN.length_s)
     plan = WindowPlan(length_s, _param(params, "stride_s", length_s))
+    fs = grid.sample_rate_hz
+    starts = window_starts(grid.n_frames, fs, plan).tolist()
     ref = _reference_rates(manifest, params)
-    frames = score_grid(grid, ref, plan)
-
     poses = manifest.load_poses()
     target = average_pose(poses) if poses else None
+    # Each window is a grid of its own, placed by its start time, so it is
+    # scored as one non-overlapping window whatever the stride.
+    window_plan = WindowPlan(length_s, length_s)
 
-    mae_maps, snr_maps = [], []
-    for frame in frames:
-        write_csv(stage.path(f"frame_{frame.window_index:03d}_mae.csv"), [frame.mae_map])
-        write_csv(stage.path(f"frame_{frame.window_index:03d}_snr.csv"), [frame.snr_map])
-        up = upsample_frame(frame, grid.cell_px)
-        # MAE and SNR maps as one stack, so a window warps through one
-        # homography once.
-        maps = np.stack([up["mae"], up["snr"]])
-        maps[:, ~up["mask"]] = np.nan
-        if target is not None:
-            center = frame.window_start_s + plan.length_s / 2.0
-            nearest = min(poses, key=lambda p: abs(p.frame_time_s - center))
-            h = homography_from_poses(nearest, target)
-            size = (maps.shape[2], maps.shape[1])
-            maps = grid_module.warp_error_frame(maps, h, size)
-        mae_maps.append(maps[0])
-        snr_maps.append(maps[1])
+    def warped_maps():
+        """Per window: its two CSVs, then its MAE and SNR maps as one stack,
+        upsampled and warped, so a window warps through one homography once."""
+        for widx, window in enumerate(grid.windows(starts, plan.length_samples(fs))):
+            (frame,) = score_grid(window, ref, window_plan)
+            write_csv(stage.path(f"frame_{widx:03d}_mae.csv"), [frame.mae_map])
+            write_csv(stage.path(f"frame_{widx:03d}_snr.csv"), [frame.snr_map])
+            up = upsample_frame(frame, grid.cell_px)
+            maps = np.stack([up["mae"], up["snr"]])
+            maps[:, ~up["mask"]] = np.nan
+            del up  # the stack copied these maps; free them before the warp's temporaries
+            if target is not None:
+                center = frame.window_start_s + plan.length_s / 2.0
+                nearest = min(poses, key=lambda p: abs(p.frame_time_s - center))
+                h = homography_from_poses(nearest, target)
+                size = (maps.shape[2], maps.shape[1])
+                maps = grid_module.warp_error_frame(maps, h, size)
+            yield maps
 
-    mae_mean, count = aggregate_heatmap(mae_maps)
-    snr_mean, _ = aggregate_heatmap(snr_maps)
-    write_csv(stage.path("aggregate_mae.csv"), [mae_mean])
-    write_csv(stage.path("aggregate_snr.csv"), [snr_mean])
-    write_csv(stage.path("aggregate_count.csv"), [count])
+    # Running sums over the windows: one window's maps exist at a time.
+    means, counts = aggregate_heatmap(warped_maps())
+    write_csv(stage.path("aggregate_mae.csv"), [means[0]])
+    write_csv(stage.path("aggregate_snr.csv"), [means[1]])
+    write_csv(stage.path("aggregate_count.csv"), [counts[0]])
     write_json(
         stage.path("grid_meta.json"),
         {
@@ -254,7 +260,7 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             "cell_px": grid.cell_px,
             "origin_px": list(grid.origin_px),
             "window_s": plan.length_s,
-            "n_error_frames": len(frames),
+            "n_error_frames": len(starts),
             "upsample_factor": grid.cell_px,
             "aligned_to_average_pose": bool(target is not None),
             "mask_provenance": "skin_fraction >= 0.5 from manifest grid meta",
@@ -414,10 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _config_value(key: str, value):
     """A parameter held to its flag's type and choices, as argparse holds the
     flag; ``band_bpm`` may also be two numbers and ``out_dir`` a path."""
@@ -426,8 +428,7 @@ def _config_value(key: str, value):
     if kind is _parse_band and isinstance(value, str):
         return _parse_band(value)
     if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        expected = "an integer"
+        ok, expected = _is_int(value), "an integer"
     elif kind is float:
         ok, expected = _is_number(value), "a number"
     elif kind is _parse_band:

@@ -10,7 +10,8 @@ module never touches raw frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +89,19 @@ class SubregionGrid:
     @property
     def duration_s(self) -> float:
         return self.n_frames / self.sample_rate_hz
+
+    def at_frame(self, start: int, values: np.ndarray) -> "SubregionGrid":
+        """This grid's cells over ``values``, the frames from this grid's frame
+        ``start`` on: the result starts at that frame's time."""
+        return replace(
+            self, values=values, start_time_s=self.start_time_s + start / self.sample_rate_hz
+        )
+
+    def windows(self, starts: Iterable[int], n: int) -> Iterator["SubregionGrid"]:
+        """For each of ``starts``, the grid of frames [start, start + n), a view
+        of this grid's values."""
+        for start in starts:
+            yield self.at_frame(start, self.values[start : start + n])
 
     def cell_trace(
         self, row: int, col: int, start: int = 0, stop: int | None = None
@@ -401,18 +415,28 @@ def warp_error_frame(
 
 
 def aggregate_heatmap(
-    frames: list[np.ndarray],
+    frames: Iterable[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel mean over defined values only, plus a contribution count map.
 
+    ``frames`` may be any iterable of equally shaped maps, or stacks of maps,
+    a generator included: each is added to running sums and counts as it
+    comes, so only one needs to exist at a time. The sums add the maps in
+    order, the same bits as a sum of their stack along its first axis.
     Pixels defined in zero frames stay NaN rather than being zero-filled.
     """
-    if not frames:
+    total = count = None
+    for frame in frames:
+        frame = np.asarray(frame, dtype=np.float64)
+        if total is None:
+            total, count = np.zeros(frame.shape), np.zeros(frame.shape, dtype=int)
+        elif frame.shape != total.shape:
+            raise ValueError(f"frames must share one shape: {frame.shape} after {total.shape}")
+        defined = np.isfinite(frame)
+        total += np.where(defined, frame, 0.0)
+        count += defined
+    if total is None:
         raise ValueError("need at least one frame to aggregate")
-    stack = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
-    defined = np.isfinite(stack)
-    count = defined.sum(axis=0)
-    total = np.where(defined, stack, 0.0).sum(axis=0)
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     return mean, count

@@ -60,6 +60,8 @@ __all__ = [
     "write_frame_dump",
     "read_poses_json",
     "write_poses_json",
+    "GridStore",
+    "open_grid_store",
     "read_grid",
     "write_grid",
     "extract_traces",
@@ -513,18 +515,120 @@ def write_grid(path_means: Path | str, path_meta: Path | str, grid: SubregionGri
     write_json(path_meta, meta)
 
 
-def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
-    """Grid written by :func:`write_grid`. The store must have the magic,
-    exactly the values its header declares, and the rows and cols of the
-    meta file, whose rate must be finite and positive so frame times increase."""
+class GridStore:
+    """A grid store whose header, size and sidecar :func:`open_grid_store`
+    checked.
+
+    It holds no cell means: ``n_frames`` is the header's frame count, the
+    rate, start time and geometry are the sidecar's, and :meth:`windows`
+    reads frames.
+    """
+
+    def __init__(self, path: Path | str, n_frames: int, geometry: SubregionGrid):
+        self.path, self.n_frames, self._geometry = path, n_frames, geometry
+        self.rows, self.cols = geometry.rows, geometry.cols
+        self.sample_rate_hz, self.start_time_s = geometry.sample_rate_hz, geometry.start_time_s
+        self.origin_px, self.cell_px = geometry.origin_px, geometry.cell_px
+
+    def windows(self, starts, n: int):
+        """For each of ``starts``, the grid of frames [start, start + n), all
+        read into one buffer: a window holds its frames only until the next is
+        read. Each block must be whole, and each mean finite and non-negative."""
+        buffer = np.empty((n, self.rows, self.cols, 3), dtype="<f8")
+        frame_bytes = self.rows * self.cols * 3 * 8
+        with open(self.path, "rb") as fh:
+            for start in starts:
+                fh.seek(_GRID_HEADER.size + start * frame_bytes)
+                got = fh.readinto(buffer.data)
+                if got != buffer.nbytes:
+                    raise ValueError(
+                        f"{self.path}: truncated grid values: read {got} of {buffer.nbytes} "
+                        f"bytes of frames {start} to {start + n - 1}; frame "
+                        f"{start + got // frame_bytes} is missing, so the file shrank "
+                        "after its size was checked"
+                    )
+                _check_cell_means(self.path, buffer, start)
+                yield self._geometry.at_frame(start, buffer)
+
+
+def _check_cell_means(path: Path | str, block: np.ndarray, first_frame: int) -> None:
+    """Cell means are averages of pixel intensities: each value of ``block``,
+    frames ``first_frame`` onwards of ``path``, must be finite and non-negative."""
+    # min() is NaN if any value is; only a failing block is searched.
+    if not block.size or (block.min() >= 0 and np.isfinite(block.max())):
+        return
+    f, row, col, ch = np.argwhere(~(block >= 0) | np.isinf(block))[0].tolist()
+    raise ValueError(
+        f"{path}: frame {first_frame + f}, cell ({row}, {col}) has a {'RGB'[ch]} mean of "
+        f"{float(block[f, row, col, ch])!r}; cell means must be finite and non-negative"
+    )
+
+
+# Every key of a grid store's sidecar; the reader needs each.
+_GRID_META_KEYS = ("rows", "cols", "cell_px", "origin_px", "sample_rate_hz", "start_time_s",
+                   "skin_fraction")
+
+
+def _read_grid_meta(path_meta: Path | str) -> dict:
+    """A grid sidecar with every key, whose rate is finite and positive."""
     with open(path_meta) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path_meta}: not a JSON grid sidecar: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path_meta}: a grid sidecar must hold a JSON object")
+    for key in _GRID_META_KEYS:
+        if key not in meta:
+            raise ValueError(f"{path_meta}: the grid sidecar has no key {key!r}")
     fps = meta["sample_rate_hz"]
-    if not (math.isfinite(fps) and fps > 0):
+    if not (_is_number(fps) and math.isfinite(fps) and fps > 0):
         raise ValueError(
             f"{path_meta}: sample_rate_hz {fps} must be finite and positive, "
             "or the frame times of the grid do not increase"
         )
+    return meta
+
+
+def _grid_geometry(path_meta: Path | str, meta: dict, rows: int, cols: int) -> SubregionGrid:
+    """The sidecar's rate, start time and geometry over zero frames of
+    ``rows`` x ``cols`` cells."""
+    try:
+        skin = np.asarray(meta["skin_fraction"], dtype=np.float64)
+    except (TypeError, ValueError):
+        skin = None
+    if skin is None or skin.shape != (rows, cols):
+        raise ValueError(
+            f"{path_meta}: skin_fraction must be a {rows}x{cols} array of numbers, "
+            "one per cell"
+        )
+    start_s, origin, cell_px = meta["start_time_s"], meta["origin_px"], meta["cell_px"]
+    if not (_is_int(cell_px) and cell_px >= 1):
+        raise ValueError(f"{path_meta}: cell_px {cell_px!r} must be an integer of at least 1")
+    if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_int, origin))):
+        raise ValueError(f"{path_meta}: origin_px {origin!r} must be two integers")
+    if not (_is_number(start_s) and math.isfinite(start_s)):
+        raise ValueError(f"{path_meta}: start_time_s {start_s!r} must be a finite number")
+    return SubregionGrid(np.empty((0, rows, cols, 3)), meta["sample_rate_hz"], start_s,
+                         tuple(origin), cell_px, skin)
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool, as a JSON integer parses."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or float that is not a bool, as a JSON number parses."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def open_grid_store(path_means: Path | str, path_meta: Path | str) -> GridStore:
+    """A :class:`GridStore` of a store :func:`write_grid` wrote. Only the
+    header and the sidecar are read: the store must have the magic, exactly
+    the values its header declares, and the rows and cols of the sidecar,
+    whose rate must be finite and positive so frame times increase."""
+    meta = _read_grid_meta(path_meta)
     with open(path_means, "rb") as fh:
         header = fh.read(_GRID_HEADER.size)
         magic = header[:4]
@@ -557,16 +661,15 @@ def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
                 message += (f"; frame {whole}, starting at byte "
                             f"{_GRID_HEADER.size + whole * frame_bytes}, is incomplete")
             raise ValueError(message)
-        values = np.empty((n, rows, cols, 3), dtype="<f8")
-        fh.readinto(values.data)
-    return SubregionGrid(
-        values=values,
-        sample_rate_hz=meta["sample_rate_hz"],
-        start_time_s=meta["start_time_s"],
-        origin_px=tuple(meta["origin_px"]),
-        cell_px=meta["cell_px"],
-        skin_fraction=np.asarray(meta["skin_fraction"], dtype=np.float64),
-    )
+    return GridStore(path_means, n, _grid_geometry(path_meta, meta, rows, cols))
+
+
+def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
+    """The whole grid of a store :func:`write_grid` wrote: the one window of
+    :meth:`GridStore.windows` over all its frames."""
+    store = open_grid_store(path_means, path_meta)
+    (grid,) = store.windows([0], store.n_frames)
+    return grid
 
 
 def _cell_sums(a: np.ndarray, rows: int, cols: int, cell_px: int) -> np.ndarray:
@@ -843,12 +946,13 @@ class SessionManifest:
             self._parsed["sensors"] = (channels, oximeter)
         return SensorBank(*self._parsed["sensors"], delta_y_bpm)
 
-    def load_grid(self, roi: str) -> SubregionGrid:
-        """Grid cell means from their grid store, or extracted from the frame
-        dump in cells of ``DEFAULT_CELL_PX``."""
+    def load_grid(self, roi: str) -> GridStore | SubregionGrid:
+        """The ROI's grid store, checked but not read, or its grid extracted
+        from the frame dump in cells of ``DEFAULT_CELL_PX``. Both read their
+        windows with ``windows()``."""
         if roi in self.grid_paths:
             self.files_read.extend(self.grid_paths[roi])
-            return read_grid(*self.grid_paths[roi])
+            return open_grid_store(*self.grid_paths[roi])
         masked = self._masked_rois()
         if roi not in masked:
             valid = sorted(set(self.grid_paths) | masked)

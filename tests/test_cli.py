@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import shutil
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -11,14 +12,18 @@ import pytest
 import bodyppg.session
 import loop_reference
 from bodyppg.cli import _COMMANDS, _FLAGS, main, ptt_window_rows, run_pipeline
+from bodyppg.grid import score_grid
 from bodyppg.pulse_rate import PulseRateSeries
 from bodyppg.session import (
+    read_grid,
     read_rate_csv,
+    write_csv,
     write_frame_dump,
     write_oximeter_csv,
     write_pgm,
     write_rate_csv,
 )
+from bodyppg.signals import WindowPlan
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
 from bodyppg.transit_time import PTTMatrix
 
@@ -144,6 +149,47 @@ class TestGridMapCommand:
         assert m.shape == (3, 4)
         # masked corner cell stays undefined
         assert np.isnan(m[2, 3])
+
+    @pytest.mark.parametrize("stride", ["4", "10", "13"])
+    def test_windows_read_one_at_a_time_score_as_the_whole_grid(self, session, tmp_path,
+                                                                 stride):
+        rates = tmp_path / "rates"
+        assert main(["fuse-gt", "--manifest", str(session / "manifest.json"),
+                     "--out-dir", str(rates)]) == 0
+        out = tmp_path / "gm"
+        assert main(["grid-map", "--manifest", str(session / "manifest.json"),
+                     "--ref-rates", str(rates / "fused_rates.csv"), "--stride-s", stride,
+                     "--out-dir", str(out)]) == 0
+        grid = read_grid(session / "grid_face.rgm", session / "grid_face.json")
+        frames = score_grid(grid, read_rate_csv(rates / "fused_rates.csv"),
+                            WindowPlan(10.0, float(stride)))
+        assert json.loads((out / "grid_meta.json").read_text())["n_error_frames"] == len(frames)
+        for frame in frames:
+            for name, m in (("mae", frame.mae_map), ("snr", frame.snr_map)):
+                want = tmp_path / "want.csv"
+                write_csv(want, [m])
+                got = out / f"frame_{frame.window_index:03d}_{name}.csv"
+                assert got.read_bytes() == want.read_bytes(), got.name
+
+    def test_bad_cell_mean_fails_naming_the_frame_and_cell(self, session, tmp_path, capsys):
+        root = tmp_path / "session"
+        shutil.copytree(session, root)
+        store = root / "grid_face.rgm"
+        data = bytearray(store.read_bytes())
+        # Frame 1500 (in the second window), cell (1, 2) of 3x4, green.
+        offset = 16 + 8 * (((1500 * 3 + 1) * 4 + 2) * 3 + 1)
+        data[offset : offset + 8] = struct.pack("<d", -0.5)
+        store.write_bytes(bytes(data))
+        capsys.readouterr()
+        out = tmp_path / "gm"
+        assert main(["grid-map", "--manifest", str(root / "manifest.json"),
+                     "--out-dir", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": (
+            f"{store}: frame 1500, cell (1, 2) has a G mean of -0.5; "
+            "cell means must be finite and non-negative")}
+        # The first window's CSVs were written, and removed with the failure.
+        assert list(out.iterdir()) == []
 
 
 class TestConfigHandling:
@@ -613,11 +659,12 @@ class TestEachInputParsedOnce:
         }
         want = set().union(*(groups.get(n, {n}) for n in parsed))
         reads = _count_calls(monkeypatch, bodyppg.session, "_load_csv")
-        grid_reads = _count_calls(monkeypatch, bodyppg.session, "read_grid")
+        grid_reads = _count_calls(monkeypatch, bodyppg.session, "open_grid_store")
         out = tmp_path / "out"
         assert main(argv + ["--manifest", str(session / "manifest.json"),
                             "--out-dir", str(out)]) == 0
-        # The grid store is read whole by read_grid; CSVs are parsed by _load_csv.
+        # The grid store's header and sidecar are checked once by open_grid_store,
+        # which then reads it window by window; CSVs are parsed by _load_csv.
         grids = {n for n in want if n.endswith(".rgm")}
         assert Counter(Path(p).name for p in reads) == dict.fromkeys(want - grids, 1)
         assert Counter(Path(p).name for p in grid_reads) == dict.fromkeys(grids, 1)

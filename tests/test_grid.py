@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from bodyppg import (
     warp_error_frame,
 )
 from bodyppg.grid import ErrorFrame, grid_geometry
+from bodyppg.signals import window_starts
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
 
 import loop_reference
@@ -156,6 +158,23 @@ class TestScoreGridOracle:
         self.assert_frames_equal(got, loop_reference.score_grid(grid, ref, plan))
         assert np.isnan(got[0].mae_map[[0, 0, 0, 2], [0, 1, 2, 3]]).all()
         assert np.isfinite(got[-1].mae_map[2, 3])
+
+    @pytest.mark.parametrize("plan", [WindowPlan(10.0, 10.0), WindowPlan(10.0, 4.0),
+                                      WindowPlan(7.3, 3.1), WindowPlan(6.0, 9.5)])
+    def test_one_window_grids_score_as_the_whole_grid(self, plan):
+        # grid-map scores each window as a grid of its own, placed by its start
+        # time and scored as one non-overlapping window.
+        grid = self.edge_grid(start_time_s=2.5)
+        times = np.arange(5.0, 45.0, 1.0)
+        ref = PulseRateSeries(times, np.linspace(65.0, 80.0, times.size), 10.0, (40.0, 180.0))
+        want = score_grid(grid, ref, plan)
+        starts = window_starts(grid.n_frames, FS, plan).tolist()
+        got = []
+        for widx, window in enumerate(grid.windows(starts, plan.length_samples(FS))):
+            assert np.shares_memory(window.values, grid.values)
+            (frame,) = score_grid(window, ref, WindowPlan(plan.length_s, plan.length_s))
+            got.append(replace(frame, window_index=widx))
+        self.assert_frames_equal(got, want)
 
     def test_band_beyond_nyquist_leaves_every_cell_undefined(self):
         grid = self.edge_grid()
@@ -402,6 +421,59 @@ class TestAggregate:
         mean, count = aggregate_heatmap([a, a])
         assert np.all(np.isnan(mean))
         assert np.all(count == 0)
+
+    def test_no_frames_rejected(self):
+        with pytest.raises(ValueError, match="need at least one frame"):
+            aggregate_heatmap(iter([]))
+
+    def test_frames_of_another_shape_rejected(self):
+        # Adding a (1, 4) map to (3, 4) sums would broadcast, not fail.
+        with pytest.raises(ValueError, match=r"one shape: \(1, 4\) after \(3, 4\)"):
+            aggregate_heatmap([np.ones((3, 4)), np.ones((1, 4))])
+
+
+def stacked_aggregate(frames):
+    """The aggregation the running sums replaced: one stack of every map,
+    summed along its first axis."""
+    stack = np.stack(frames)
+    defined = np.isfinite(stack)
+    count = defined.sum(axis=0)
+    total = np.where(defined, stack, 0.0).sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    return mean, count
+
+
+class TestRunningAggregate:
+    """Running sums, fed one map at a time, give the stacked sum's bits."""
+
+    def test_equals_the_stacked_sum_for_1_to_40_maps(self):
+        rng = np.random.default_rng(11)
+        # Magnitudes over six decades, so the order of the additions shows in
+        # the last bits; -0.0 and whole NaN rows are in as well.
+        maps = []
+        for _ in range(40):
+            m = nan_scattered_map(rng, (300, 400), nan_fraction=0.3)
+            m *= 10.0 ** rng.uniform(-3.0, 3.0, m.shape)
+            m[rng.random(m.shape) < 0.01] = -0.0
+            m[rng.integers(300)] = np.nan
+            maps.append(m)
+        for k in range(1, 41):
+            mean, count = aggregate_heatmap(iter(maps[:k]))
+            want_mean, want_count = stacked_aggregate(maps[:k])
+            assert mean.view(np.int64).tolist() == want_mean.view(np.int64).tolist(), k
+            assert count.dtype == want_count.dtype
+            np.testing.assert_array_equal(count, want_count)
+
+    def test_a_stack_aggregates_as_its_maps_alone(self):
+        rng = np.random.default_rng(12)
+        pairs = [np.stack([nan_scattered_map(rng, (30, 40)) for _ in range(2)])
+                 for _ in range(7)]
+        mean, count = aggregate_heatmap(pairs)
+        for i in range(2):
+            want_mean, want_count = stacked_aggregate([p[i] for p in pairs])
+            assert mean[i].view(np.int64).tolist() == want_mean.view(np.int64).tolist()
+            np.testing.assert_array_equal(count[i], want_count)
 
 
 class TestStackedWarp:

@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 
 from bodyppg import PulseRateSeries, SensorBank, Waveform, WindowPlan, fuse_ground_truth_report
+from bodyppg.cli import main
 from bodyppg.session import write_csv
+from bodyppg.synthetic_session import SyntheticSessionConfig, build_synthetic_session
 from bodyppg.transit_time import ptt_matrix
 
 FS = 400.0
@@ -61,3 +63,28 @@ def test_ptt_matrix_holds_no_window_copies():
     waves = list(sensor_bank(6.0).channels)
     peak = traced_peak(lambda: ptt_matrix(waves, WindowPlan(5.0, 0.0025)))
     assert peak < 4 * MB
+
+
+def test_grid_map_holds_one_window_of_cell_means(tmp_path):
+    # A 6x8 grid at 90 fps: one 10 s window of cell means is 900 x 48 x 3
+    # float64, 1.04 MB, and the 60 s store six of them. Reading the store
+    # whole made the 60 s peak 4.3 MB above the 20 s one (11.4 against
+    # 7.2 MB); one window at a time, both peak at about 7.5 MB, most of it
+    # the spectra of one window's 47 skin cells.
+    window_bytes = 900 * 6 * 8 * 3 * 8
+    argv = {}
+    for duration_s in (20.0, 60.0):
+        cfg = SyntheticSessionConfig(seed=5, duration_s=duration_s, grid_rows=6, grid_cols=8)
+        manifest = str(build_synthetic_session(tmp_path / f"session{duration_s:g}", cfg))
+        rates = tmp_path / f"rates{duration_s:g}"
+        assert main(["fuse-gt", "--manifest", manifest, "--out-dir", str(rates)]) == 0
+        argv[duration_s] = ["grid-map", "--manifest", manifest, "--out-dir", str(tmp_path / "out"),
+                            "--ref-rates", str(rates / "fused_rates.csv")]
+
+    def grid_map(args):
+        assert main(args) == 0
+
+    grid_map(argv[20.0])  # whatever a first run loads is loaded before tracing
+    peaks = {d: traced_peak(lambda: grid_map(args)) for d, args in argv.items()}
+    assert abs(peaks[60.0] - peaks[20.0]) < window_bytes, peaks
+    assert max(peaks.values()) < 10 * MB, peaks

@@ -1,5 +1,7 @@
+import json
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bodyppg.session import (
     RATE_TOLERANCE,
     SessionManifest,
     extract_traces,
+    open_grid_store,
     read_frame_dump,
     read_grid,
     read_oximeter_csv,
@@ -420,6 +423,157 @@ class TestGridStore:
                   + re.escape(f"{meta_path} declares {meta['rows']}x{meta['cols']}"))
         with pytest.raises(ValueError, match=wanted):
             _read_grid_store(tmp_path)
+
+
+class TestGridSidecar:
+    """A bad sidecar is named with the key at fault."""
+
+    @pytest.mark.parametrize("key", ["rows", "cols", "cell_px", "origin_px", "sample_rate_hz",
+                                     "start_time_s", "skin_fraction"])
+    def test_missing_key_named(self, tmp_path, key):
+        _write_grid_store(tmp_path)
+        meta_path = tmp_path / "grid.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        wanted = re.escape(f"{meta_path}: the grid sidecar has no key {key!r}")
+        with pytest.raises(ValueError, match=wanted):
+            _read_grid_store(tmp_path)
+
+    @pytest.mark.parametrize("skin", [[[0.5, 0.5, 0.5]], [[0.5, 0.5]] * 3, [0.5] * 6,
+                                      [[0.5, 0.5, 0.5], [0.5, 0.5]], 0.5, [["a", 0.5, 0.5]] * 2],
+                             ids=["one-row", "transposed", "flat", "ragged", "scalar", "text"])
+    def test_skin_fraction_of_another_shape_named(self, tmp_path, skin):
+        _write_grid_store(tmp_path)
+        meta_path, _ = _edit_grid_meta(tmp_path, "skin_fraction", skin)
+        wanted = re.escape(f"{meta_path}: skin_fraction must be a 2x3 array of numbers")
+        with pytest.raises(ValueError, match=wanted):
+            _read_grid_store(tmp_path)
+
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("cell_px", 0, "cell_px 0 must be an integer of at least 1"),
+        ("cell_px", "20", "cell_px '20' must be an integer of at least 1"),
+        ("origin_px", [4], "origin_px [4] must be two integers"),
+        ("start_time_s", None, "start_time_s None must be a finite number"),
+        ("sample_rate_hz", "30", "sample_rate_hz 30 must be finite and positive"),
+    ])
+    def test_bad_value_named(self, tmp_path, key, value, wanted):
+        _write_grid_store(tmp_path)
+        meta_path, _ = _edit_grid_meta(tmp_path, key, value)
+        with pytest.raises(ValueError, match=re.escape(f"{meta_path}: {wanted}")):
+            _read_grid_store(tmp_path)
+
+    def test_not_json_named(self, tmp_path):
+        _write_grid_store(tmp_path)
+        (tmp_path / "grid.json").write_text("{")
+        with pytest.raises(ValueError, match=r"grid\.json: not a JSON grid sidecar"):
+            _read_grid_store(tmp_path)
+
+
+class TestGridWindows:
+    """The store is checked once and read one window of frames at a time."""
+
+    def test_windows_equal_slices_of_the_whole_grid(self, tmp_path):
+        _write_grid_store(tmp_path, n_frames=9)
+        whole = _read_grid_store(tmp_path)
+        store = open_grid_store(tmp_path / "grid.rgm", tmp_path / "grid.json")
+        assert (store.n_frames, store.rows, store.cols) == (9, 2, 3)
+        assert (store.sample_rate_hz, store.origin_px, store.cell_px) == (30.0, (4, 8), 20)
+        starts = [0, 2, 5, 1]
+        buffers = set()
+        for start, window in zip(starts, store.windows(starts, 4)):
+            want = whole.values[start : start + 4]
+            assert _bits(window.values) == _bits(want)
+            assert window.start_time_s == 1.5 + start / 30.0
+            np.testing.assert_array_equal(window.skin_fraction, whole.skin_fraction)
+            buffers.add(window.values.__array_interface__["data"][0])
+        assert len(buffers) == 1  # one buffer, reused
+
+    def test_store_shrunk_after_its_check_names_the_missing_frame(self, tmp_path):
+        _write_grid_store(tmp_path, n_frames=9)
+        store = open_grid_store(tmp_path / "grid.rgm", tmp_path / "grid.json")
+        path = tmp_path / "grid.rgm"
+        path.write_bytes(path.read_bytes()[: 16 + 6 * 144 + 50])  # frame 6 is partial
+        windows = store.windows([0, 4], 4)
+        next(windows)
+        wanted = re.escape(f"{path}: truncated grid values: read 338 of 576 bytes of frames "
+                           "4 to 7; frame 6 is missing")
+        with pytest.raises(ValueError, match=wanted):
+            next(windows)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.25])
+    def test_bad_cell_mean_names_the_frame_and_cell(self, tmp_path, value):
+        grid = _write_grid_store(tmp_path, n_frames=9)
+        values = grid.values.copy()
+        values[6, 1, 2, 1] = value
+        values[8, 0, 0, 0] = value
+        write_grid(tmp_path / "grid.rgm", tmp_path / "grid.json", replace(grid, values=values))
+        wanted = re.escape(f"{tmp_path / 'grid.rgm'}: frame 6, cell (1, 2) has a G mean of "
+                           f"{value!r}; cell means must be finite and non-negative")
+        store = open_grid_store(tmp_path / "grid.rgm", tmp_path / "grid.json")
+        assert len(list(store.windows([0], 6))) == 1  # frames before 6 are sound
+        with pytest.raises(ValueError, match=wanted):
+            list(store.windows([4], 4))
+        with pytest.raises(ValueError, match=wanted):
+            _read_grid_store(tmp_path)
+
+
+_GRID_MUTATIONS = st.one_of(
+    st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4)),
+    st.tuples(st.sampled_from(["frames", "rows", "cols"]), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("payload"), st.integers(-16 - 4 * 144, 300)),
+    st.tuples(st.just("drop_key"), st.sampled_from(
+        ["rows", "cols", "cell_px", "origin_px", "sample_rate_hz", "start_time_s",
+         "skin_fraction"])),
+    st.tuples(st.just("skin_shape"), st.sampled_from(
+        [(3, 2), (6,), (1, 6), (1, 2, 3), (2, 3, 1), (2, 2), (), "ragged"])),
+    st.tuples(st.just("rate"), st.sampled_from([np.nan, np.inf, -np.inf])),
+)
+
+
+class TestGridStoreMutations:
+    """A damaged store or sidecar reads as the clean grid or is named."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("clean_grid")
+        _write_grid_store(root)
+        store, meta = (root / "grid.rgm").read_bytes(), json.loads((root / "grid.json").read_text())
+        return store, meta, _read_grid_store(root)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=_GRID_MUTATIONS)
+    def test_mutation_read_as_clean_or_named(self, clean, tmp_path_factory, mutation):
+        store, meta, want = bytearray(clean[0]), dict(clean[1]), clean[2]
+        kind, arg = mutation
+        if kind == "magic":
+            store[:4] = arg
+        elif kind in ("frames", "rows", "cols"):
+            offset = 4 + 4 * ["frames", "rows", "cols"].index(kind)
+            store[offset : offset + 4] = struct.pack("<I", arg)
+        elif kind == "payload":
+            store = store[:arg] if arg < 0 else store + bytes(range(arg % 256)) * (arg // 256 + 1)
+        elif kind == "drop_key":
+            del meta[arg]
+        elif kind == "skin_shape":
+            flat = np.asarray(meta["skin_fraction"]).ravel()
+            meta["skin_fraction"] = ([[0.5, 0.5, 0.5], [0.5, 0.5]] if arg == "ragged"
+                                     else np.resize(flat, arg).tolist())
+        else:
+            meta["sample_rate_hz"] = arg
+        root = tmp_path_factory.mktemp("mutated")
+        (root / "grid.rgm").write_bytes(bytes(store))
+        (root / "grid.json").write_text(json.dumps(meta))
+        mutated_file = "grid.json" if kind in ("drop_key", "skin_shape", "rate") else "grid.rgm"
+        try:
+            got = _read_grid_store(root)
+        except ValueError as exc:
+            assert str(root / mutated_file) in str(exc), (mutation, str(exc))
+            return
+        assert _bits(got.values) == _bits(want.values), mutation
+        np.testing.assert_array_equal(got.skin_fraction, want.skin_fraction)
+        assert (got.sample_rate_hz, got.start_time_s, got.origin_px, got.cell_px) == (
+            want.sample_rate_hz, want.start_time_s, want.origin_px, want.cell_px)
 
 
 class TestRasters:
