@@ -49,7 +49,7 @@ from .session import (
     write_rate_csv,
     write_waveform_csv,
 )
-from .signals import WindowPlan, window_starts
+from .signals import WindowPlan
 from .synthetic_session import SyntheticSessionConfig, build_synthetic_session
 from .transit_time import (
     DEFAULT_MAX_LAG_S,
@@ -218,22 +218,19 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     grid = manifest.load_grid(roi)
     length_s = _param(params, "window_s", DEFAULT_SCORE_PLAN.length_s)
     plan = WindowPlan(length_s, _param(params, "stride_s", length_s))
-    fs = grid.sample_rate_hz
-    starts = window_starts(grid.n_frames, fs, plan).tolist()
     ref = _reference_rates(manifest, params)
     poses = manifest.load_poses()
     target = average_pose(poses) if poses else None
-    # Each window is a grid of its own, placed by its start time, so it is
-    # scored as one non-overlapping window whatever the stride.
-    window_plan = WindowPlan(length_s, length_s)
+    # Every window is scored before any is written: a store's window buffer
+    # is freed before the warps, and a bad cell mean fails with no output.
+    frames = score_grid(grid, ref, plan)
 
     def warped_maps():
         """Per window: its two CSVs, then its MAE and SNR maps as one stack,
         upsampled and warped, so a window warps through one homography once."""
-        for widx, window in enumerate(grid.windows(starts, plan.length_samples(fs))):
-            (frame,) = score_grid(window, ref, window_plan)
-            write_csv(stage.path(f"frame_{widx:03d}_mae.csv"), [frame.mae_map])
-            write_csv(stage.path(f"frame_{widx:03d}_snr.csv"), [frame.snr_map])
+        for frame in frames:
+            write_csv(stage.path(f"frame_{frame.window_index:03d}_mae.csv"), [frame.mae_map])
+            write_csv(stage.path(f"frame_{frame.window_index:03d}_snr.csv"), [frame.snr_map])
             up = upsample_frame(frame, grid.cell_px)
             maps = np.stack([up["mae"], up["snr"]])
             maps[:, ~up["mask"]] = np.nan
@@ -260,7 +257,7 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             "cell_px": grid.cell_px,
             "origin_px": list(grid.origin_px),
             "window_s": plan.length_s,
-            "n_error_frames": len(starts),
+            "n_error_frames": len(frames),
             "upsample_factor": grid.cell_px,
             "aligned_to_average_pose": bool(target is not None),
             "mask_provenance": "skin_fraction >= 0.5 from manifest grid meta",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .metrics import snr_harmonics  # noqa: F401
 from .pulse_rate import stft_pulse_rate  # noqa: F401
 from .rppg import MethodConfig, RGBTrace, pos
 from .signals import Waveform, WindowPlan, window_starts
+
+if TYPE_CHECKING:
+    from .session import GridStore
 
 __all__ = [
     "SubregionGrid",
@@ -103,18 +107,15 @@ class SubregionGrid:
         for start in starts:
             yield self.at_frame(start, self.values[start : start + n])
 
-    def cell_trace(
-        self, row: int, col: int, start: int = 0, stop: int | None = None
-    ) -> RGBTrace:
-        """RGB trace of one cell over frames ``start`` to ``stop`` (default: all)."""
-        rgb = self.values[start:stop, row, col, :]
+    def cell_trace(self, row: int, col: int) -> RGBTrace:
+        """RGB trace of one cell over all of this grid's frames."""
+        rgb = self.values[:, row, col, :]
         # Waveform copies each strided column into a contiguous array, which
         # keeps np.std's summation order, and so the scores, as they were.
-        start_time_s = self.start_time_s + start / self.sample_rate_hz
         return RGBTrace(
-            Waveform(rgb[:, 0], self.sample_rate_hz, start_time_s),
-            Waveform(rgb[:, 1], self.sample_rate_hz, start_time_s),
-            Waveform(rgb[:, 2], self.sample_rate_hz, start_time_s),
+            Waveform(rgb[:, 0], self.sample_rate_hz, self.start_time_s),
+            Waveform(rgb[:, 1], self.sample_rate_hz, self.start_time_s),
+            Waveform(rgb[:, 2], self.sample_rate_hz, self.start_time_s),
             roi_label=f"cell-{row}-{col}",
         )
 
@@ -173,11 +174,18 @@ def grid_geometry(bbox_w: int, bbox_h: int, cell_px: int) -> tuple[int, int]:
 
 
 def score_grid(
-    grid: SubregionGrid,
+    grid: SubregionGrid | GridStore,
     ref_rate: PulseRateSeries,
     plan: WindowPlan | None = None,
 ) -> list[ErrorFrame]:
-    """Score every grid cell per non-overlapping window.
+    """Score every grid cell in each window of ``plan``.
+
+    ``plan`` (default ``DEFAULT_SCORE_PLAN``) sets the window length and the
+    stride between window starts, so windows may overlap or leave gaps.
+    ``grid`` is a :class:`SubregionGrid` or a
+    :class:`~bodyppg.session.GridStore`: either gives its windows through
+    ``windows(starts, n)``, each a grid of its own that is scored whole, and
+    a store holds only one window's cell means at a time.
 
     Each cell window runs single-segment POS, band-passing, and spectral-peak
     rate estimation; the absolute rate error against the reference fills the
@@ -199,13 +207,14 @@ def score_grid(
     cells = np.argwhere(skin_mask)
     cfg = MethodConfig(method="pos", internal_window_s=plan.length_s)
 
-    for widx, start in enumerate(window_starts(grid.n_frames, fs, plan).tolist()):
-        window_start_s = grid.start_time_s + start / fs
+    starts = window_starts(grid.n_frames, fs, plan).tolist()
+    for widx, window in enumerate(grid.windows(starts, n_len)):
+        window_start_s = window.start_time_s
         ref_bpm = ref_rate.rate_at(window_start_s + plan.length_s / 2.0)
         pulses = np.zeros((len(cells), n_len))
         extracted = np.zeros(len(cells), dtype=bool)
         for i, (row, col) in enumerate(cells.tolist()):
-            trace = grid.cell_trace(row, col, start, start + n_len)
+            trace = window.cell_trace(row, col)
             try:
                 pulses[i] = pos(trace, cfg).samples
             except ValueError:

@@ -520,8 +520,8 @@ class GridStore:
     checked.
 
     It holds no cell means: ``n_frames`` is the header's frame count, the
-    rate, start time and geometry are the sidecar's, and :meth:`windows`
-    reads frames.
+    rate, start time, geometry and skin fraction are the sidecar's, and
+    :meth:`windows` reads frames.
     """
 
     def __init__(self, path: Path | str, n_frames: int, geometry: SubregionGrid):
@@ -529,6 +529,7 @@ class GridStore:
         self.rows, self.cols = geometry.rows, geometry.cols
         self.sample_rate_hz, self.start_time_s = geometry.sample_rate_hz, geometry.start_time_s
         self.origin_px, self.cell_px = geometry.origin_px, geometry.cell_px
+        self.skin_fraction = geometry.skin_fraction
 
     def windows(self, starts, n: int):
         """For each of ``starts``, the grid of frames [start, start + n), all

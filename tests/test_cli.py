@@ -188,8 +188,8 @@ class TestGridMapCommand:
         assert error == {"type": "ValueError", "message": (
             f"{store}: frame 1500, cell (1, 2) has a G mean of -0.5; "
             "cell means must be finite and non-negative")}
-        # The first window's CSVs were written, and removed with the failure.
-        assert list(out.iterdir()) == []
+        # Every window is scored before any output is written.
+        assert not out.exists()
 
 
 class TestConfigHandling:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,7 @@ from bodyppg import (
     warp_error_frame,
 )
 from bodyppg.grid import ErrorFrame, grid_geometry
+from bodyppg.session import open_grid_store, read_grid, write_grid
 from bodyppg.signals import window_starts
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
 
@@ -161,20 +161,17 @@ class TestScoreGridOracle:
 
     @pytest.mark.parametrize("plan", [WindowPlan(10.0, 10.0), WindowPlan(10.0, 4.0),
                                       WindowPlan(7.3, 3.1), WindowPlan(6.0, 9.5)])
-    def test_one_window_grids_score_as_the_whole_grid(self, plan):
-        # grid-map scores each window as a grid of its own, placed by its start
-        # time and scored as one non-overlapping window.
+    def test_store_read_a_window_at_a_time_scores_as_the_whole_grid(self, tmp_path, plan):
+        # A grid store gives score_grid one window of cell means at a time, a
+        # grid read whole gives it views.
         grid = self.edge_grid(start_time_s=2.5)
+        paths = (tmp_path / "grid.rgm", tmp_path / "grid.json")
+        write_grid(*paths, grid)
         times = np.arange(5.0, 45.0, 1.0)
         ref = PulseRateSeries(times, np.linspace(65.0, 80.0, times.size), 10.0, (40.0, 180.0))
-        want = score_grid(grid, ref, plan)
-        starts = window_starts(grid.n_frames, FS, plan).tolist()
-        got = []
-        for widx, window in enumerate(grid.windows(starts, plan.length_samples(FS))):
-            assert np.shares_memory(window.values, grid.values)
-            (frame,) = score_grid(window, ref, WindowPlan(plan.length_s, plan.length_s))
-            got.append(replace(frame, window_index=widx))
-        self.assert_frames_equal(got, want)
+        want = score_grid(read_grid(*paths), ref, plan)
+        assert len(want) == len(window_starts(grid.n_frames, FS, plan))
+        self.assert_frames_equal(score_grid(open_grid_store(*paths), ref, plan), want)
 
     def test_band_beyond_nyquist_leaves_every_cell_undefined(self):
         grid = self.edge_grid()
