@@ -19,9 +19,9 @@ File formats:
     R, G, B planes as row-major uint8
   - grid store (.rgm): 16-byte header (magic ``RGM1``, uint32 frames, rows,
     cols, little endian), then the cell means as C-ordered little-endian
-    float64 of shape (frames, rows, cols, 3), each the value a ``%.12g`` CSV
-    round trip gives; a JSON sidecar holds the rate, start time, geometry
-    and per-cell skin fraction
+    float64 of shape (frames, rows, cols, 3), exactly as given to the writer;
+    a JSON sidecar holds the rate, start time, geometry and per-cell skin
+    fraction
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ _CSV_BLOCK_ROWS = 1024
 
 _GRID_MAGIC = b"RGM1"
 _GRID_HEADER = struct.Struct("<4sIII")  # magic, frames, rows, cols
-# Grid values rounded and written at a time: the writer holds one block of
-# whole frames of about this many values.
-_GRID_BLOCK_VALUES = 1 << 13
-# Exact powers of ten: 10**22 is the largest that a float64 holds exactly.
-_POW10 = np.array([float(10**i) for i in range(23)])
 
 
 def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
@@ -460,49 +455,14 @@ def read_poses_json(path: Path | str) -> list[PoseKeypoints]:
     return poses
 
 
-def _round_as_written(v: np.ndarray) -> np.ndarray:
-    """``float(_FLOAT_FMT % x)`` for every ``x`` of ``v``, as array work.
-
-    The 12 significant digits of ``|x|`` are the integer ``m = rint(|x| *
-    10**k)`` with ``k = 11 - floor(log10 |x|)``, and ``m / 10**k`` (or
-    ``m * 10**-k``) is a correctly rounded operation on exact operands, so
-    it equals the parsed decimal. Scaling rounds once, by at most 2**-14 at
-    these magnitudes, so ``rint`` gives the decimal rounding unless the
-    scaled fraction lies near one half. ``%`` formats the rest: zeros,
-    non-finite values, ``|k| > 22`` (where ``10**|k|`` is not exact), a
-    ``log10`` that missed the decade, and fractions within 1e-3 of 0.5.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        usable = np.isfinite(a) & (a > 0)
-        k = 11 - np.floor(np.log10(np.where(usable, a, 1.0))).astype(np.int64)
-        usable &= np.abs(k) <= 22
-        k = np.where(usable, k, 0)
-        up = k >= 0
-        scale = _POW10[np.abs(k)]
-        scaled = np.where(up, a * scale, a / scale)
-        m = np.rint(scaled)
-        usable &= (m >= 1e11) & (m < 1e12) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-3)
-        out = np.copysign(np.where(up, m / scale, m * scale), v)
-    rest = ~usable
-    out[rest] = [float(_FLOAT_FMT % x) for x in v[rest].tolist()]
-    return out
-
-
 def write_grid(path_means: Path | str, path_meta: Path | str, grid: SubregionGrid) -> None:
-    """Cell means as a grid store plus a JSON geometry sidecar.
-
-    Each stored value is the one a ``%.12g`` CSV round trip gives, so a grid
-    read back scores exactly as one written and parsed as text. Values are
-    rounded and written in blocks of whole frames."""
+    """Cell means as a grid store plus a JSON geometry sidecar; a grid read
+    back equals ``grid`` bit for bit."""
     n, rows, cols, _ = grid.values.shape
-    step = max(1, _GRID_BLOCK_VALUES // (rows * cols * 3))
     with open(path_means, "wb") as fh:
         fh.write(_GRID_HEADER.pack(_GRID_MAGIC, n, rows, cols))
-        for f0 in range(0, n, step):
-            block = _round_as_written(grid.values[f0 : f0 + step])
-            fh.write(block.astype("<f8", copy=False).data)
+        # One write of the array's own buffer when it is C-ordered "<f8".
+        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").data)
     meta = {
         "rows": rows,
         "cols": cols,

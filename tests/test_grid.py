@@ -163,7 +163,7 @@ class TestScoreGridOracle:
                                       WindowPlan(7.3, 3.1), WindowPlan(6.0, 9.5)])
     def test_store_read_a_window_at_a_time_scores_as_the_whole_grid(self, tmp_path, plan):
         # A grid store gives score_grid one window of cell means at a time, a
-        # grid read whole gives it views.
+        # grid read whole gives it views; the store holds the grid's own bits.
         grid = self.edge_grid(start_time_s=2.5)
         paths = (tmp_path / "grid.rgm", tmp_path / "grid.json")
         write_grid(*paths, grid)
@@ -172,6 +172,7 @@ class TestScoreGridOracle:
         want = score_grid(read_grid(*paths), ref, plan)
         assert len(want) == len(window_starts(grid.n_frames, FS, plan))
         self.assert_frames_equal(score_grid(open_grid_store(*paths), ref, plan), want)
+        self.assert_frames_equal(score_grid(grid, ref, plan), want)
 
     def test_band_beyond_nyquist_leaves_every_cell_undefined(self):
         grid = self.edge_grid()

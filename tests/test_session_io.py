@@ -286,44 +286,6 @@ def _as_written(values) -> np.ndarray:
     return np.array([float("%.12g" % v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-_MAX = np.finfo(np.float64).max
-_POWERS_OF_TEN = np.array([float(f"1e{e}") for e in range(-323, 309)])
-_ROUNDING_CASES = np.concatenate([
-    [0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, 1e22, 1e23, -1e23, np.inf, -np.inf, np.nan],
-    _POWERS_OF_TEN,
-    np.nextafter(_POWERS_OF_TEN, 0.0),
-    np.nextafter(_POWERS_OF_TEN, np.inf),
-    # Exact binary values whose 13th significant digit is a 5 and nothing
-    # follows: ties at the 12th digit, rounded half to even.
-    [123456789012.5, 123456789013.5, -123456789012.5, 999999999999.5, 12345678901.25,
-     1234567890.125, 1000000000005.0, 1000000000015.0],
-])
-
-
-class TestRoundAsWritten:
-    """The grid writer's array rounding equals a ``%.12g`` round trip bit for bit."""
-
-    def test_fixed_cases(self):
-        assert _bits(session._round_as_written(_ROUNDING_CASES)) == _bits(
-            _as_written(_ROUNDING_CASES)
-        )
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-                    min_size=1, max_size=40))
-    def test_any_double(self, values):
-        assert _bits(session._round_as_written(values)) == _bits(_as_written(values))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0.2, 0.9), min_size=1, max_size=200))
-    def test_cell_means(self, values):
-        assert _bits(session._round_as_written(values)) == _bits(_as_written(values))
-
-    def test_keeps_the_shape(self):
-        values = np.random.default_rng(2).uniform(0.2, 0.8, (3, 2, 4, 3))
-        np.testing.assert_array_equal(session._round_as_written(values), _as_written(values))
-
-
 def _write_grid_store(tmp_path, n_frames=4, rows=2, cols=3):
     rng = np.random.default_rng(5)
     grid = SubregionGrid(
@@ -349,21 +311,14 @@ def _edit_grid_meta(tmp_path, key, value):
 
 
 class TestGridCsv:
-    """The grid store keeps what the grid CSV it replaced guaranteed: the
-    ``%.12g`` values of whole frames, at frame times that increase."""
-
-    # The writer rounds and writes blocks of whole frames; 18 values are one
-    # frame of 2x3 cells.
-    @pytest.fixture(autouse=True, params=[None, 18, 36], ids=["default", "1-frame", "2-frame"])
-    def write_block(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(session, "_GRID_BLOCK_VALUES", request.param)
+    """The grid store keeps what the grid CSV it replaced guaranteed, whole
+    frames at frame times that increase, and holds the written values exactly."""
 
     def test_round_trip(self, tmp_path):
         grid = _write_grid_store(tmp_path)
         back = _read_grid_store(tmp_path)
         assert back.values.shape == (4, 2, 3, 3)
-        assert _bits(back.values) == _bits(_as_written(grid.values))
+        assert _bits(back.values) == _bits(grid.values)
         np.testing.assert_array_equal(back.skin_fraction, grid.skin_fraction)
         assert (back.sample_rate_hz, back.start_time_s) == (30.0, 1.5)
         assert (back.origin_px, back.cell_px) == ((4, 8), 20)
