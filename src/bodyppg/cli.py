@@ -42,6 +42,7 @@ from .session import (
     SessionManifest,
     _is_int,
     _is_number,
+    _load_json,
     read_rate_csv,
     read_waveform_csv,
     write_csv,
@@ -449,10 +450,9 @@ def _config_value(key: str, value):
 def _merge_config(args: argparse.Namespace) -> dict:
     params: dict = {}
     if args.config is not None:
-        with open(args.config) as fh:
-            params = json.load(fh)
+        params = _load_json(args.config, "config file")
         if not isinstance(params, dict):
-            raise ValueError("config file must hold a flat JSON object")
+            raise ValueError(f"{args.config}: a config file must hold a flat JSON object")
         # Checked before the flags override it, so every value it holds is checked.
         params = _checked(args.command, params)
     params.update((k, v) for k, v in vars(args).items()

@@ -190,6 +190,16 @@ def write_json(path: Path | str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _load_json(path: Path | str, what: str):
+    """The JSON document in ``path``, a ``what``; text that is not JSON is
+    a ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON {what}: {exc}") from None
+
+
 def read_waveform_csv(path: Path | str) -> Waveform:
     data, rate = _load_uniform_csv(path, 2, None)
     return Waveform(data[:, 1], rate, float(data[0, 0]))
@@ -260,13 +270,16 @@ def read_rate_csv(path: Path | str) -> PulseRateSeries:
         except ValueError as exc:
             raise ValueError(f"{path}: bad metadata token {token!r}: {exc}") from exc
     data = _load_csv(path, 2)
-    return PulseRateSeries(
-        times_s=data[:, 0],
-        rates_bpm=data[:, 1],
-        window_length_s=meta["window_length_s"],
-        band_bpm=meta["band_bpm"],
-        n_skipped=meta["n_skipped"],
-    )
+    try:
+        return PulseRateSeries(
+            times_s=data[:, 0],
+            rates_bpm=data[:, 1],
+            window_length_s=meta["window_length_s"],
+            band_bpm=meta["band_bpm"],
+            n_skipped=meta["n_skipped"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_trace_csv(path: Path | str, trace: RGBTrace) -> None:
@@ -310,7 +323,11 @@ def read_pgm(path: Path | str) -> np.ndarray:
                 raise ValueError(f"{path}: truncated PGM header")
             if line.startswith(b"#"):
                 continue
-            fields.extend(int(v) for v in line.split())
+            for v in line.split():
+                try:
+                    fields.append(int(v))
+                except ValueError:
+                    raise ValueError(f"{path}: PGM header field {v!r} is not an integer") from None
         width, height, maxval = fields[:3]
         if maxval > 255:
             raise ValueError(f"{path}: 16-bit PGM not supported")
@@ -442,16 +459,22 @@ def write_poses_json(path: Path | str, poses: list[PoseKeypoints]) -> None:
 
 
 def read_poses_json(path: Path | str) -> list[PoseKeypoints]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The keypoints of each frame; text that is not JSON, a missing key or a
+    value of the wrong type is named with the file."""
+    doc = _load_json(path, "keypoint file")
     poses = []
-    for frame in doc["frames"]:
-        names = tuple(pt["name"] for pt in frame["points"])
-        xy = np.asarray([[pt["x"], pt["y"]] for pt in frame["points"]], dtype=np.float64)
-        vis = np.asarray([pt["visibility"] for pt in frame["points"]], dtype=np.float64)
-        poses.append(
-            PoseKeypoints(names=names, xy=xy, visibility=vis, frame_time_s=frame["time_s"])
-        )
+    try:
+        for frame in doc["frames"]:
+            names = tuple(pt["name"] for pt in frame["points"])
+            xy = np.asarray([[pt["x"], pt["y"]] for pt in frame["points"]], dtype=np.float64)
+            vis = np.asarray([pt["visibility"] for pt in frame["points"]], dtype=np.float64)
+            poses.append(
+                PoseKeypoints(names=names, xy=xy, visibility=vis, frame_time_s=frame["time_s"])
+            )
+    except KeyError as exc:
+        raise ValueError(f"{path}: keypoint data has no key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return poses
 
 
@@ -532,11 +555,7 @@ _GRID_META_KEYS = ("rows", "cols", "cell_px", "origin_px", "sample_rate_hz", "st
 
 def _read_grid_meta(path_meta: Path | str) -> dict:
     """A grid sidecar with every key, whose rate is finite and positive."""
-    with open(path_meta) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path_meta}: not a JSON grid sidecar: {exc}") from None
+    meta = _load_json(path_meta, "grid sidecar")
     if not isinstance(meta, dict):
         raise ValueError(f"{path_meta}: a grid sidecar must hold a JSON object")
     for key in _GRID_META_KEYS:
@@ -780,8 +799,9 @@ class SessionManifest:
     @classmethod
     def load(cls, path: Path | str) -> "SessionManifest":
         path = Path(path)
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _load_json(path, "manifest")
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a manifest must hold a JSON object")
         root = path.parent
 
         def resolve(rel: str) -> Path:
@@ -790,32 +810,37 @@ class SessionManifest:
                 raise FileNotFoundError(f"manifest references missing file: {p}")
             return p
 
-        video, oximeter = doc["video"], doc["oximeter"]
-        manifest = cls(
-            session_id=doc["session_id"],
-            root=root,
-            fps=float(video["fps"]),
-            width=int(video["width"]),
-            height=int(video["height"]),
-            frames_path=resolve(video["frames"]) if "frames" in video else None,
-            trace_paths={label: resolve(rel) for label, rel in video.get("traces", {}).items()},
-            grid_paths={
-                label: (resolve(entry["means"]), resolve(entry["meta"]))
-                for label, entry in video.get("grids", {}).items()
-            },
-            sensors=tuple(
-                (s["site"], resolve(s["path"]), s.get("channel", "ir"))
-                for s in doc.get("sensors", [])
-            ),
-            oximeter_path=resolve(oximeter["path"]),
-            oximeter_rate_hz=float(oximeter["rate_hz"]),
-            rois=tuple(doc.get("rois", [])),
-            keypoints_path=resolve(doc["keypoints"]) if "keypoints" in doc else None,
-            portions=tuple(
-                (p["name"], float(p["start_s"]), float(p["end_s"]))
-                for p in doc.get("portions", [])
-            ),
-        )
+        try:
+            video, oximeter = doc["video"], doc["oximeter"]
+            manifest = cls(
+                session_id=doc["session_id"],
+                root=root,
+                fps=float(video["fps"]),
+                width=int(video["width"]),
+                height=int(video["height"]),
+                frames_path=resolve(video["frames"]) if "frames" in video else None,
+                trace_paths={label: resolve(rel) for label, rel in video.get("traces", {}).items()},
+                grid_paths={
+                    label: (resolve(entry["means"]), resolve(entry["meta"]))
+                    for label, entry in video.get("grids", {}).items()
+                },
+                sensors=tuple(
+                    (s["site"], resolve(s["path"]), s.get("channel", "ir"))
+                    for s in doc.get("sensors", [])
+                ),
+                oximeter_path=resolve(oximeter["path"]),
+                oximeter_rate_hz=float(oximeter["rate_hz"]),
+                rois=tuple(doc.get("rois", [])),
+                keypoints_path=resolve(doc["keypoints"]) if "keypoints" in doc else None,
+                portions=tuple(
+                    (p["name"], float(p["start_s"]), float(p["end_s"]))
+                    for p in doc.get("portions", [])
+                ),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: the manifest has no key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
         manifest.validate()
         return manifest
 

@@ -15,6 +15,7 @@ from bodyppg.cli import _COMMANDS, _FLAGS, main, ptt_window_rows, run_pipeline
 from bodyppg.grid import score_grid
 from bodyppg.pulse_rate import PulseRateSeries
 from bodyppg.session import (
+    SessionManifest,
     read_grid,
     read_rate_csv,
     write_csv,
@@ -127,6 +128,47 @@ class TestFuseAndRate:
         assert score["mae_bpm"] < 0.5
 
 
+def assert_frame_csvs(out: Path, frames, scratch: Path) -> None:
+    """``out`` holds one MAE and one SNR CSV per frame of ``frames``, each with
+    the bytes of that frame's map, and the count in its grid meta."""
+    assert json.loads((out / "grid_meta.json").read_text())["n_error_frames"] == len(frames)
+    for frame in frames:
+        for name, m in (("mae", frame.mae_map), ("snr", frame.snr_map)):
+            write_csv(scratch, [m])
+            got = out / f"frame_{frame.window_index:03d}_{name}.csv"
+            assert got.read_bytes() == scratch.read_bytes(), got.name
+
+
+def _frame_grid_session(root: Path) -> tuple[Path, Path]:
+    """A 30 s frame dump at 30 fps whose 'face' mask tiles 2 x 3 whole cells of
+    20 px, no keypoints, and a reference rate CSV; returns the manifest and
+    rate CSV paths."""
+    fps, duration_s, h, w = 30.0, 30.0, 48, 64
+    pulse = synth_pulse(PulseModel(fs_hz=fps, duration_s=duration_s,
+                                   rate_profile=constant_rate(72.0), seed=5))
+    levels = synth_rgb_trace(pulse, baseline=(0.6, 0.45, 0.4), modulation=(0.02, 0.06, 0.04),
+                             seed=6).channel_matrix() * 255.0
+    dither = np.random.default_rng(9).random((h, w))
+    frames = np.floor(levels[:, :, None, None] + dither).astype(np.uint8)
+    write_frame_dump(root / "frames.rfd", frames, fps)
+    mask = np.zeros((h, w), dtype=bool)
+    mask[4:44, 2:62] = True
+    write_pgm(root / "mask_face.pgm", mask)
+    t_ox = np.arange(int(duration_s)) * 1.0
+    write_oximeter_csv(root / "oximeter.csv", t_ox, np.full(t_ox.size, 72.0))
+    times = np.arange(5.0, duration_s - 4.0)
+    write_rate_csv(root / "rates.csv",
+                   PulseRateSeries(times, np.full(times.size, 72.0), 10.0, (40.0, 180.0)))
+    doc = {
+        "session_id": "frame-grid",
+        "video": {"fps": fps, "width": w, "height": h, "frames": "frames.rfd"},
+        "oximeter": {"path": "oximeter.csv", "rate_hz": 1.0},
+        "rois": [{"label": "face", "mask": "mask_face.pgm"}],
+    }
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return root / "manifest.json", root / "rates.csv"
+
+
 class TestGridMapCommand:
     def test_outputs(self, session, tmp_path):
         out = tmp_path / "gm"
@@ -163,13 +205,19 @@ class TestGridMapCommand:
         grid = read_grid(session / "grid_face.rgm", session / "grid_face.json")
         frames = score_grid(grid, read_rate_csv(rates / "fused_rates.csv"),
                             WindowPlan(10.0, float(stride)))
-        assert json.loads((out / "grid_meta.json").read_text())["n_error_frames"] == len(frames)
-        for frame in frames:
-            for name, m in (("mae", frame.mae_map), ("snr", frame.snr_map)):
-                want = tmp_path / "want.csv"
-                write_csv(want, [m])
-                got = out / f"frame_{frame.window_index:03d}_{name}.csv"
-                assert got.read_bytes() == want.read_bytes(), got.name
+        assert_frame_csvs(out, frames, tmp_path / "want.csv")
+
+    @pytest.mark.parametrize("stride", ["4", "10", "13"])
+    def test_frame_dump_windows_score_as_the_whole_grid(self, tmp_path, stride):
+        manifest, rates = _frame_grid_session(tmp_path)
+        out = tmp_path / "gm"
+        assert main(["grid-map", "--manifest", str(manifest), "--ref-rates", str(rates),
+                     "--stride-s", stride, "--out-dir", str(out)]) == 0
+        grid = SessionManifest.load(manifest).load_grid("face")
+        assert (grid.rows, grid.cols) == (2, 3)
+        frames = score_grid(grid, read_rate_csv(rates), WindowPlan(10.0, float(stride)))
+        assert np.isfinite(frames[0].mae_map).all()
+        assert_frame_csvs(out, frames, tmp_path / "want.csv")
 
     def test_bad_cell_mean_fails_naming_the_frame_and_cell(self, session, tmp_path, capsys):
         root = tmp_path / "session"
@@ -218,6 +266,34 @@ class TestConfigHandling:
     def test_unknown_command_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline("transmogrify", {})
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "not a JSON config file: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ("[1]", "a config file must hold a flat JSON object"),
+    ], ids=["not-json", "not-an-object"])
+    def test_bad_config_file_named(self, session, tmp_path, capsys, text, problem):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        capsys.readouterr()
+        assert main(["estimate", "--manifest", str(session / "manifest.json"),
+                     "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"{cfg_path}: {problem}"}
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "not a JSON manifest: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ('{"session_id": "s"}', "the manifest has no key 'video'"),
+    ], ids=["not-json", "no-video"])
+    def test_bad_manifest_named(self, tmp_path, capsys, text, problem):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert main(["estimate", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"{manifest}: {problem}"}
 
 
 class TestParameterTable:

@@ -20,6 +20,7 @@ from bodyppg.session import (
     read_grid,
     read_oximeter_csv,
     read_pgm,
+    read_poses_json,
     read_rate_csv,
     read_sensor_csv,
     read_trace_csv,
@@ -138,6 +139,17 @@ class TestOtherCsv:
         with pytest.raises(ValueError) as info:
             read_rate_csv(path)
         assert str(info.value) == f"{path}: bad metadata token {token!r}: {problem}"
+
+    @pytest.mark.parametrize("rows, problem", [
+        ("1,70\n1,71\n", "entry times must be strictly increasing"),
+        ("1,70\n2,200\n", "rates fall outside the stated band (40.0, 180.0)"),
+    ])
+    def test_bad_rate_series_names_file(self, tmp_path, rows, problem):
+        path = tmp_path / "r.csv"
+        path.write_text(f"time_s,bpm\n# band_bpm=40:180\n{rows}")
+        with pytest.raises(ValueError) as info:
+            read_rate_csv(path)
+        assert str(info.value) == f"{path}: {problem}"
 
     def test_trace_round_trip(self, tmp_path):
         n = 200
@@ -621,6 +633,40 @@ class TestRasters:
             read_pgm(path)
 
 
+    def test_pgm_bad_header_field_named(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\nx 2\n255\n" + bytes(4))
+        with pytest.raises(ValueError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"{path}: PGM header field b'x' is not an integer"
+
+
+class TestPosesJson:
+    """A bad keypoint file is named."""
+
+    def test_missing_key_named(self, tmp_path):
+        path = tmp_path / "poses.json"
+        path.write_text('{"frames": [{"time_s": 0, "points": [{"name": "a", "x": 1, '
+                        '"visibility": 1}]}]}')
+        with pytest.raises(ValueError) as info:
+            read_poses_json(path)
+        assert str(info.value) == f"{path}: keypoint data has no key 'y'"
+
+    def test_value_of_the_wrong_type_named(self, tmp_path):
+        path = tmp_path / "poses.json"
+        path.write_text('{"frames": [{"time_s": 0, "points": [{"name": "a", "x": "left", '
+                        '"y": 1, "visibility": 1}]}]}')
+        with pytest.raises(ValueError) as info:
+            read_poses_json(path)
+        assert str(info.value) == f"{path}: could not convert string to float: 'left'"
+
+    def test_not_json_named(self, tmp_path):
+        path = tmp_path / "poses.json"
+        path.write_text('{"frames": [')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a JSON keypoint file: ")):
+            read_poses_json(path)
+
+
 def _dump(tmp_path, frames):
     """``frames`` at 90 fps, written to a frame dump and opened for extraction."""
     write_frame_dump(tmp_path / "frames.rfd", frames, 90.0)
@@ -810,6 +856,48 @@ class TestStreamedIngestion:
         # Per extra frame: the (n, 3) float64 means and the trace's three
         # float64 channels. Holding the video would add 3 * 48 * 64 bytes.
         assert peaks[1] - peaks[0] <= 3 * n * 2 * 3 * 8
+
+
+# Each key a manifest must have, as (its parent key or None, the key).
+_MANIFEST_KEYS = [(None, "session_id"), (None, "video"), ("video", "fps"), ("video", "width"),
+                  ("video", "height"), (None, "oximeter"), ("oximeter", "path"),
+                  ("oximeter", "rate_hz")]
+
+
+class TestManifestErrors:
+    """A manifest that is not JSON, or lacks a key it needs, is named with the key."""
+
+    @pytest.fixture(scope="class")
+    def manifest_path(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest")
+        return build_synthetic_session(root, SyntheticSessionConfig(seed=3, duration_s=20.0))
+
+    @pytest.mark.parametrize("parent, key", _MANIFEST_KEYS,
+                             ids=[f"{p}.{k}" if p else k for p, k in _MANIFEST_KEYS])
+    def test_missing_key_named(self, manifest_path, parent, key):
+        doc = json.loads(manifest_path.read_text())
+        del (doc[parent] if parent else doc)[key]
+        path = manifest_path.with_name(f"manifest_without_{key}.json")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            SessionManifest.load(path)
+        assert str(info.value) == f"{path}: the manifest has no key {key!r}"
+
+    def test_value_of_the_wrong_type_named(self, manifest_path):
+        doc = json.loads(manifest_path.read_text())
+        doc["video"]["fps"] = "fast"
+        path = manifest_path.with_name("manifest_fps_text.json")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            SessionManifest.load(path)
+        assert str(info.value) == f"{path}: could not convert string to float: 'fast'"
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["not-json", "not-an-object"])
+    def test_not_a_json_object_named(self, manifest_path, text):
+        path = manifest_path.with_name("manifest_broken.json")
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            SessionManifest.load(path)
 
 
 class TestManifest:
