@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -158,6 +159,23 @@ class TestScoreGridOracle:
         self.assert_frames_equal(got, loop_reference.score_grid(grid, ref, plan))
         assert np.isnan(got[0].mae_map[[0, 0, 0, 2], [0, 1, 2, 3]]).all()
         assert np.isfinite(got[-1].mae_map[2, 3])
+
+    @pytest.mark.parametrize("plan", [WindowPlan(10.0, 10.0), WindowPlan(10.0, 4.0),
+                                      WindowPlan(7.3, 3.1), WindowPlan(6.0, 9.5)])
+    def test_one_window_grids_score_as_the_whole_grid(self, plan):
+        # Each window of a grid, placed by its start time and scored as one
+        # non-overlapping window, scores as that window of the whole grid.
+        grid = self.edge_grid(start_time_s=2.5)
+        times = np.arange(5.0, 45.0, 1.0)
+        ref = PulseRateSeries(times, np.linspace(65.0, 80.0, times.size), 10.0, (40.0, 180.0))
+        want = score_grid(grid, ref, plan)
+        starts = window_starts(grid.n_frames, FS, plan).tolist()
+        got = []
+        for widx, window in enumerate(grid.windows(starts, plan.length_samples(FS))):
+            assert np.shares_memory(window.values, grid.values)
+            (frame,) = score_grid(window, ref, WindowPlan(plan.length_s, plan.length_s))
+            got.append(replace(frame, window_index=widx))
+        self.assert_frames_equal(got, want)
 
     @pytest.mark.parametrize("plan", [WindowPlan(10.0, 10.0), WindowPlan(10.0, 4.0),
                                       WindowPlan(7.3, 3.1), WindowPlan(6.0, 9.5)])
