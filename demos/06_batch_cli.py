@@ -4,6 +4,10 @@ Generates a full session (sensors, oximeter, traces, grid means, poses,
 manifest), fuses the ground truth, estimates and scores a POS pulse, maps
 grid quality, and computes the transit-time matrix. Everything lands under
 ./cli-demo with a config echo per command.
+
+The output is the same bytes on every run; demos/cli-demo.sha256 holds the
+SHA-256 of each file, written from the directory holding cli-demo/ by
+``find cli-demo -type f | LC_ALL=C sort | xargs sha256sum``.
 """
 
 import json

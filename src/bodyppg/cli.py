@@ -219,6 +219,11 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
     grid = manifest.load_grid(roi)
     length_s = _param(params, "window_s", DEFAULT_SCORE_PLAN.length_s)
     plan = WindowPlan(length_s, _param(params, "stride_s", length_s))
+    if plan.length_samples(grid.sample_rate_hz) > grid.n_frames:
+        raise ValueError(
+            f"the {roi!r} grid holds {grid.n_frames / grid.sample_rate_hz:g} s "
+            f"({grid.n_frames} frames), shorter than one {plan.length_s:g} s window"
+        )
     ref = _reference_rates(manifest, params)
     poses = manifest.load_poses()
     target = average_pose(poses) if poses else None

@@ -121,21 +121,26 @@ def harmonic_snrs(
     f_bpm = np.fft.rfftfreq(len(rows[0]), 1.0 / sample_rate_hz) * 60.0
     support = (f_bpm >= NOISE_BAND_BPM[0] - 1e-9) & (f_bpm <= NOISE_BAND_BPM[1] + 1e-9)
     for i, magnitude, _ in tapered_spectra(rows):
-        for k, power in enumerate(magnitude**2, start=i):
-            sig = (np.abs(f_bpm - rates[k]) <= SNR_HALF_BAND_BPM + 1e-9) | (
-                np.abs(f_bpm - 2.0 * rates[k]) <= SNR_HALF_BAND_BPM + 1e-9
+        power = magnitude**2
+        shared, group = np.unique(rates[i : i + len(power)], return_inverse=True)
+        for g, rate in enumerate(shared.tolist()):
+            members = np.flatnonzero(group == g)
+            sig = (np.abs(f_bpm - rate) <= SNR_HALF_BAND_BPM + 1e-9) | (
+                np.abs(f_bpm - 2.0 * rate) <= SNR_HALF_BAND_BPM + 1e-9
             )
-            # Per-row sums keep the summation order of a single window.
-            signal_power = float(np.sum(power[sig]))
-            noise_power = float(np.sum(power[support & ~sig]))
-            if signal_power <= 0.0:
-                out[k] = -SNR_CAP_DB
-            elif noise_power <= 0.0:
-                out[k] = SNR_CAP_DB
-            else:
-                out[k] = np.clip(
-                    10.0 * np.log10(signal_power / noise_power), -SNR_CAP_DB, SNR_CAP_DB
-                )
+            # The rows sharing a rate, summed along a C-contiguous last axis:
+            # each row in the summation order of a single window.
+            signal = power[np.ix_(members, sig)].sum(axis=-1).tolist()
+            noise = power[np.ix_(members, support & ~sig)].sum(axis=-1).tolist()
+            for k, signal_power, noise_power in zip((i + members).tolist(), signal, noise):
+                if signal_power <= 0.0:
+                    out[k] = -SNR_CAP_DB
+                elif noise_power <= 0.0:
+                    out[k] = SNR_CAP_DB
+                else:
+                    out[k] = np.clip(
+                        10.0 * np.log10(signal_power / noise_power), -SNR_CAP_DB, SNR_CAP_DB
+                    )
     return out
 
 

@@ -5,6 +5,11 @@ the normalized channels onto fixed chrominance directions, and tune the final
 1-D combination by a ratio of standard deviations. Segments are recombined by
 Hann-weighted overlap-add, band-passed, and z-normalized; only relative
 waveform morphology matters downstream.
+
+A segment as long as the trace (how grid scoring runs, once per cell and
+window) skips the overlap-add bookkeeping, and means and standard deviations
+are taken by the operations ``np.mean`` and ``np.std`` perform, without their
+per-call dispatch, so every path gives the bits it gave through them.
 """
 
 from __future__ import annotations
@@ -13,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (
-    BandpassSpec,
-    Waveform,
-    bandpass_zero_phase,
-    design_bandpass,
-)
+from .signals import BandpassSpec, Waveform, design_bandpass
 
 __all__ = ["RGBTrace", "MethodConfig", "chrom", "pos", "extract_pulse", "DEFAULT_POST_FILTER"]
 
@@ -50,7 +50,7 @@ class RGBTrace:
             if abs(ch.start_time_s - ref.start_time_s) > 1e-9:
                 raise ValueError(f"channel {name} does not share r's start time")
         for name, ch in (("r", self.r), ("g", self.g), ("b", self.b)):
-            if np.min(ch.samples) < 0:
+            if ch.samples.min() < 0:
                 raise ValueError(f"channel {name} has negative intensities")
 
     def __len__(self) -> int:
@@ -101,36 +101,44 @@ class MethodConfig:
             raise ValueError("internal_window_s must be at least 0.5 s")
 
 
+def _deviations(x: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """Deviations of a 1-D array from its mean, and its population standard
+    deviation, by the same operations ``np.mean`` and ``np.std`` perform."""
+    dev = x - x.sum() / x.size
+    return dev, np.sqrt((dev * dev).sum() / x.size)
+
+
 def _chrom_segment(cn: np.ndarray) -> np.ndarray:
-    """CHROM combination of one mean-normalized segment, z-normalized.
+    """CHROM combination of one mean-normalized (3, samples) segment, z-normalized.
 
     X and Y are the standard chrominance projections. The combined signal is
     oriented so that it rises with the pulse for green-dominant pulsatility,
     matching the sign of contact-PPG style references.
     """
-    x = 3.0 * cn[:, 0] - 2.0 * cn[:, 1]
-    y = 1.5 * cn[:, 0] + cn[:, 1] - 1.5 * cn[:, 2]
-    sy = np.std(y)
+    x = 3.0 * cn[0] - 2.0 * cn[1]
+    y = 1.5 * cn[0] + cn[1] - 1.5 * cn[2]
+    _, sy = _deviations(y)
     if sy <= _NUMERICAL_FLOOR:
-        return np.zeros(cn.shape[0])
-    s = (np.std(x) / sy) * y - x
-    ss = np.std(s)
+        return np.zeros(cn.shape[1])
+    s = (_deviations(x)[1] / sy) * y - x
+    dev, ss = _deviations(s)
     if ss <= _NUMERICAL_FLOOR:
-        return np.zeros(cn.shape[0])
-    return (s - np.mean(s)) / ss
+        return np.zeros(cn.shape[1])
+    return dev / ss
 
 
 def _pos_segment(cn: np.ndarray) -> np.ndarray:
-    """POS combination of one mean-normalized segment, mean-subtracted."""
-    s1 = cn[:, 1] - cn[:, 2]
-    s2 = cn[:, 1] + cn[:, 2] - 2.0 * cn[:, 0]
-    sd2 = np.std(s2)
+    """POS combination of one mean-normalized (3, samples) segment, mean-subtracted."""
+    s1 = cn[1] - cn[2]
+    s2 = cn[1] + cn[2] - 2.0 * cn[0]
+    _, sd2 = _deviations(s2)
     if sd2 <= _NUMERICAL_FLOOR:
-        return np.zeros(cn.shape[0])
-    h = s1 + (np.std(s1) / sd2) * s2
-    if np.std(h) <= _NUMERICAL_FLOOR:
-        return np.zeros(cn.shape[0])
-    return h - np.mean(h)
+        return np.zeros(cn.shape[1])
+    h = s1 + (_deviations(s1)[1] / sd2) * s2
+    dev, sh = _deviations(h)
+    if sh <= _NUMERICAL_FLOOR:
+        return np.zeros(cn.shape[1])
+    return dev
 
 
 def _overlap_add(trace: RGBTrace, cfg: MethodConfig, combine) -> np.ndarray:
@@ -139,8 +147,8 @@ def _overlap_add(trace: RGBTrace, cfg: MethodConfig, combine) -> np.ndarray:
     Output samples are renormalized by the accumulated window weight, so edge
     regions and the single-segment case keep their amplitude.
     """
-    values = trace.channel_matrix()
-    n = values.shape[0]
+    values = np.stack((trace.r.samples, trace.g.samples, trace.b.samples))
+    n = values.shape[1]
     fs = trace.sample_rate_hz
     if trace.duration_s < cfg.internal_window_s - 1e-9:
         raise ValueError(
@@ -148,37 +156,44 @@ def _overlap_add(trace: RGBTrace, cfg: MethodConfig, combine) -> np.ndarray:
             f"{cfg.internal_window_s:g} s segment"
         )
     seg_len = min(int(round(cfg.internal_window_s * fs)), n)
+
+    def normalized(s: int) -> np.ndarray:
+        seg = values[:, s : s + seg_len]
+        # The running sum adds the samples in order, as the mean over the
+        # first axis of a (samples, 3) matrix does, in a fraction of its time.
+        means = np.add.accumulate(seg, axis=-1)[:, -1] / seg_len
+        if (means <= 0.0).any():
+            raise ValueError(
+                f"zero channel mean in segment starting at sample {s} "
+                f"(t={trace.start_time_s + s / fs:.3f} s)"
+            )
+        return seg / means[:, None]
+
+    if seg_len == n:
+        # One segment under unit weight: the loop below would give
+        # (0 + 1 * piece) / 1, and adding 0.0 turns -0.0 into 0.0 as that does.
+        return combine(normalized(0)) + 0.0
     hop = max(1, seg_len // 2)
     starts = list(range(0, n - seg_len + 1, hop))
     if starts[-1] + seg_len < n:
         starts.append(n - seg_len)
 
-    taper = np.hanning(seg_len) if len(starts) > 1 else np.ones(seg_len)
+    taper = np.hanning(seg_len)
     out = np.zeros(n)
     weight = np.zeros(n)
     for s in starts:
-        seg = values[s : s + seg_len]
-        means = seg.mean(axis=0)
-        if np.any(means <= 0.0):
-            raise ValueError(
-                f"zero channel mean in segment starting at sample {s} "
-                f"(t={trace.start_time_s + s / fs:.3f} s)"
-            )
-        piece = combine(seg / means)
-        out[s : s + seg_len] += taper * piece
+        out[s : s + seg_len] += taper * combine(normalized(s))
         weight[s : s + seg_len] += taper
     return out / np.maximum(weight, 1e-12)
 
 
 def _finish(trace: RGBTrace, raw: np.ndarray) -> Waveform:
+    """Band-pass ``raw`` and z-normalize it, unless it is constant."""
     coeffs = design_bandpass(DEFAULT_POST_FILTER, trace.sample_rate_hz)
-    filtered = bandpass_zero_phase(
-        Waveform(raw, trace.sample_rate_hz, trace.start_time_s), coeffs
-    )
-    std = float(np.std(filtered.samples))
-    if std == 0.0:
-        return filtered
-    return filtered.with_samples((filtered.samples - np.mean(filtered.samples)) / std)
+    filtered = coeffs.zero_phase(raw)
+    dev, std = _deviations(filtered)
+    samples = filtered if std == 0.0 else dev / std
+    return Waveform(samples, trace.sample_rate_hz, trace.start_time_s)
 
 
 def chrom(trace: RGBTrace, cfg: MethodConfig | None = None) -> Waveform:

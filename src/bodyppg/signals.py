@@ -8,6 +8,7 @@ real-valued signal carrying its sample rate and a session-clock start time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +54,9 @@ class Waveform:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise ValueError("samples must all be finite")
-        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)

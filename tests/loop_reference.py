@@ -2,6 +2,9 @@
 
 Each function is the loop form of a batched computation in ``bodyppg``, kept
 as the oracle for tests that require the batched results to be exactly equal.
+The rPPG functions are the per-segment loop with ``np.std`` and ``np.mean``
+that ``bodyppg.rppg`` ran before it took a one-segment shortcut and did those
+operations itself.
 """
 
 from __future__ import annotations
@@ -18,8 +21,93 @@ from bodyppg.fusion import (
 from bodyppg.grid import SKIN_FRACTION_THRESHOLD, ErrorFrame, SubregionGrid
 from bodyppg.metrics import NOISE_BAND_BPM, SNR_CAP_DB
 from bodyppg.pulse_rate import _fft_length
-from bodyppg.rppg import MethodConfig, RGBTrace, pos
-from bodyppg.signals import Waveform, WindowPlan, divide_by_envelope
+from bodyppg.rppg import _NUMERICAL_FLOOR, DEFAULT_POST_FILTER, MethodConfig, RGBTrace
+from bodyppg.signals import (
+    Waveform,
+    WindowPlan,
+    bandpass_zero_phase,
+    design_bandpass,
+    divide_by_envelope,
+)
+
+
+def _chrom_segment(cn: np.ndarray) -> np.ndarray:
+    """CHROM combination of one mean-normalized segment, by np.std and np.mean."""
+    x = 3.0 * cn[:, 0] - 2.0 * cn[:, 1]
+    y = 1.5 * cn[:, 0] + cn[:, 1] - 1.5 * cn[:, 2]
+    sy = np.std(y)
+    if sy <= _NUMERICAL_FLOOR:
+        return np.zeros(cn.shape[0])
+    s = (np.std(x) / sy) * y - x
+    ss = np.std(s)
+    if ss <= _NUMERICAL_FLOOR:
+        return np.zeros(cn.shape[0])
+    return (s - np.mean(s)) / ss
+
+
+def _pos_segment(cn: np.ndarray) -> np.ndarray:
+    """POS combination of one mean-normalized segment, by np.std and np.mean."""
+    s1 = cn[:, 1] - cn[:, 2]
+    s2 = cn[:, 1] + cn[:, 2] - 2.0 * cn[:, 0]
+    sd2 = np.std(s2)
+    if sd2 <= _NUMERICAL_FLOOR:
+        return np.zeros(cn.shape[0])
+    h = s1 + (np.std(s1) / sd2) * s2
+    if np.std(h) <= _NUMERICAL_FLOOR:
+        return np.zeros(cn.shape[0])
+    return h - np.mean(h)
+
+
+def _overlap_add(trace: RGBTrace, cfg: MethodConfig, combine) -> np.ndarray:
+    """Overlap-add over segments, one loop step per segment, the single
+    segment included."""
+    values = trace.channel_matrix()
+    n = values.shape[0]
+    fs = trace.sample_rate_hz
+    if trace.duration_s < cfg.internal_window_s - 1e-9:
+        raise ValueError(
+            f"trace of {trace.duration_s:g} s is shorter than the "
+            f"{cfg.internal_window_s:g} s segment"
+        )
+    seg_len = min(int(round(cfg.internal_window_s * fs)), n)
+    hop = max(1, seg_len // 2)
+    starts = list(range(0, n - seg_len + 1, hop))
+    if starts[-1] + seg_len < n:
+        starts.append(n - seg_len)
+
+    taper = np.hanning(seg_len) if len(starts) > 1 else np.ones(seg_len)
+    out = np.zeros(n)
+    weight = np.zeros(n)
+    for s in starts:
+        seg = values[s : s + seg_len]
+        means = seg.mean(axis=0)
+        if np.any(means <= 0.0):
+            raise ValueError(
+                f"zero channel mean in segment starting at sample {s} "
+                f"(t={trace.start_time_s + s / fs:.3f} s)"
+            )
+        piece = combine(seg / means)
+        out[s : s + seg_len] += taper * piece
+        weight[s : s + seg_len] += taper
+    return out / np.maximum(weight, 1e-12)
+
+
+def _finish(trace: RGBTrace, raw: np.ndarray) -> Waveform:
+    """Band-pass through waveforms, then z-normalize by np.std and np.mean."""
+    coeffs = design_bandpass(DEFAULT_POST_FILTER, trace.sample_rate_hz)
+    filtered = bandpass_zero_phase(
+        Waveform(raw, trace.sample_rate_hz, trace.start_time_s), coeffs
+    )
+    std = float(np.std(filtered.samples))
+    if std == 0.0:
+        return filtered
+    return filtered.with_samples((filtered.samples - np.mean(filtered.samples)) / std)
+
+
+def extract_pulse(trace: RGBTrace, cfg: MethodConfig) -> Waveform:
+    """CHROM or POS by the per-segment loop and np.std."""
+    combine = _chrom_segment if cfg.method == "chrom" else _pos_segment
+    return _finish(trace, _overlap_add(trace, cfg, combine))
 
 
 def window_peak_rate(x: np.ndarray, sample_rate_hz: float, band) -> float:
@@ -88,7 +176,7 @@ def score_grid(grid, ref_rate, plan=None, band_bpm=(40.0, 180.0)) -> list[ErrorF
                     continue
                 trace = grid.cell_trace(row, col).slice(start, start + n_len)
                 try:
-                    pulse = pos(trace, cfg)
+                    pulse = extract_pulse(trace, cfg)
                     if not 0 < band_bpm[0] < band_bpm[1] < nyquist_bpm:
                         raise ValueError("band outside (0, Nyquist)")
                     rate = window_peak_rate(pulse.samples, fs, band_bpm)

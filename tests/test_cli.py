@@ -239,6 +239,17 @@ class TestGridMapCommand:
         # Every window is scored before any output is written.
         assert not out.exists()
 
+    def test_window_longer_than_the_grid_named_before_any_output(self, session, tmp_path,
+                                                                 capsys):
+        capsys.readouterr()
+        out = tmp_path / "gm"
+        assert main(["grid-map", "--manifest", str(session / "manifest.json"),
+                     "--window-s", "35", "--out-dir", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": (
+            "the 'face' grid holds 30 s (2700 frames), shorter than one 35 s window")}
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_cli_override(self, session, tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 
 from bodyppg import PulseRateSeries, SensorBank, Waveform, WindowPlan, fuse_ground_truth_report
 from bodyppg.cli import main
+from bodyppg.pulse_rate import spectral_peaks
 from bodyppg.session import write_csv
 from bodyppg.synthetic_session import SyntheticSessionConfig, build_synthetic_session
 from bodyppg.transit_time import ptt_matrix
@@ -63,6 +64,20 @@ def test_ptt_matrix_holds_no_window_copies():
     waves = list(sensor_bank(6.0).channels)
     peak = traced_peak(lambda: ptt_matrix(waves, WindowPlan(5.0, 0.0025)))
     assert peak < 4 * MB
+
+
+def test_spectral_peaks_of_400hz_windows_hold_no_more_than_full_spectra():
+    # 291 windows of 4,000 samples, as the fused reference of a 300 s session
+    # is rated. Whole 65,536-point spectra, four rows per chunk, peaked at
+    # 4.36 MB for an array and 4.49 MB for a list of windows; the band-limited
+    # transform peaks at 3.75 MB for either.
+    rng = np.random.default_rng(1)
+    t = np.arange(4000) / FS
+    rows = np.sin(2 * np.pi * 1.2 * t) + 0.5 * rng.standard_normal((291, t.size))
+    band = (40.0, 180.0)
+    spectral_peaks(rows[:1], FS, band)  # the transform's plan is made before tracing
+    for given in (rows, list(rows)):
+        assert traced_peak(lambda: spectral_peaks(given, FS, band)) <= 4.36 * MB
 
 
 def test_grid_map_holds_one_window_of_cell_means(tmp_path):

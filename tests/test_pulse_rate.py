@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodyppg import Waveform, WindowPlan, snr_harmonics, stft_pulse_rate
+from bodyppg import pulse_rate
 from bodyppg.metrics import harmonic_snrs
 from bodyppg.pulse_rate import PulseRateSeries, _peak_rates, spectral_peaks
 from bodyppg.synth import PulseModel, ramp_rate, synth_pulse
@@ -169,3 +170,89 @@ class TestBatchedSpectralKernel:
         ]
         with mock.patch("bodyppg.metrics.DEFAULT_SCORE_PLAN", plan):
             assert snr_harmonics(w, ref) == float(np.mean(want_snr))
+
+
+class TestBandLimitedPeaks:
+    """spectral_peaks computes only the in-band bins and rates a row from its
+    whole spectrum only when its two strongest band bins are too close to tell."""
+
+    BAND = (40.0, 180.0)
+
+    @staticmethod
+    def noisy_rows(n_rows, n_len, fs, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n_len) / fs
+        rates = rng.uniform(45.0, 175.0, n_rows)
+        rows = 50.0 + np.sin(2 * np.pi * rates[:, None] / 60.0 * t)
+        return rows + rng.normal(0.0, 2.0, (n_rows, n_len))
+
+    @staticmethod
+    def spy_on_full_spectra(monkeypatch):
+        seen = []
+        original = pulse_rate.tapered_spectra
+
+        def spy(rows, n_fft=None):
+            seen.extend(np.asarray(r) for r in rows)
+            return original(rows, n_fft)
+
+        monkeypatch.setattr(pulse_rate, "tapered_spectra", spy)
+        return seen
+
+    def test_full_spectra_for_every_row_give_the_same_rates(self, monkeypatch):
+        rows = self.noisy_rows(30, 900, 90.0, seed=8)
+        rows[[4, 17]] = 50.0  # constant rows have no rate, in either path
+        want = spectral_peaks(rows, 90.0, self.BAND)
+        assert np.isnan(want).sum() == 2
+        seen = self.spy_on_full_spectra(monkeypatch)
+        # No bin's magnitude exceeds the sum of the tapered magnitudes, so no
+        # gap between two of them does either.
+        monkeypatch.setattr(pulse_rate, "_TIE_MARGIN", 2.0)
+        got = spectral_peaks(rows, 90.0, self.BAND)
+        np.testing.assert_array_equal(got, want)
+        assert len(seen) == 28
+
+    def test_only_rows_with_close_peaks_take_the_full_spectrum(self, monkeypatch):
+        fs, n_len = 90.0, 900
+        rows = self.noisy_rows(40, n_len, fs, seed=9)
+        # Each row's gap between its two strongest band bins, as a fraction of
+        # the sum of its tapered magnitudes; the margin splits the rows in two.
+        x = (rows - rows.mean(axis=-1, keepdims=True)) * np.hanning(n_len)
+        n_fft = pulse_rate._fft_length(n_len, fs)
+        bpm = np.arange(n_fft // 2 + 1) * (60.0 * fs / n_fft)
+        band = (bpm >= self.BAND[0]) & (bpm <= self.BAND[1])
+        top = np.sort(np.abs(np.fft.rfft(x, n_fft))[:, band], axis=-1)[:, -2:]
+        gap = (top[:, 1] - top[:, 0]) / np.abs(x).sum(axis=-1)
+        order = np.sort(gap)
+        margin = np.sqrt(order[19] * order[20])
+        assert order[20] > 1.001 * order[19]
+        seen = self.spy_on_full_spectra(monkeypatch)
+        monkeypatch.setattr(pulse_rate, "_TIE_MARGIN", margin)
+        got = spectral_peaks(rows, fs, self.BAND)
+        np.testing.assert_array_equal(seen, rows[gap <= margin])
+        np.testing.assert_array_equal(
+            got, [loop_reference.window_peak_rate(r, fs, self.BAND) for r in rows]
+        )
+
+    def test_ordinary_rows_need_no_full_spectrum(self, monkeypatch):
+        seen = self.spy_on_full_spectra(monkeypatch)
+        rows = self.noisy_rows(50, 900, 90.0, seed=10)
+        got = spectral_peaks(rows, 90.0, self.BAND)
+        assert seen == []
+        np.testing.assert_array_equal(
+            got, [loop_reference.window_peak_rate(r, 90.0, self.BAND) for r in rows]
+        )
+
+    def test_400hz_windows_equal_the_full_spectrum_loop(self):
+        # 4,000-sample windows zero-padded to 65,536 bins, as the fused
+        # contact-sensor reference is rated.
+        fs, n_len = 400.0, 4000
+        assert pulse_rate._fft_length(n_len, fs) == 65536
+        rows = self.noisy_rows(12, n_len, fs, seed=11)
+        got = spectral_peaks(list(rows), fs, self.BAND)
+        np.testing.assert_array_equal(
+            got, [loop_reference.window_peak_rate(r, fs, self.BAND) for r in rows]
+        )
+
+    def test_band_of_one_bin_rejected(self):
+        with pytest.raises(ValueError, match="fewer than two spectrum bins"):
+            spectral_peaks(np.ones((2, 900)), 90.0, (60.0, 60.2))

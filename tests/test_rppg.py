@@ -16,6 +16,8 @@ from bodyppg import (
 from bodyppg.rppg import DEFAULT_POST_FILTER
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
 
+import loop_reference
+
 
 @pytest.fixture(scope="module")
 def pulse():
@@ -120,6 +122,63 @@ class TestPosSpecifics:
         series = stft_pulse_rate(out, None)
         assert len(series) == 1
         assert abs(series.rates_bpm[0] - 72.0) < 0.5
+
+
+@pytest.mark.parametrize("method", ["pos", "chrom"])
+class TestPerSegmentOracle:
+    """Both methods give the bits of the per-segment loop with np.std and np.mean
+    that ``loop_reference`` keeps, in the one-segment and the overlap-add case."""
+
+    @staticmethod
+    def assert_same_bits(trace, cfg):
+        got = extract_pulse(trace, cfg)
+        want = loop_reference.extract_pulse(trace, cfg)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got.sample_rate_hz, got.start_time_s) == (want.sample_rate_hz, want.start_time_s)
+
+    def test_grid_cell_window(self, method, chromatic_trace):
+        # 900 samples at 90 Hz under a 10 s segment: one segment, as grid
+        # scoring runs each cell window.
+        for start in (0, 900, 2700):
+            cell = chromatic_trace.slice(start, start + 900)
+            self.assert_same_bits(cell, MethodConfig(method=method, internal_window_s=10.0))
+
+    def test_long_trace_in_short_segments(self, method, chromatic_trace):
+        assert chromatic_trace.duration_s == 60.0
+        self.assert_same_bits(chromatic_trace, MethodConfig(method=method))
+
+    @pytest.mark.parametrize("window_s", [1.6, 10.0])
+    def test_constant_and_achromatic_traces(self, method, pulse, window_s):
+        const = Waveform(np.full(900, 0.5), 90.0)
+        achromatic = synth_rgb_trace(
+            pulse, baseline=(0.6, 0.5, 0.4), modulation=(0.005, 0.005, 0.005), seed=5
+        ).slice(0, 900)
+        cfg = MethodConfig(method=method, internal_window_s=window_s)
+        self.assert_same_bits(RGBTrace(const, const, const), cfg)
+        self.assert_same_bits(achromatic, cfg)
+
+    @pytest.mark.parametrize("window_s, zero_from", [(1.6, 720), (10.0, 0)])
+    def test_zero_channel_mean_message(self, method, window_s, zero_from):
+        red = np.ones(900)
+        red[zero_from:] = 0.0
+        ones = Waveform(np.ones(900), 90.0, 2.5)
+        trace = RGBTrace(Waveform(red, 90.0, 2.5), ones, ones)
+        cfg = MethodConfig(method=method, internal_window_s=window_s)
+        with pytest.raises(ValueError) as got:
+            extract_pulse(trace, cfg)
+        with pytest.raises(ValueError) as want:
+            loop_reference.extract_pulse(trace, cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"zero channel mean in segment starting at sample {zero_from} ")
+
+    def test_too_short_trace_message(self, method, chromatic_trace):
+        short = chromatic_trace.slice(0, 90)
+        cfg = MethodConfig(method=method)
+        with pytest.raises(ValueError) as got:
+            extract_pulse(short, cfg)
+        with pytest.raises(ValueError) as want:
+            loop_reference.extract_pulse(short, cfg)
+        assert str(got.value) == str(want.value) == "trace of 1 s is shorter than the 1.6 s segment"
 
 
 class TestConfig:
