@@ -180,7 +180,8 @@ def fuse_ground_truth_report(
     Zero-variance channel windows are skipped; windows where every channel was
     skipped emit zeros and are flagged. Overlapping windows are averaged per
     sample and the combined waveform is divided by its Hilbert envelope, so
-    the output rides at roughly unit amplitude.
+    the output rides at roughly unit amplitude. Streams shorter than one
+    window are a ValueError.
     """
     if plan is None:
         plan = DEFAULT_FUSION_PLAN
@@ -192,6 +193,9 @@ def fuse_ground_truth_report(
 
     diags = FusionDiagnostics()
     spans = windows(first, plan)
+    if not spans:
+        raise ValueError(f"sensor streams of {first.duration_s:g} s are shorter than one "
+                         f"{plan.length_s:g} s window")
     diags.n_windows = len(spans)
     n_len = plan.length_samples(fs)
     starts = np.array([start for start, _ in spans], dtype=np.int64)

@@ -252,12 +252,16 @@ def stft_pulse_rate(
     Each window is mean-subtracted, Hann-tapered, and zero-padded far enough
     that FFT bins are at most 0.5 bpm apart; the in-band magnitude peak is
     reported at the window-center time. All-zero windows are skipped and
-    counted in ``n_skipped``. The windows go through :func:`spectral_peaks`
-    as the rows of one batch.
+    counted in ``n_skipped``; a waveform shorter than one window is a
+    ValueError. The windows go through :func:`spectral_peaks` as the rows of
+    one batch.
     """
     if plan is None:
         plan = DEFAULT_RATE_PLAN
     segs = windows(w, plan)
+    if not segs:
+        raise ValueError(f"waveform of {w.duration_s:g} s is shorter than one "
+                         f"{plan.length_s:g} s window")
     rates = spectral_peaks([seg.samples for _, seg in segs], w.sample_rate_hz, band)
     found = np.isfinite(rates)
     times = [seg.start_time_s + 0.5 * plan.length_s for _, seg in segs]

@@ -22,6 +22,10 @@ File formats:
     float64 of shape (frames, rows, cols, 3), exactly as given to the writer;
     a JSON sidecar holds the rate, start time, geometry and per-cell skin
     fraction
+
+Frame dumps and grid stores share one block reader, which reads the frames a
+block at a time into one buffer. Config echoes hash every file the loaders
+read, PGM masks included; frame dumps are not hashed (see the README).
 """
 
 from __future__ import annotations
@@ -73,9 +77,6 @@ __all__ = [
 # Declared and inferred sample rates must agree to within this fraction.
 RATE_TOLERANCE = 1e-3
 
-_FRAME_DUMP_MAGIC = b"RFD1"
-_FRAME_DUMP_HEADER = struct.Struct("<4sIII d")  # magic, width, height, frames, fps
-_FRAME_DUMP_HEADER_SIZE = 32
 # Frames read and summed at a time: ingestion holds one block of this many
 # frames, never the whole video.
 _CHUNK_FRAMES = 16
@@ -86,8 +87,9 @@ _FLOAT_FMT = "%.12g"
 # memory while it is written, so the block stays small.
 _CSV_BLOCK_ROWS = 1024
 
-_GRID_MAGIC = b"RGM1"
-_GRID_HEADER = struct.Struct("<4sIII")  # magic, frames, rows, cols
+# Every key of a grid store's sidecar: the writer writes each, the reader needs each.
+_GRID_META_KEYS = ("rows", "cols", "cell_px", "origin_px", "sample_rate_hz", "start_time_s",
+                   "skin_fraction")
 
 
 def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
@@ -359,6 +361,73 @@ def _check_dump_header(path: Path | str, n: int, w: int, h: int, fps: float) -> 
         )
 
 
+class _BlockFile:
+    """Frames along the first axis of ``shape``, after a header in ``path``,
+    which holds exactly those: the one reader and writer of frame dumps and
+    grid stores. A subclass gives the format: ``_header`` packs ``_magic`` and
+    the header fields, zero padded to ``_header_size`` bytes, then come the
+    ``_dtype`` frames. Errors name the format ``_name`` and its frames
+    ``_payload``; ``_magic_hint`` ends a bad-magic error."""
+
+    _magic_hint = ""
+
+    def __init__(self, path: Path | str, shape: tuple[int, ...]):
+        self.path, self.shape, self.n_frames = path, shape, shape[0]
+        self._frame_bytes = math.prod(shape[1:]) * self._dtype.itemsize
+        size = os.stat(path).st_size
+        expected = self._header_size + self.n_frames * self._frame_bytes
+        if size == expected:
+            return
+        problem = f"truncated {self._payload}" if size < expected else "trailing bytes"
+        message = (f"{path}: {problem}: the file has {size} bytes, but its header declares "
+                   f"{self.n_frames} frames of {'x'.join(map(str, shape[1:]))} "
+                   f"{self._dtype.name}, {expected} bytes with the header")
+        if size < expected:
+            whole = (size - self._header_size) // self._frame_bytes
+            message += (f"; frame {whole}, starting at byte "
+                        f"{self._header_size + whole * self._frame_bytes}, is incomplete")
+        raise ValueError(message)
+
+    @classmethod
+    def _write(cls, path: Path | str, frames: np.ndarray, *fields) -> None:
+        """``frames`` after a header of ``fields``."""
+        with open(path, "wb") as fh:
+            fh.write(cls._header.pack(cls._magic, *fields).ljust(cls._header_size, b"\0"))
+            # The array's own buffer; tobytes() would be a second copy of the video.
+            fh.write(np.ascontiguousarray(frames, dtype=cls._dtype).data)
+
+    @classmethod
+    def _read_header(cls, path: Path | str) -> tuple:
+        """The fields after the magic of the header of ``path``."""
+        with open(path, "rb") as fh:
+            header = fh.read(cls._header_size)
+        if header[:4] != cls._magic:
+            raise ValueError(f"{path}: bad {cls._name} magic {header[:4]!r}, expected "
+                             f"{cls._magic!r}{cls._magic_hint}")
+        if len(header) < cls._header_size:
+            raise ValueError(f"{path}: truncated {cls._name} header")
+        return cls._header.unpack(header[: cls._header.size])[1:]
+
+    def _blocks(self, starts, size: int):
+        """For each of ``starts``, that start and its frames [start, start +
+        size), or those up to the last frame, all read into one buffer: a block
+        holds its frames only until the next is read."""
+        buffer = np.empty((min(size, self.n_frames), *self.shape[1:]), dtype=self._dtype)
+        with open(self.path, "rb") as fh:
+            for start in starts:
+                block = buffer[: max(0, min(size, self.n_frames - start))]
+                fh.seek(self._header_size + start * self._frame_bytes)
+                got = fh.readinto(block.data)
+                if got != block.nbytes:
+                    raise ValueError(
+                        f"{self.path}: truncated {self._payload}: read {got} of {block.nbytes} "
+                        f"bytes of frames {start} to {start + len(block) - 1}; frame "
+                        f"{start + got // self._frame_bytes} is missing, so the file shrank "
+                        "after its size was checked"
+                    )
+                yield start, block
+
+
 def write_frame_dump(path: Path | str, frames: np.ndarray, fps: float) -> None:
     """Write planar 8-bit RGB frames of shape (n_frames, 3, height, width)."""
     frames = np.asarray(frames)
@@ -368,15 +437,10 @@ def write_frame_dump(path: Path | str, frames: np.ndarray, fps: float) -> None:
         raise ValueError(f"frames must be uint8, not {frames.dtype}")
     n, _, h, w = frames.shape
     _check_dump_header(path, n, w, h, fps)
-    header = _FRAME_DUMP_HEADER.pack(_FRAME_DUMP_MAGIC, w, h, n, fps)
-    header = header.ljust(_FRAME_DUMP_HEADER_SIZE, b"\0")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # The array's own buffer; tobytes() would be a second copy of the video.
-        fh.write(np.ascontiguousarray(frames).data)
+    FrameDump._write(path, frames, w, h, n, fps)
 
 
-class FrameDump:
+class FrameDump(_BlockFile):
     """A frame dump whose header and size :func:`read_frame_dump` checked.
 
     It holds no pixels: ``len()`` is the frame count, ``shape`` is
@@ -384,33 +448,17 @@ class FrameDump:
     frames in order.
     """
 
-    def __init__(self, path: Path | str, shape: tuple[int, int, int, int]):
-        self.path = path
-        self.shape = shape
+    _name, _payload, _magic, _dtype = "frame-dump", "frame data", b"RFD1", np.dtype(np.uint8)
+    _header, _header_size = struct.Struct("<4sIII d"), 32  # magic, width, height, frames, fps
 
     def __len__(self) -> int:
-        return self.shape[0]
+        return self.n_frames
 
     def blocks(self, size: int):
         """Consecutive blocks of at most ``size`` frames, all read into one
         buffer: a block holds its frames only until the next is read."""
-        n = len(self)
-        buffer = np.empty((min(size, n),) + self.shape[1:], dtype=np.uint8)
-        with open(self.path, "rb") as fh:
-            fh.seek(_FRAME_DUMP_HEADER_SIZE)
-            for f0 in range(0, n, size):
-                block = buffer[: min(size, n - f0)]
-                self._read_into(fh, block)
-                yield block
-
-    def _read_into(self, fh, block: np.ndarray) -> None:
-        start = fh.tell()
-        got = fh.readinto(block.data)
-        if got != block.nbytes:
-            raise ValueError(
-                f"{self.path}: truncated frame data: read {got} of {block.nbytes} bytes "
-                f"at offset {start}; the file shrank after its header was checked"
-            )
+        for _, block in self._blocks(range(0, len(self), size), size):
+            yield block
 
 
 def read_frame_dump(path: Path | str) -> tuple[FrameDump, float]:
@@ -418,22 +466,8 @@ def read_frame_dump(path: Path | str) -> tuple[FrameDump, float]:
     of a frame dump. Only the header is read: it must declare at least one
     frame of at least 1x1 pixels at a finite positive fps, and the file must
     hold exactly the header and the frames it declares."""
-    with open(path, "rb") as fh:
-        header = fh.read(_FRAME_DUMP_HEADER_SIZE)
-        if len(header) < _FRAME_DUMP_HEADER_SIZE:
-            raise ValueError(f"{path}: truncated frame-dump header")
-        magic, w, h, n, fps = _FRAME_DUMP_HEADER.unpack(header[: _FRAME_DUMP_HEADER.size])
-        if magic != _FRAME_DUMP_MAGIC:
-            raise ValueError(f"{path}: bad frame-dump magic {magic!r}")
-        _check_dump_header(path, n, w, h, fps)
-        size = os.fstat(fh.fileno()).st_size
-        expected = _FRAME_DUMP_HEADER_SIZE + n * 3 * h * w
-        if size != expected:
-            problem = "truncated frame data" if size < expected else "trailing bytes"
-            raise ValueError(
-                f"{path}: {problem}: the file has {size} bytes, but its header "
-                f"declares {n} frames of 3x{h}x{w}, {expected} bytes with the header"
-            )
+    w, h, n, fps = FrameDump._read_header(path)
+    _check_dump_header(path, n, w, h, fps)
     return FrameDump(path, (n, 3, h, w)), fps
 
 
@@ -482,23 +516,12 @@ def write_grid(path_means: Path | str, path_meta: Path | str, grid: SubregionGri
     """Cell means as a grid store plus a JSON geometry sidecar; a grid read
     back equals ``grid`` bit for bit."""
     n, rows, cols, _ = grid.values.shape
-    with open(path_means, "wb") as fh:
-        fh.write(_GRID_HEADER.pack(_GRID_MAGIC, n, rows, cols))
-        # One write of the array's own buffer when it is C-ordered "<f8".
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").data)
-    meta = {
-        "rows": rows,
-        "cols": cols,
-        "cell_px": grid.cell_px,
-        "origin_px": list(grid.origin_px),
-        "sample_rate_hz": grid.sample_rate_hz,
-        "start_time_s": grid.start_time_s,
-        "skin_fraction": grid.skin_fraction.tolist(),
-    }
-    write_json(path_meta, meta)
+    GridStore._write(path_means, grid.values, n, rows, cols)
+    meta = {key: getattr(grid, key) for key in _GRID_META_KEYS}
+    write_json(path_meta, {**meta, "skin_fraction": grid.skin_fraction.tolist()})
 
 
-class GridStore:
+class GridStore(_BlockFile):
     """A grid store whose header, size and sidecar :func:`open_grid_store`
     checked.
 
@@ -507,32 +530,27 @@ class GridStore:
     :meth:`windows` reads frames.
     """
 
+    _name, _payload, _magic, _dtype = "grid-store", "grid values", b"RGM1", np.dtype("<f8")
+    _header, _header_size = struct.Struct("<4sIII"), 16  # magic, frames, rows, cols
+    _magic_hint = ("; grid cell means are no longer read from CSV, so re-run `bodyppg synth` "
+                   "to write the session's grid store")
+
     def __init__(self, path: Path | str, n_frames: int, geometry: SubregionGrid):
-        self.path, self.n_frames, self._geometry = path, n_frames, geometry
+        super().__init__(path, (n_frames, geometry.rows, geometry.cols, 3))
+        self._geometry = geometry
         self.rows, self.cols = geometry.rows, geometry.cols
         self.sample_rate_hz, self.start_time_s = geometry.sample_rate_hz, geometry.start_time_s
         self.origin_px, self.cell_px = geometry.origin_px, geometry.cell_px
         self.skin_fraction = geometry.skin_fraction
 
     def windows(self, starts, n: int):
-        """For each of ``starts``, the grid of frames [start, start + n), all
+        """For each of ``starts``, the grid of frames [start, start + n), or of
+        those up to the last frame as :meth:`SubregionGrid.windows` gives, all
         read into one buffer: a window holds its frames only until the next is
         read. Each block must be whole, and each mean finite and non-negative."""
-        buffer = np.empty((n, self.rows, self.cols, 3), dtype="<f8")
-        frame_bytes = self.rows * self.cols * 3 * 8
-        with open(self.path, "rb") as fh:
-            for start in starts:
-                fh.seek(_GRID_HEADER.size + start * frame_bytes)
-                got = fh.readinto(buffer.data)
-                if got != buffer.nbytes:
-                    raise ValueError(
-                        f"{self.path}: truncated grid values: read {got} of {buffer.nbytes} "
-                        f"bytes of frames {start} to {start + n - 1}; frame "
-                        f"{start + got // frame_bytes} is missing, so the file shrank "
-                        "after its size was checked"
-                    )
-                _check_cell_means(self.path, buffer, start)
-                yield self._geometry.at_frame(start, buffer)
+        for start, block in self._blocks(starts, n):
+            _check_cell_means(self.path, block, start)
+            yield self._geometry.at_frame(start, block)
 
 
 def _check_cell_means(path: Path | str, block: np.ndarray, first_frame: int) -> None:
@@ -548,13 +566,12 @@ def _check_cell_means(path: Path | str, block: np.ndarray, first_frame: int) -> 
     )
 
 
-# Every key of a grid store's sidecar; the reader needs each.
-_GRID_META_KEYS = ("rows", "cols", "cell_px", "origin_px", "sample_rate_hz", "start_time_s",
-                   "skin_fraction")
 
-
-def _read_grid_meta(path_meta: Path | str) -> dict:
-    """A grid sidecar with every key, whose rate is finite and positive."""
+def _grid_geometry(path_means: Path | str, path_meta: Path | str,
+                   rows: int, cols: int) -> SubregionGrid:
+    """The rate, start time and geometry of sidecar ``path_meta`` over zero
+    frames of the ``rows`` x ``cols`` cells of store ``path_means``; the
+    sidecar must have every key, those cells and a finite positive rate."""
     meta = _load_json(path_meta, "grid sidecar")
     if not isinstance(meta, dict):
         raise ValueError(f"{path_meta}: a grid sidecar must hold a JSON object")
@@ -567,12 +584,11 @@ def _read_grid_meta(path_meta: Path | str) -> dict:
             f"{path_meta}: sample_rate_hz {fps} must be finite and positive, "
             "or the frame times of the grid do not increase"
         )
-    return meta
-
-
-def _grid_geometry(path_meta: Path | str, meta: dict, rows: int, cols: int) -> SubregionGrid:
-    """The sidecar's rate, start time and geometry over zero frames of
-    ``rows`` x ``cols`` cells."""
+    if (rows, cols) != (meta["rows"], meta["cols"]):
+        raise ValueError(
+            f"{path_means}: the header declares {rows}x{cols} cells, but "
+            f"{path_meta} declares {meta['rows']}x{meta['cols']}"
+        )
     try:
         skin = np.asarray(meta["skin_fraction"], dtype=np.float64)
     except (TypeError, ValueError):
@@ -608,40 +624,8 @@ def open_grid_store(path_means: Path | str, path_meta: Path | str) -> GridStore:
     header and the sidecar are read: the store must have the magic, exactly
     the values its header declares, and the rows and cols of the sidecar,
     whose rate must be finite and positive so frame times increase."""
-    meta = _read_grid_meta(path_meta)
-    with open(path_means, "rb") as fh:
-        header = fh.read(_GRID_HEADER.size)
-        magic = header[:4]
-        if magic != _GRID_MAGIC:
-            raise ValueError(
-                f"{path_means}: bad grid-store magic {magic!r}, expected {_GRID_MAGIC!r}; "
-                "grid cell means are no longer read from CSV, so re-run `bodyppg synth` "
-                "to write the session's grid store"
-            )
-        if len(header) < _GRID_HEADER.size:
-            raise ValueError(f"{path_means}: truncated grid-store header")
-        _, n, rows, cols = _GRID_HEADER.unpack(header)
-        if (rows, cols) != (meta["rows"], meta["cols"]):
-            raise ValueError(
-                f"{path_means}: the header declares {rows}x{cols} cells, but "
-                f"{path_meta} declares {meta['rows']}x{meta['cols']}"
-            )
-        size = os.fstat(fh.fileno()).st_size
-        frame_bytes = rows * cols * 3 * 8
-        expected = _GRID_HEADER.size + n * frame_bytes
-        if size != expected:
-            problem = "truncated grid values" if size < expected else "trailing bytes"
-            message = (
-                f"{path_means}: {problem}: the file has {size} bytes, but its header "
-                f"declares {n} frames of {rows}x{cols}x3 float64, {expected} bytes "
-                "with the header"
-            )
-            if size < expected:
-                whole = (size - _GRID_HEADER.size) // frame_bytes
-                message += (f"; frame {whole}, starting at byte "
-                            f"{_GRID_HEADER.size + whole * frame_bytes}, is incomplete")
-            raise ValueError(message)
-    return GridStore(path_means, n, _grid_geometry(path_meta, meta, rows, cols))
+    n, rows, cols = GridStore._read_header(path_means)
+    return GridStore(path_means, n, _grid_geometry(path_means, path_meta, rows, cols))
 
 
 def read_grid(path_means: Path | str, path_meta: Path | str) -> SubregionGrid:
@@ -735,7 +719,8 @@ def extract_traces(
 
     ``frames`` is the :class:`FrameDump` that :func:`read_frame_dump`
     returns; the format holds uint8 pixels only. It is read once, in blocks
-    of ``_CHUNK_FRAMES`` frames, so the video is never held in memory whole. Every mean is an int64 sum of the 8-bit pixels divided
+    of ``_CHUNK_FRAMES`` frames into one buffer, so the video is never held
+    in memory whole. Every mean is an int64 sum of the 8-bit pixels divided
     by their count: such sums are exact in any order, so each mean is the
     exact average whatever the block size.
 
@@ -755,12 +740,10 @@ def extract_traces(
             )
         regions.append(_Region(label, mask, n, grid_cell_px))
 
-    f0 = 0
-    for block in frames.blocks(_CHUNK_FRAMES):
+    for block, f0 in zip(frames.blocks(_CHUNK_FRAMES), range(0, n, _CHUNK_FRAMES)):
         planes = block.reshape(len(block), 3, height * width)
         for region in regions:
             region.add(block, planes, f0)
-        f0 += len(block)
 
     traces = {r.label: r.rgb_trace(fps) for r in regions}
     grids = {r.label: r.grid(fps) for r in regions if r.cells is not None}
@@ -774,8 +757,8 @@ class SessionManifest:
     :meth:`load` checks that every file the manifest names exists and parses
     none. The loaders parse each trace, sensor and oximeter CSV when first
     needed, and only once, checking each trace and sensor stream against the
-    portions. ``files_read`` lists every trace, sensor, oximeter, grid and
-    keypoint file the loaders read; frame dumps and PGM masks are not listed.
+    portions. ``files_read`` lists every trace, sensor, oximeter, grid,
+    keypoint and PGM mask file the loaders read; frame dumps are not listed.
     """
 
     session_id: str
@@ -878,6 +861,7 @@ class SessionManifest:
             if not mask_path.exists():
                 raise FileNotFoundError(f"mask for ROI {roi!r} missing: {mask_path}")
             masks[roi] = read_pgm(mask_path)
+            self.files_read.append(mask_path)
         frames, fps = read_frame_dump(self.frames_path)
         if abs(fps - self.fps) > RATE_TOLERANCE * self.fps:
             raise ValueError(

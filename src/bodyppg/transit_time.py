@@ -65,7 +65,8 @@ class PTTMatrix:
     ``mean_lag_s`` is exactly skew-symmetric with a zero diagonal: each
     unordered pair is estimated once and mirrored with negation.
     ``per_window_lag_s`` keeps every retained window estimate (NaN where a
-    window was excluded) for distribution statistics.
+    window was excluded) for distribution statistics. A pair with no
+    retained window has a NaN mean lag and peak correlation.
     """
 
     sites: tuple[str, ...]
@@ -234,7 +235,8 @@ def ptt_matrix(
     negation, so every per-window matrix and the mean matrix are exactly
     skew-symmetric. Windows whose peak correlation falls below
     ``min_peak_corr``, or where a pair has zero variance, are dropped for that
-    pair only, with counts reported and logged.
+    pair only, with counts reported and logged. Waveforms shorter than one
+    window are a ValueError.
 
     All pairs are scanned together over chunks of windows holding at most
     ``_CHUNK_SAMPLES`` pair-window samples; see :func:`xcorr_lag`.
@@ -257,6 +259,9 @@ def ptt_matrix(
         raise ValueError(f"max_lag_s {max_lag_s} must sit in (0, {plan.length_s / 2.0}) s")
 
     spans = windows(waves[0][1], plan)
+    if not spans:
+        raise ValueError(f"site waveforms of {waves[0][1].duration_s:g} s are shorter than one "
+                         f"{plan.length_s:g} s window")
     max_lag = int(round(max_lag_s * fs))
     n_sites, n_windows = len(sites), len(spans)
     n_len = plan.length_samples(fs)
@@ -278,8 +283,10 @@ def ptt_matrix(
     keep = ~(failed | low)
     lag_s = np.where(keep, lag / fs, np.nan)
     logger.info(
-        "ptt scored %d pairs x %d windows: %d below min_peak_corr %g, %d zero-variance",
+        "ptt scored %d pairs x %d windows: %d below min_peak_corr %g, %d zero-variance, "
+        "%d pairs with no retained window",
         first.size, n_windows, int(low.sum()), min_peak_corr, int(failed.sum()),
+        int((~keep.any(axis=1)).sum()),
     )
 
     def mirrored(upper: np.ndarray, diagonal, sign=1) -> np.ndarray:
@@ -294,7 +301,7 @@ def ptt_matrix(
     per_window[:, second, first] = -lag_s.T
     # np.mean over each pair's retained lags alone: a sum over the zero-filled
     # row would group the terms differently and change the last bits.
-    mean_lag = np.array([row[ok].mean() if ok.any() else 0.0 for row, ok in zip(lag_s, keep)])
+    mean_lag = np.array([row[ok].mean() if ok.any() else np.nan for row, ok in zip(lag_s, keep)])
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_corr = np.where(keep, peak, 0.0).sum(axis=1) / keep.sum(axis=1)
 

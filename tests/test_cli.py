@@ -251,6 +251,41 @@ class TestGridMapCommand:
         assert not out.exists()
 
 
+class TestNoWindowNoOutput:
+    """A window longer than the input fails before any output, naming both."""
+
+    @pytest.mark.parametrize("command, input_name", [
+        ("fuse-gt", "sensor streams of 30 s are"), ("ptt", "site waveforms of 30 s are"),
+        ("estimate", "waveform of 30 s is"), ("pulse-rate", "waveform of 30 s is"),
+    ], ids=["fuse-gt", "ptt", "estimate", "pulse-rate"])
+    def test_window_longer_than_the_input(self, session, tmp_path, capsys, command, input_name):
+        if command == "pulse-rate":
+            wave = tmp_path / "w.csv"
+            bodyppg.session.write_waveform_csv(wave, synth_pulse(PulseModel(
+                fs_hz=90.0, duration_s=30.0, rate_profile=constant_rate(72.0), seed=1)))
+            argv = [command, "--input", str(wave)]
+        else:
+            argv = [command, "--manifest", str(session / "manifest.json")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--window-s", "35", "--out-dir", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError",
+                         "message": f"{input_name} shorter than one 35 s window"}
+        assert not out.exists()
+
+    def test_ptt_pair_with_no_retained_window_has_no_mean_lag(self, session, tmp_path):
+        out = tmp_path / "ptt"
+        assert main(["ptt", "--manifest", str(session / "manifest.json"), "--stride-s", "5",
+                     "--min-peak-corr", "0.9999", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "ptt_matrix.json").read_text())
+        mean = np.array(doc["mean_lag_ms"])
+        off_diagonal = ~np.eye(len(doc["sites"]), dtype=bool)
+        assert np.all(np.array(doc["n_excluded_low_corr"])[off_diagonal] == doc["n_windows"])
+        assert np.all(np.isnan(mean[off_diagonal]))
+        assert np.all(np.diagonal(mean) == 0.0)
+
+
 class TestConfigHandling:
     def test_config_file_with_cli_override(self, session, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -651,10 +686,10 @@ class TestPttWindowRows:
 MASK_DELAY_FRAMES = 2
 
 
-def _mask_only_session(root: Path) -> Path:
+def _mask_only_session(root: Path, duration_s: float = 8.0) -> Path:
     """Frame dump plus two PGM-masked ROIs and no trace CSVs; the right half's
     pulse lags the left half's by MASK_DELAY_FRAMES frames."""
-    fps, duration_s, h, w = 90.0, 8.0, 12, 16
+    fps, h, w = 90.0, 12, 16
     region = np.zeros((h, w), dtype=int)
     region[:, w // 2 :] = 1
     levels = []
@@ -825,6 +860,35 @@ class TestUnreadInputs:
         assert {k: v for k, v in changed.items() if k != "ref_rates"} == {
             k: v for k, v in first.items() if k != "ref_rates"
         }
+
+
+class TestMaskProvenance:
+    """Each mask a frame-dump extraction reads enters the echo."""
+
+    def test_masks_differing_in_one_pixel_give_different_estimate_echoes(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        write_rate_csv(ref, PulseRateSeries(np.arange(12.0), 71.0 + np.arange(12.0) % 3, 4.0,
+                                            (40.0, 180.0)))
+        echoes = []
+        for flip in (False, True):
+            root = tmp_path / f"flip_{flip}"
+            root.mkdir()
+            manifest = _mask_only_session(root, duration_s=12.0)
+            if flip:
+                mask = bodyppg.session.read_pgm(root / "mask_left.pgm")
+                mask[0, 0] = False
+                write_pgm(root / "mask_left.pgm", mask)
+            out = root / "out"
+            assert main(["estimate", "--manifest", str(manifest), "--roi", "left",
+                         "--ref-rates", str(ref), "--window-s", "4", "--out-dir", str(out)]) == 0
+            echoes.append(json.loads((out / "estimate_config.json").read_text())["inputs"])
+        clean, flipped = echoes
+        assert sorted(clean) == ["manifest", "mask_left.pgm", "ref_rates"]
+        assert clean["mask_left.pgm"] == hashlib.sha256(
+            (tmp_path / "flip_False" / "mask_left.pgm").read_bytes()).hexdigest()
+        assert flipped["mask_left.pgm"] != clean["mask_left.pgm"]
+        assert {k: v for k, v in flipped.items() if k != "mask_left.pgm"} == {
+            k: v for k, v in clean.items() if k != "mask_left.pgm"}
 
 
 class TestDamagedSensorTimes:

@@ -309,8 +309,8 @@ class TestReferencePulseRate:
         bank = make_bank(n_channels=1, duration_s=8.0)
         fused = fuse_ground_truth_report(bank, WindowPlan(4.0, 1.0))[0]
         assert fused.duration_s < DEFAULT_RATE_PLAN.length_s
-        series = reference_pulse_rate(fused)
-        assert len(series) == 0
+        with pytest.raises(ValueError, match="waveform of 8 s is shorter than one 10 s window"):
+            reference_pulse_rate(fused)
 
 
 class TestCropToCommonSpan:

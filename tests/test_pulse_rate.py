@@ -72,8 +72,8 @@ class TestStftPulseRate:
         assert series.n_skipped == 21
 
     def test_window_longer_than_signal(self):
-        series = stft_pulse_rate(make_tone(72.0, duration_s=5.0))
-        assert len(series) == 0
+        with pytest.raises(ValueError, match="waveform of 5 s is shorter than one 10 s window"):
+            stft_pulse_rate(make_tone(72.0, duration_s=5.0))
 
     def test_band_outside_nyquist_rejected(self):
         with pytest.raises(ValueError):

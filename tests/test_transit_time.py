@@ -167,12 +167,15 @@ class TestPttMatrix:
         n_windows = mtx.per_window_lag_s.shape[0]
         assert mtx.n_excluded_low_corr[0, 1] == n_windows
         assert np.isnan(mtx.peak_corr[0, 1])
+        # No retained window: no lag, rather than a zero one that reads as in sync.
+        assert np.isnan(mtx.mean_lag_s[0, 1]) and np.isnan(mtx.mean_lag_s[1, 0])
 
     def test_failed_pairs_counted(self):
         good = noisy_pulse(30.0, seed=12)
         dead = Waveform(np.zeros(len(good)), FS)
         mtx = ptt_matrix([("pulse", good), ("dead", dead)], WindowPlan(5.0, 1.0))
         assert mtx.n_failed[0, 1] == mtx.per_window_lag_s.shape[0]
+        assert np.isnan(mtx.mean_lag_s[0, 1]) and np.isnan(mtx.mean_lag_s[1, 0])
 
     def test_defaults(self):
         assert DEFAULT_PTT_PLAN.length_s == 5.0
@@ -366,3 +369,5 @@ def test_ptt_matrix_logs_a_run_summary(caplog):
     assert f"3 pairs x {n_windows} windows" in message
     assert f"{mtx.n_excluded_low_corr[0, 1]} below min_peak_corr" in message
     assert f"{2 * n_windows} zero-variance" in message
+    empty = int(np.isnan(mtx.mean_lag_s[np.triu_indices(3, 1)]).sum())
+    assert empty >= 2 and f"{empty} pairs with no retained window" in message
