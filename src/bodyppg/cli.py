@@ -36,7 +36,7 @@ from .grid import (
     upsample_frame,
 )
 from .metrics import DEFAULT_SCORE_PLAN, score_series
-from .pulse_rate import DEFAULT_BAND_BPM, DEFAULT_RATE_PLAN, stft_pulse_rate
+from .pulse_rate import DEFAULT_BAND_BPM, DEFAULT_RATE_PLAN, PulseRateSeries, stft_pulse_rate
 from .rppg import MethodConfig, extract_pulse
 from .session import (
     SessionManifest,
@@ -146,6 +146,15 @@ def cmd_synth(params: dict, stage: _OutputStage) -> None:
     _config_echo(stage, "synth", params)
 
 
+def _rated(rates: PulseRateSeries, source) -> PulseRateSeries:
+    """``rates``, unless every window was skipped: a series with no rows can
+    be neither scored nor written as a CSV that ``read_rate_csv`` accepts."""
+    if len(rates) == 0:
+        raise ValueError(f"{source}: all {rates.n_skipped} pulse-rate windows were skipped "
+                         "as constant")
+    return rates
+
+
 def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
     manifest = SessionManifest.load(_param(params, "manifest"))
     bank = manifest.load_sensor_bank(
@@ -153,8 +162,8 @@ def cmd_fuse_gt(params: dict, stage: _OutputStage) -> None:
     )
     plan = _plan(params, DEFAULT_FUSION_PLAN)
     fused, diags = fuse_ground_truth_report(bank, plan)
+    rates = _rated(reference_pulse_rate(fused), f"fused sensors of {_param(params, 'manifest')}")
     write_waveform_csv(stage.path("fused.csv"), fused)
-    rates = reference_pulse_rate(fused)
     write_rate_csv(stage.path("fused_rates.csv"), rates)
     write_json(stage.path("fused_diagnostics.json"), diags.to_dict())
     _config_echo(stage, "fuse-gt", params, manifest)
@@ -165,7 +174,7 @@ def _reference_rates(manifest: SessionManifest, params: dict):
         return read_rate_csv(_param(params, "ref_rates"))
     bank = manifest.load_sensor_bank()
     fused, _ = fuse_ground_truth_report(bank)
-    return reference_pulse_rate(fused)
+    return _rated(reference_pulse_rate(fused), f"fused sensors of {_param(params, 'manifest')}")
 
 
 def cmd_estimate(params: dict, stage: _OutputStage) -> None:
@@ -200,7 +209,7 @@ def cmd_pulse_rate(params: dict, stage: _OutputStage) -> None:
     wave = read_waveform_csv(_param(params, "input"))
     band = _param(params, "band_bpm", DEFAULT_BAND_BPM)
     plan = _plan(params, DEFAULT_RATE_PLAN)
-    rates = stft_pulse_rate(wave, plan, band)
+    rates = _rated(stft_pulse_rate(wave, plan, band), _param(params, "input"))
     write_rate_csv(stage.path("rates.csv"), rates)
     _config_echo(stage, "pulse-rate", params)
 

@@ -28,6 +28,7 @@ from .signals import (
     Waveform,
     WindowPlan,
     design_bandpasses,
+    deviations,
     divide_by_envelope,
     windows,
 )
@@ -214,16 +215,12 @@ def fuse_ground_truth_report(
     accum = np.zeros(n)
     skipped = np.zeros(len(channels), dtype=np.int64)
     for start, center, coeffs in zip(starts.tolist(), centers.tolist(), designs):
-        segs = np.stack([wave.samples[start : start + n_len] for _, wave in channels])
-        # Deviations from the mean, in place, for both the std and the
-        # z-scores, by the same operations np.std and np.mean perform.
-        segs -= segs.sum(axis=-1, keepdims=True) / n_len
-        std = np.sqrt((segs * segs).sum(axis=-1) / n_len)
+        dev, std = deviations(np.stack([w.samples[start : start + n_len] for _, w in channels]))
         live = std != 0.0
         skipped += ~live
         if live.any():
             # Summing over the outer axis adds the rows one by one, in site order.
-            z_sum = (segs[live] / std[live, None]).sum(axis=0)
+            z_sum = (dev[live] / std[live, None]).sum(axis=0)
             accum[start : start + n_len] += coeffs.zero_phase(z_sum)
         else:
             diags.empty_window_times_s.append(first.start_time_s + center / fs)

@@ -41,11 +41,11 @@ class ScoreReport:
     mae_bpm: float
     pearson_r: float
     n_windows: int
-    snr_db: float | None = None
-    scope: str = "per-session"
+    snr_db: float | None
+    scope = "per-session"  # not annotated: a class constant, not a field
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "scope": self.scope}
 
 
 def _matched_pairs(

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signals import Waveform, WindowPlan, windows
+from .signals import Waveform, WindowPlan, smooth_length, windows
 
 __all__ = [
     "PulseRateSeries",
@@ -153,18 +153,6 @@ def _peak_rates(
     return bpm[first + np.argmax(magnitude[..., first : last + 1], axis=-1)]
 
 
-def _smooth_length(n: int) -> int:
-    """Smallest product of powers of 2, 3 and 5 that is at least ``n``."""
-    while True:
-        k = n
-        for factor in (2, 3, 5):
-            while k % factor == 0:
-                k //= factor
-        if k == 1:
-            return n
-        n += 1
-
-
 @lru_cache(maxsize=16)
 def _band_plan(n_len: int, n_fft: int, k0: int, m: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Bluestein plan for bins ``k0 .. k0 + m - 1`` of the ``n_fft``-point DFT
@@ -176,7 +164,7 @@ def _band_plan(n_len: int, n_fft: int, k0: int, m: int) -> tuple[int, np.ndarray
     ``x[t] exp(-i pi (t^2 + 2 k0 t) / n_fft)`` times ``exp(i pi (j - t)^2 / n_fft)``.
     Phases are reduced exactly in integers before they become angles.
     """
-    n_conv = _smooth_length(n_len + m - 1)
+    n_conv = smooth_length(n_len + m - 1)
     t = np.arange(n_len, dtype=np.int64)
     phase = (t * t % (2 * n_fft) + 2 * (k0 * t % n_fft)) % (2 * n_fft)
     pre = np.exp(-1j * np.pi / n_fft * phase)

@@ -7,9 +7,7 @@ Hann-weighted overlap-add, band-passed, and z-normalized; only relative
 waveform morphology matters downstream.
 
 A segment as long as the trace (how grid scoring runs, once per cell and
-window) skips the overlap-add bookkeeping, and means and standard deviations
-are taken by the operations ``np.mean`` and ``np.std`` perform, without their
-per-call dispatch, so every path gives the bits it gave through them.
+window) skips the overlap-add bookkeeping.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BandpassSpec, Waveform, design_bandpass
+from .signals import BandpassSpec, Waveform, design_bandpass, deviations
 
 __all__ = ["RGBTrace", "MethodConfig", "chrom", "pos", "extract_pulse", "DEFAULT_POST_FILTER"]
 
@@ -101,13 +99,6 @@ class MethodConfig:
             raise ValueError("internal_window_s must be at least 0.5 s")
 
 
-def _deviations(x: np.ndarray) -> tuple[np.ndarray, np.floating]:
-    """Deviations of a 1-D array from its mean, and its population standard
-    deviation, by the same operations ``np.mean`` and ``np.std`` perform."""
-    dev = x - x.sum() / x.size
-    return dev, np.sqrt((dev * dev).sum() / x.size)
-
-
 def _chrom_segment(cn: np.ndarray) -> np.ndarray:
     """CHROM combination of one mean-normalized (3, samples) segment, z-normalized.
 
@@ -117,11 +108,11 @@ def _chrom_segment(cn: np.ndarray) -> np.ndarray:
     """
     x = 3.0 * cn[0] - 2.0 * cn[1]
     y = 1.5 * cn[0] + cn[1] - 1.5 * cn[2]
-    _, sy = _deviations(y)
+    _, sy = deviations(y)
     if sy <= _NUMERICAL_FLOOR:
         return np.zeros(cn.shape[1])
-    s = (_deviations(x)[1] / sy) * y - x
-    dev, ss = _deviations(s)
+    s = (deviations(x)[1] / sy) * y - x
+    dev, ss = deviations(s)
     if ss <= _NUMERICAL_FLOOR:
         return np.zeros(cn.shape[1])
     return dev / ss
@@ -131,11 +122,11 @@ def _pos_segment(cn: np.ndarray) -> np.ndarray:
     """POS combination of one mean-normalized (3, samples) segment, mean-subtracted."""
     s1 = cn[1] - cn[2]
     s2 = cn[1] + cn[2] - 2.0 * cn[0]
-    _, sd2 = _deviations(s2)
+    _, sd2 = deviations(s2)
     if sd2 <= _NUMERICAL_FLOOR:
         return np.zeros(cn.shape[1])
-    h = s1 + (_deviations(s1)[1] / sd2) * s2
-    dev, sh = _deviations(h)
+    h = s1 + (deviations(s1)[1] / sd2) * s2
+    dev, sh = deviations(h)
     if sh <= _NUMERICAL_FLOOR:
         return np.zeros(cn.shape[1])
     return dev
@@ -191,7 +182,7 @@ def _finish(trace: RGBTrace, raw: np.ndarray) -> Waveform:
     """Band-pass ``raw`` and z-normalize it, unless it is constant."""
     coeffs = design_bandpass(DEFAULT_POST_FILTER, trace.sample_rate_hz)
     filtered = coeffs.zero_phase(raw)
-    dev, std = _deviations(filtered)
+    dev, std = deviations(filtered)
     samples = filtered if std == 0.0 else dev / std
     return Waveform(samples, trace.sample_rate_hz, trace.start_time_s)
 

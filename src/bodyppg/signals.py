@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy import signal as sps
 
 __all__ = [
@@ -334,6 +333,14 @@ def bandpass_zero_phase(w: Waveform, coeffs: FilterCoefficients) -> Waveform:
     return w.with_samples(coeffs.zero_phase(w.samples))
 
 
+def deviations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations from the mean along the last axis, and the population standard
+    deviation: the bits of ``np.mean`` and ``np.std``, without their dispatch."""
+    n = x.shape[-1]
+    dev = x - (x.sum(axis=-1) / n)[..., None]
+    return dev, np.sqrt((dev * dev).sum(axis=-1) / n)
+
+
 def z_normalize(w: Waveform) -> Waveform:
     """Shift and scale to zero mean and unit (population) standard deviation.
 
@@ -343,10 +350,23 @@ def z_normalize(w: Waveform) -> Waveform:
     """
     if len(w) < 2:
         raise ValueError("z-normalization needs at least two samples")
-    std = float(np.std(w.samples))
+    dev, std = deviations(w.samples)
     if std == 0.0:
         raise ValueError("z-normalization undefined for a zero-variance signal")
-    return w.with_samples((w.samples - np.mean(w.samples)) / std)
+    return w.with_samples(dev / std)
+
+
+def smooth_length(n: int) -> int:
+    """Smallest product of powers of 2, 3 and 5 that is at least ``n``, as
+    scipy's ``next_fast_len(n, real=True)``: a length the FFT does fast."""
+    while True:
+        k = n
+        for factor in (2, 3, 5):
+            while k % factor == 0:
+                k //= factor
+        if k == 1:
+            return n
+        n += 1
 
 
 def hilbert_envelope(w: Waveform) -> Waveform:
@@ -359,12 +379,13 @@ def hilbert_envelope(w: Waveform) -> Waveform:
     n = len(w)
     if n < 8:
         raise ValueError("hilbert envelope needs at least 8 samples")
-    # The steps of scipy.signal.hilbert: keep DC (and Nyquist when n is
-    # even), double the positive frequencies, zero the negative ones.
-    spectrum = sp_fft.fft(w.samples)
+    # scipy.signal.hilbert's steps, and bits (test_equals_scipy_hilbert), on numpy.fft,
+    # the only FFT (scipy stays for lfilter, freqz and synth.motion_burst_noise): keep DC
+    # (and Nyquist when n is even), double the positive frequencies, zero the negative ones.
+    spectrum = np.zeros(n, dtype=np.complex128)
+    spectrum[: n // 2 + 1] = np.fft.rfft(w.samples)
     spectrum[1 : (n + 1) // 2] *= 2.0
-    spectrum[n // 2 + 1 :] = 0.0
-    return w.with_samples(np.abs(sp_fft.ifft(spectrum)))
+    return w.with_samples(np.abs(np.fft.ifft(spectrum)))
 
 
 def divide_by_envelope(w: Waveform) -> Waveform:

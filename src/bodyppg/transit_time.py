@@ -11,6 +11,9 @@ prefix sums, and the cross products from one zero-padded real FFT per site
 and window and one inverse FFT per pair, of which only the lags -L..L are
 read (the normalized cross-correlation of Lewis, 1995). Chunks hold at most
 ``_CHUNK_SAMPLES`` pair-window samples, a fixed budget that bounds memory.
+The FFTs are numpy.fft's, the package's only one (scipy stays for ``lfilter``,
+``freqz`` and ``synth.motion_burst_noise``); ``TestScanFftEqualsScipy`` and
+``test_smooth_length_equals_scipy_next_fast_len`` pin them to scipy's bits.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
-from .signals import Waveform, WindowPlan, windows
+from .signals import Waveform, WindowPlan, deviations, smooth_length, windows
 
 __all__ = [
     "LagEstimate",
@@ -55,7 +57,7 @@ class LagEstimate:
 
     lag_s: float
     peak_corr: float
-    window_center_time_s: float = 0.0
+    window_center_time_s: float
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,8 @@ def _scan_lags(
     # Pearson is invariant to shifting and scaling each window as a whole;
     # conditioning every window this way keeps the cancellation error of the
     # prefix-sum variances negligible, whatever DC offset the signal carries.
-    std = segs.std(axis=-1, keepdims=True)
-    z = (segs - segs.mean(axis=-1, keepdims=True)) / np.where(std == 0.0, 1.0, std)
+    dev, std = deviations(segs)
+    z = dev / np.where(std == 0.0, 1.0, std)[..., None]
 
     def overlap_sums(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Per-window prefix sums give the sum over the overlap at every lag:
@@ -163,12 +165,12 @@ def _scan_lags(
     # Sum of x[i] * y[i + k] over the overlap, from one spectrum per site and
     # window. Zero-padding to at least n + max_lag keeps the circular
     # correlation free of wrap-around at the lags that are read.
-    n_fft = next_fast_len(n + max_lag, real=True)
-    spec = rfft(z, n_fft, axis=-1)
+    n_fft = smooth_length(n + max_lag)
+    spec = np.fft.rfft(z, n_fft, axis=-1)
     cross = spec[first]
     np.conjugate(cross, out=cross)
     cross *= spec[second]
-    sxy = irfft(cross, n_fft, axis=-1)[..., ks % n_fft]
+    sxy = np.fft.irfft(cross, n_fft, axis=-1)[..., ks % n_fft]
 
     cov = sxy - sx * sy / m
     eps = 1e-12 * m

@@ -24,7 +24,7 @@ from bodyppg.session import (
     write_pgm,
     write_rate_csv,
 )
-from bodyppg.signals import WindowPlan
+from bodyppg.signals import Waveform, WindowPlan
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse, synth_rgb_trace
 from bodyppg.transit_time import PTTMatrix
 
@@ -272,6 +272,32 @@ class TestNoWindowNoOutput:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "ValueError",
                          "message": f"{input_name} shorter than one 35 s window"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pulse-rate", "fuse-gt", "estimate", "grid-map"])
+    def test_every_rate_window_skipped(self, session, tmp_path, capsys, command):
+        """A rate series with no rows is an error naming its input, not a
+        header-only CSV that ``score`` rejects or a bare "empty series": a
+        zero waveform, or sensors of constant ``ir`` fused as the reference."""
+        if command == "pulse-rate":
+            source = tmp_path / "zeros.csv"
+            bodyppg.session.write_waveform_csv(source, Waveform(np.zeros(2700), 90.0))
+            argv = [command, "--input", str(source)]
+        else:
+            root = tmp_path / "session"
+            shutil.copytree(session, root)
+            for sensor in root.glob("sensor_*.csv"):
+                lines = sensor.read_text().splitlines()
+                sensor.write_text("\n".join([lines[0], *(line.rsplit(",", 1)[0] + ",5000"
+                                                         for line in lines[1:])]) + "\n")
+            source = f"fused sensors of {root / 'manifest.json'}"
+            argv = [command, "--manifest", str(root / "manifest.json")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        message = f"{source}: all 21 pulse-rate windows were skipped as constant"
+        assert error == {"type": "ValueError", "message": message}
         assert not out.exists()
 
     def test_ptt_pair_with_no_retained_window_has_no_mean_lag(self, session, tmp_path):

@@ -13,7 +13,7 @@ LIBRARY_MODULES = (
     "signals", "rppg", "fusion", "pulse_rate", "metrics", "transit_time", "grid", "session",
     "synth", "synthetic_session",
 )
-SETTABLE_VALUES = 47
+SETTABLE_VALUES = 44
 
 
 def _defaulted_parameters(qualname, func):

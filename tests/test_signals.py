@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
+from scipy.fft import next_fast_len
 
 from bodyppg import (
     BandpassSpec,
@@ -18,6 +19,7 @@ from bodyppg import (
     windows,
     z_normalize,
 )
+from bodyppg.signals import deviations, smooth_length
 
 import loop_reference
 
@@ -248,6 +250,24 @@ class TestZNormalize:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             z_normalize(Waveform(np.full(100, 2.0), 10.0))
+
+
+class TestDeviations:
+    @pytest.mark.parametrize("shape", [(1000,), (9, 2000), (6, 19, 450)])
+    @pytest.mark.parametrize("reversed_view", [False, True], ids=["contiguous", "reversed"])
+    def test_equals_numpy_mean_and_std(self, shape, reversed_view):
+        x = np.random.default_rng(len(shape)).standard_normal(shape) * 40.0 + 5000.0
+        if reversed_view:
+            # zero_phase returns its rows as reversed views.
+            x = x[..., ::-1]
+        dev, std = deviations(x)
+        np.testing.assert_array_equal(dev, x - x.mean(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(std, x.std(axis=-1))
+
+
+def test_smooth_length_equals_scipy_next_fast_len():
+    n = range(1, 20_001)
+    assert [smooth_length(k) for k in n] == [next_fast_len(k, real=True) for k in n]
 
 
 class TestHilbertEnvelope:

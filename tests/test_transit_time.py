@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 
 from bodyppg import (
     Waveform,
@@ -237,6 +238,25 @@ class TestLagStats:
     def test_too_few_windows_rejected(self):
         with pytest.raises(ValueError):
             lag_distribution_stats(self.make_matrix([0.01] * 4), ("a", "b"))
+
+
+class TestScanFftEqualsScipy:
+    """The lag scan transforms on numpy.fft. At its shapes, (sites, windows of
+    a chunk, samples) padded to the 5-smooth length, the transforms equal
+    scipy.fft's bit for bit, so a numpy or scipy upgrade that parts them
+    fails here."""
+
+    @pytest.mark.parametrize("shape, n_fft", [
+        ((9, 1, 2000), 2160), ((6, 19, 450), 480), ((2, 1, 4000), 4050),
+    ], ids=["sensors", "rppg", "xcorr_lag"])
+    def test_rfft_and_irfft(self, shape, n_fft):
+        z = np.random.default_rng(n_fft).standard_normal(shape)
+        spec = np.fft.rfft(z, n_fft, axis=-1)
+        np.testing.assert_array_equal(spec, sp_fft.rfft(z, n_fft, axis=-1))
+        first, second = np.triu_indices(shape[0], 1)
+        cross = np.conjugate(spec[first]) * spec[second]
+        np.testing.assert_array_equal(np.fft.irfft(cross, n_fft, axis=-1),
+                                      sp_fft.irfft(cross, n_fft, axis=-1))
 
 
 class TestPttMatrixOracle:
