@@ -233,6 +233,8 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             f"the {roi!r} grid holds {grid.n_frames / grid.sample_rate_hz:g} s "
             f"({grid.n_frames} frames), shorter than one {plan.length_s:g} s window"
         )
+    skin_source = ("manifest grid meta" if roi in manifest.grid_paths
+                   else f"mask {manifest.mask_path(roi).relative_to(manifest.root).as_posix()}")
     ref = _reference_rates(manifest, params)
     poses = manifest.load_poses()
     target = average_pose(poses) if poses else None
@@ -275,7 +277,8 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             "n_error_frames": len(frames),
             "upsample_factor": grid.cell_px,
             "aligned_to_average_pose": bool(target is not None),
-            "mask_provenance": "skin_fraction >= 0.5 from manifest grid meta",
+            "mask_provenance": (f"skin_fraction >= {grid_module.SKIN_FRACTION_THRESHOLD:g} "
+                                f"from {skin_source}"),
         },
     )
     _config_echo(stage, "grid-map", params, manifest)

@@ -110,8 +110,8 @@ class SubregionGrid:
     def cell_trace(self, row: int, col: int) -> RGBTrace:
         """RGB trace of one cell over all of this grid's frames."""
         rgb = self.values[:, row, col, :]
-        # Waveform copies each strided column into a contiguous array, which
-        # keeps np.std's summation order, and so the scores, as they were.
+        # Waveform copies each strided column; rppg._overlap_add stacks the three
+        # into one (3, n) array before any sum, and that stack fixes their order.
         return RGBTrace(
             Waveform(rgb[:, 0], self.sample_rate_hz, self.start_time_s),
             Waveform(rgb[:, 1], self.sample_rate_hz, self.start_time_s),
@@ -442,7 +442,9 @@ def aggregate_heatmap(
         elif frame.shape != total.shape:
             raise ValueError(f"frames must share one shape: {frame.shape} after {total.shape}")
         defined = np.isfinite(frame)
-        total += np.where(defined, frame, 0.0)
+        # In place, with no frame-sized temporary; a total that starts at +0.0
+        # never becomes -0.0, so skipping undefined pixels adds what 0.0 would.
+        np.add(total, frame, out=total, where=defined)
         count += defined
     if total is None:
         raise ValueError("need at least one frame to aggregate")

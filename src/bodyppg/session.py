@@ -24,8 +24,10 @@ File formats:
     fraction
 
 Frame dumps and grid stores share one block reader, which reads the frames a
-block at a time into one buffer. Config echoes hash every file the loaders
-read, PGM masks included; frame dumps are not hashed (see the README).
+block at a time into one buffer; one extraction sums each ROI's masked pixels
+(traces) or its grid cells (grids), never both. The manifest's loaders keep
+no cache. Config echoes hash every file the loaders read, PGM masks
+included; frame dumps are not hashed (see the README).
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def _load_uniform_csv(
     inferred = (times.size - 1) / (times[-1] - times[0])
     if declared is None:
         return data, inferred
-    if abs(inferred - declared) > RATE_TOLERANCE * declared:
+    # Written so that a NaN declared rate fails too.
+    if not abs(inferred - declared) <= RATE_TOLERANCE * declared:
         raise ValueError(
             f"{path}: inferred sample rate {inferred:.6g} Hz deviates more than "
             f"{RATE_TOLERANCE:.1%} from the declared {declared:.6g} Hz"
@@ -647,53 +650,49 @@ def _cell_sums(a: np.ndarray, rows: int, cols: int, cell_px: int) -> np.ndarray:
 
 
 class _Region:
-    """Per-frame sums of one mask's pixels and, given a cell size, of the
-    grid cells tiling its bounding box. The sums are exact integers, kept in
-    the float64 arrays that become the means once divided by pixel counts."""
+    """Per-frame sums over one mask: of its pixels or, given a cell size, of
+    the grid cells tiling its bounding box, never both. The sums are exact
+    integers, kept in the float64 array that becomes the means once divided
+    by pixel counts."""
 
     def __init__(self, label: str, mask: np.ndarray, n_frames: int, cell_px: int | None):
         ys, xs = np.nonzero(mask)
         if not ys.size:
             raise ValueError(f"mask {label!r} selects no pixels")
         self.label, self.cell_px = label, cell_px
+        if cell_px is None:
+            self.picked = np.flatnonzero(mask)
+            self.sums = np.empty((n_frames, 3))
+            return
         self.box = np.s_[int(ys.min()) : int(ys.max()) + 1, int(xs.min()) : int(xs.max()) + 1]
-        self.picked = np.flatnonzero(mask)
-        self.trace = np.empty((n_frames, 3))
-        self.cells = None
-        if cell_px is not None:
-            bh, bw = mask[self.box].shape
-            cols, rows = grid_geometry(bw, bh, cell_px)
-            if cols < 1 or rows < 1:
-                raise ValueError(
-                    f"mask {label!r} bounding box {bw}x{bh} is smaller than one "
-                    f"{cell_px}px cell"
-                )
-            self.cells = np.empty((n_frames, rows, cols, 3))
-            self.skin_fraction = _cell_sums(mask[self.box], rows, cols, cell_px) / cell_px**2
+        bh, bw = mask[self.box].shape
+        cols, rows = grid_geometry(bw, bh, cell_px)
+        if cols < 1 or rows < 1:
+            raise ValueError(
+                f"mask {label!r} bounding box {bw}x{bh} is smaller than one {cell_px}px cell"
+            )
+        self.sums = np.empty((n_frames, rows, cols, 3))
+        self.skin_fraction = _cell_sums(mask[self.box], rows, cols, cell_px) / cell_px**2
 
-    def add(self, block: np.ndarray, planes: np.ndarray, f0: int) -> None:
-        """Sum the frames of ``block``, frames ``f0`` onwards of the video;
-        ``planes`` is ``block`` with each colour plane flattened."""
+    def add(self, block: np.ndarray, f0: int) -> None:
+        """Sum the frames of ``block``, frames ``f0`` onwards of the video."""
         f1 = f0 + len(block)
-        self.trace[f0:f1] = np.take(planes, self.picked, axis=2).sum(axis=2, dtype=np.int64)
-        if self.cells is not None:
-            sums = _cell_sums(block[(..., *self.box)], *self.cells.shape[1:3], self.cell_px)
-            self.cells[f0:f1] = sums.transpose(0, 2, 3, 1)
+        if self.cell_px is None:
+            planes = block.reshape(len(block), 3, -1)
+            self.sums[f0:f1] = np.take(planes, self.picked, axis=2).sum(axis=2, dtype=np.int64)
+        else:
+            sums = _cell_sums(block[(..., *self.box)], *self.sums.shape[1:3], self.cell_px)
+            self.sums[f0:f1] = sums.transpose(0, 2, 3, 1)
 
-    def rgb_trace(self, fps: float) -> RGBTrace:
-        means = np.divide(self.trace, self.picked.size, out=self.trace)
-        return RGBTrace(
-            Waveform(means[:, 0], fps),
-            Waveform(means[:, 1], fps),
-            Waveform(means[:, 2], fps),
-            roi_label=self.label,
-        )
-
-    def grid(self, fps: float) -> SubregionGrid:
+    def means(self, fps: float) -> RGBTrace | SubregionGrid:
+        """The region's RGB trace or, given a cell size, its grid."""
+        if self.cell_px is None:
+            means = np.divide(self.sums, self.picked.size, out=self.sums)
+            return RGBTrace(*(Waveform(c, fps) for c in means.T), roi_label=self.label)
         return SubregionGrid(
             # C-ordered (n, rows, cols, 3): scoring reduces along its axes,
             # and a strided layout could change the sums' last bits.
-            values=np.divide(self.cells, self.cell_px**2, out=self.cells),
+            values=np.divide(self.sums, self.cell_px**2, out=self.sums),
             sample_rate_hz=fps,
             start_time_s=0.0,
             origin_px=(self.box[1].start, self.box[0].start),
@@ -707,15 +706,15 @@ def extract_traces(
     fps: float,
     masks: dict[str, np.ndarray],
     grid_cell_px: int | None = None,
-) -> tuple[dict[str, RGBTrace], dict[str, SubregionGrid]]:
-    """Spatially average masked skin pixels of each region, per frame.
+) -> dict[str, RGBTrace] | dict[str, SubregionGrid]:
+    """Spatially average the pixels of each region, per frame.
 
-    Returns per-region RGB traces starting at time 0, plus (when
-    ``grid_cell_px`` is given) a grid of per-cell means tiling each region's
-    mask bounding box with :func:`~bodyppg.grid.grid_geometry` whole cells,
-    starting at time 0 too. Cell means average all
-    pixels in the cell; the mask only determines each cell's skin fraction,
-    which gates scoring later.
+    Without ``grid_cell_px``, returns per-region RGB traces of the masked
+    skin pixels. With it, returns instead per-region grids of per-cell means
+    tiling each region's mask bounding box with
+    :func:`~bodyppg.grid.grid_geometry` whole cells; cell means average all
+    pixels in the cell, and the mask only determines each cell's skin
+    fraction, which gates scoring later. Either starts at time 0.
 
     ``frames`` is the :class:`FrameDump` that :func:`read_frame_dump`
     returns; the format holds uint8 pixels only. It is read once, in blocks
@@ -741,24 +740,22 @@ def extract_traces(
         regions.append(_Region(label, mask, n, grid_cell_px))
 
     for block, f0 in zip(frames.blocks(_CHUNK_FRAMES), range(0, n, _CHUNK_FRAMES)):
-        planes = block.reshape(len(block), 3, height * width)
         for region in regions:
-            region.add(block, planes, f0)
-
-    traces = {r.label: r.rgb_trace(fps) for r in regions}
-    grids = {r.label: r.grid(fps) for r in regions if r.cells is not None}
-    return traces, grids
+            region.add(block, f0)
+    return {r.label: r.means(fps) for r in regions}
 
 
 @dataclass(frozen=True)
 class SessionManifest:
     """Validated description of one recording session.
 
-    :meth:`load` checks that every file the manifest names exists and parses
-    none. The loaders parse each trace, sensor and oximeter CSV when first
-    needed, and only once, checking each trace and sensor stream against the
-    portions. ``files_read`` lists every trace, sensor, oximeter, grid,
-    keypoint and PGM mask file the loaders read; frame dumps are not listed.
+    :meth:`load` checks that every file the manifest names exists and that
+    the video and oximeter rates are finite and positive, and parses no
+    file. Each loader reads only the files its result needs, on every call,
+    checking each trace and sensor stream against the portions; no command
+    calls a loader twice, so each input is parsed once per command.
+    ``files_read`` lists every trace, sensor, oximeter, grid, keypoint and
+    PGM mask file the loaders read; frame dumps are not listed.
     """
 
     session_id: str
@@ -776,8 +773,6 @@ class SessionManifest:
     keypoints_path: Path | None
     portions: tuple[tuple[str, float, float], ...]
     files_read: list[Path] = field(default_factory=list, init=False, compare=False)
-    # ("trace", ROI label) -> its parsed trace; "sensors" -> (channels, oximeter).
-    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, path: Path | str) -> "SessionManifest":
@@ -824,6 +819,10 @@ class SessionManifest:
             raise ValueError(f"{path}: the manifest has no key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
+        for key, rate in (("video.fps", manifest.fps),
+                          ("oximeter.rate_hz", manifest.oximeter_rate_hz)):
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"{path}: {key} is {rate}; it must be finite and positive")
         manifest.validate()
         return manifest
 
@@ -851,13 +850,18 @@ class SessionManifest:
         """Sorted labels of the ROIs with a trace CSV or, given a frame dump, a mask."""
         return sorted(set(self.trace_paths) | self._masked_rois())
 
+    def mask_path(self, roi: str) -> Path:
+        """The PGM mask of ``roi``, one of :meth:`_masked_rois`."""
+        return self.root / next(e["mask"] for e in self.rois
+                                if e.get("label") == roi and "mask" in e)
+
     def _extract(self, rois: list[str], grid_cell_px: int | None = None):
         """:func:`extract_traces` over the masks of ``rois`` (all in
-        :meth:`_masked_rois`), in one pass over the frame dump."""
+        :meth:`_masked_rois`), in one pass over the frame dump: their traces
+        or, given a cell size, their grids."""
         masks = {}
         for roi in rois:
-            entry = next(e for e in self.rois if e.get("label") == roi and "mask" in e)
-            mask_path = self.root / entry["mask"]
+            mask_path = self.mask_path(roi)
             if not mask_path.exists():
                 raise FileNotFoundError(f"mask for ROI {roi!r} missing: {mask_path}")
             masks[roi] = read_pgm(mask_path)
@@ -877,44 +881,39 @@ class SessionManifest:
         return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
 
     def load_traces(self, rois: list[str]) -> dict[str, RGBTrace]:
-        """ROI traces from their CSVs, each parsed on first use; the others are
-        extracted together from the frame dump and their masks."""
+        """ROI traces from their CSVs; the others are extracted together from
+        the frame dump and their masks."""
         missing = [roi for roi in rois if roi not in self.trace_paths]
         unknown = [roi for roi in missing if roi not in self._masked_rois()]
         if unknown:
             raise KeyError(f"unknown ROI {unknown[0]!r}; valid labels: {self.trace_rois()}")
-        extracted = self._extract(missing)[0] if missing else {}
+        traces = self._extract(missing) if missing else {}
         for roi in rois:
-            if roi in self.trace_paths and ("trace", roi) not in self._parsed:
+            if roi in self.trace_paths:
                 path = self.trace_paths[roi]
                 self.files_read.append(path)
-                trace = read_trace_csv(path, roi_label=roi, declared_rate_hz=self.fps)
-                self._checked_stream(path, trace.r)
-                self._parsed["trace", roi] = trace
-        return {roi: self._parsed.get(("trace", roi), extracted.get(roi)) for roi in rois}
+                traces[roi] = read_trace_csv(path, roi_label=roi, declared_rate_hz=self.fps)
+                self._checked_stream(path, traces[roi].r)
+        return {roi: traces[roi] for roi in rois}
 
     def load_trace(self, roi: str) -> RGBTrace:
         """ROI trace from its CSV, or extracted from the frame dump + mask."""
         return self.load_traces([roi])[roi]
 
     def load_sensor_bank(self, delta_y_bpm: float = DELTA_Y_BPM_DEFAULT) -> SensorBank:
-        """The contact sensors and the oximeter, parsed on the first call."""
-        if "sensors" not in self._parsed:
-            self.files_read.extend([p for _, p, _ in self.sensors] + [self.oximeter_path])
-            channels = tuple(
-                (site, self._checked_stream(p, read_sensor_csv(p, channel=channel)))
-                for site, p, channel in self.sensors
-            )
-            oximeter = read_oximeter_csv(
-                self.oximeter_path, declared_rate_hz=self.oximeter_rate_hz
-            )
-            conflict = channel_conflict(channels) if channels else None
-            if conflict is not None:
-                paths = {site: p for site, p, _ in self.sensors}
-                site_a, site_b, problem = conflict
-                raise ValueError(f"{paths[site_a]}, {paths[site_b]}: {problem}")
-            self._parsed["sensors"] = (channels, oximeter)
-        return SensorBank(*self._parsed["sensors"], delta_y_bpm)
+        """The contact sensors and the oximeter."""
+        self.files_read.extend([p for _, p, _ in self.sensors] + [self.oximeter_path])
+        channels = tuple(
+            (site, self._checked_stream(p, read_sensor_csv(p, channel=channel)))
+            for site, p, channel in self.sensors
+        )
+        oximeter = read_oximeter_csv(self.oximeter_path, declared_rate_hz=self.oximeter_rate_hz)
+        conflict = channel_conflict(channels) if channels else None
+        if conflict is not None:
+            paths = {site: p for site, p, _ in self.sensors}
+            site_a, site_b, problem = conflict
+            raise ValueError(f"{paths[site_a]}, {paths[site_b]}: {problem}")
+        return SensorBank(channels, oximeter, delta_y_bpm)
 
     def load_grid(self, roi: str) -> GridStore | SubregionGrid:
         """The ROI's grid store, checked but not read, or its grid extracted
@@ -927,8 +926,7 @@ class SessionManifest:
         if roi not in masked:
             valid = sorted(set(self.grid_paths) | masked)
             raise KeyError(f"unknown ROI {roi!r}; valid labels: {valid}")
-        _, grids = self._extract([roi], grid_cell_px=DEFAULT_CELL_PX)
-        return grids[roi]
+        return self._extract([roi], grid_cell_px=DEFAULT_CELL_PX)[roi]
 
     def load_poses(self) -> list[PoseKeypoints]:
         if self.keypoints_path is None:

@@ -69,7 +69,7 @@ def test_dump_blocks_are_slices_through_one_buffer(tmp_path_factory, frames, chu
     n, _, h, w = frames.shape
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(session, "_CHUNK_FRAMES", chunk)
-        traces, _ = extract_traces(dump, fps, {"all": np.ones((h, w), dtype=bool)})
+        traces = extract_traces(dump, fps, {"all": np.ones((h, w), dtype=bool)})
     starts = range(0, n, chunk)
     assert len(seen) == len(starts)
     for start, (block, _) in zip(starts, seen):

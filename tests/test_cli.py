@@ -12,7 +12,7 @@ import pytest
 import bodyppg.session
 import loop_reference
 from bodyppg.cli import _COMMANDS, _FLAGS, main, ptt_window_rows, run_pipeline
-from bodyppg.grid import score_grid
+from bodyppg.grid import DEFAULT_CELL_PX, SubregionGrid, score_grid
 from bodyppg.pulse_rate import PulseRateSeries
 from bodyppg.session import (
     SessionManifest,
@@ -218,6 +218,34 @@ class TestGridMapCommand:
         frames = score_grid(grid, read_rate_csv(rates), WindowPlan(10.0, float(stride)))
         assert np.isfinite(frames[0].mae_map).all()
         assert_frame_csvs(out, frames, tmp_path / "want.csv")
+
+    def test_frame_dump_extracts_only_the_grid(self, tmp_path, monkeypatch):
+        manifest, rates = _frame_grid_session(tmp_path)
+        extract, calls = bodyppg.session.extract_traces, []
+
+        def spy(frames, fps, masks, grid_cell_px=None):
+            result = extract(frames, fps, masks, grid_cell_px)
+            calls.append((list(masks), grid_cell_px, result))
+            return result
+
+        monkeypatch.setattr(bodyppg.session, "extract_traces", spy)
+        traces = _count_calls(monkeypatch, bodyppg.session, "RGBTrace")
+        assert main(["grid-map", "--manifest", str(manifest), "--ref-rates", str(rates),
+                     "--out-dir", str(tmp_path / "gm")]) == 0
+        ((labels, cell_px, result),) = calls
+        assert labels == ["face"] and cell_px == DEFAULT_CELL_PX
+        assert list(result) == ["face"] and isinstance(result["face"], SubregionGrid)
+        assert traces == []
+
+    def test_mask_provenance_names_the_skin_source(self, session, tmp_path):
+        manifest, rates = _frame_grid_session(tmp_path)
+        runs = {"manifest grid meta": session / "manifest.json", "mask mask_face.pgm": manifest}
+        for source, path in runs.items():
+            out = tmp_path / source
+            assert main(["grid-map", "--manifest", str(path), "--ref-rates", str(rates),
+                         "--out-dir", str(out)]) == 0
+            meta = json.loads((out / "grid_meta.json").read_text())
+            assert meta["mask_provenance"] == f"skin_fraction >= 0.5 from {source}"
 
     def test_bad_cell_mean_fails_naming_the_frame_and_cell(self, session, tmp_path, capsys):
         root = tmp_path / "session"

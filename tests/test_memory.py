@@ -10,6 +10,7 @@ import numpy as np
 
 from bodyppg import PulseRateSeries, SensorBank, Waveform, WindowPlan, fuse_ground_truth_report
 from bodyppg.cli import main
+from bodyppg.grid import aggregate_heatmap
 from bodyppg.pulse_rate import spectral_peaks
 from bodyppg.session import write_csv
 from bodyppg.synthetic_session import SyntheticSessionConfig, build_synthetic_session
@@ -103,3 +104,27 @@ def test_grid_map_holds_one_window_of_cell_means(tmp_path):
     peaks = {d: traced_peak(lambda: grid_map(args)) for d, args in argv.items()}
     assert abs(peaks[60.0] - peaks[20.0]) < window_bytes, peaks
     assert max(peaks.values()) < 10 * MB, peaks
+
+
+def test_aggregate_step_holds_only_the_sums_counts_and_mask():
+    # One (2, 540, 960) step: the float64 sums, the int counts and the
+    # defined mask. Adding np.where(defined, frame, 0.0) made one more
+    # frame-sized float64 temporary, 8.3 MB here.
+    frame = np.full((2, 540, 960), 1.5)
+    frame[:, ::3] = np.nan
+    peaks = []
+
+    def frames():
+        # Traces the first step alone: the mean at the end is not a step's.
+        before = tracemalloc.get_traced_memory()[0]
+        yield frame
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        tracemalloc.stop()
+
+    tracemalloc.start()
+    try:
+        mean, _ = aggregate_heatmap(frames())
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mean, np.where(np.isnan(frame), np.nan, 1.5), equal_nan=True)
+    assert peaks[0] <= frame.size * (8 + 8 + 1) + 1 * MB

@@ -63,6 +63,14 @@ class TestWaveformCsv:
         with pytest.raises(ValueError, match="declared"):
             read_oximeter_csv(path, declared_rate_hz=90.0)
 
+    def test_nan_declared_rate_rejected(self, tmp_path):
+        # Every comparison with NaN is false, so a check written as "deviates
+        # by more than" would accept any stream.
+        path = tmp_path / "oximeter.csv"
+        write_oximeter_csv(path, np.arange(60) / 60.0, np.full(60, 72.0))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: inferred sample rate 60 Hz")):
+            read_oximeter_csv(path, declared_rate_hz=float("nan"))
+
     def test_within_tolerance_accepted(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace_csv(path, _flat_trace(1000))
@@ -678,7 +686,7 @@ class TestExtractTraces:
         frames = _dump(tmp_path, np.full((4, 3, 6, 6), 128, dtype=np.uint8))
         mask = np.zeros((6, 6), dtype=bool)
         mask[2:5, 2:5] = True
-        traces, _ = extract_traces(frames, 90.0, {"roi": mask})
+        traces = extract_traces(frames, 90.0, {"roi": mask})
         assert np.all(traces["roi"].channel_matrix() == 128.0)
 
     def test_single_pixel_mask(self, tmp_path):
@@ -688,7 +696,7 @@ class TestExtractTraces:
         frames[:, 2, 1, 2] = 50
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = True
-        traces, _ = extract_traces(_dump(tmp_path, frames), 90.0, {"pixel": mask})
+        traces = extract_traces(_dump(tmp_path, frames), 90.0, {"pixel": mask})
         assert np.all(traces["pixel"].r.samples == 200.0)
         assert np.all(traces["pixel"].g.samples == 100.0)
         assert np.all(traces["pixel"].b.samples == 50.0)
@@ -698,7 +706,7 @@ class TestExtractTraces:
         checker = np.indices((4, 4)).sum(axis=0) % 2 == 0
         frames[:, :, checker] = 255
         all_pixels = {"all": np.ones((4, 4), dtype=bool)}
-        traces, _ = extract_traces(_dump(tmp_path, frames), 90.0, all_pixels)
+        traces = extract_traces(_dump(tmp_path, frames), 90.0, all_pixels)
         assert np.all(traces["all"].channel_matrix() == 127.5)
 
     def test_empty_mask_rejected(self, tmp_path):
@@ -716,7 +724,7 @@ class TestExtractTraces:
         mask = np.zeros((8, 12), dtype=bool)
         mask[0:8, 0:8] = True  # bbox 8x8 -> 2x2 cells of 4px
         mask[4:8, 4:8] = False  # lower-right cell has no skin
-        _, grids = extract_traces(frames, 90.0, {"roi": mask}, grid_cell_px=4)
+        grids = extract_traces(frames, 90.0, {"roi": mask}, grid_cell_px=4)
         grid = grids["roi"]
         assert (grid.rows, grid.cols) == (2, 2)
         assert grid.skin_fraction[0, 0] == 1.0
@@ -761,9 +769,13 @@ class TestExtractTracesOracle:
         h, w = 49, 53
         frames = rng.integers(0, 256, size=(7, 3, h, w), dtype=np.uint8)
         masks = _oracle_masks(rng, h, w)
-        traces, grids = extract_traces(_dump(tmp_path, frames), 90.0, masks, cell_px)
+        dump = _dump(tmp_path, frames)
+        traces = extract_traces(dump, 90.0, masks)
+        grids = extract_traces(dump, 90.0, masks, cell_px)
         want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
         assert traces.keys() == grids.keys() == masks.keys()
+        assert all(isinstance(trace, RGBTrace) for trace in traces.values())
+        assert all(isinstance(grid, SubregionGrid) for grid in grids.values())
         for label in masks:
             assert np.array_equal(
                 traces[label].channel_matrix(), want_traces[label].channel_matrix()
@@ -810,7 +822,8 @@ class TestStreamedIngestion:
         want_traces, want_grids = loop_reference.extract_traces(frames, 90.0, masks, cell_px)
         _, want_loaded_grids = loop_reference.extract_traces(frames, 90.0, masks, DEFAULT_CELL_PX)
         dump, _ = read_frame_dump(manifest.frames_path)
-        dump_traces, dump_grids = extract_traces(dump, 90.0, masks, cell_px)
+        dump_traces = extract_traces(dump, 90.0, masks)
+        dump_grids = extract_traces(dump, 90.0, masks, cell_px)
         loaded = manifest.load_traces(list(masks))
         for label in masks:
             want = want_traces[label].channel_matrix()
@@ -891,6 +904,16 @@ class TestManifestErrors:
         with pytest.raises(ValueError) as info:
             SessionManifest.load(path)
         assert str(info.value) == f"{path}: could not convert string to float: 'fast'"
+
+    @pytest.mark.parametrize("parent, key", [("video", "fps"), ("oximeter", "rate_hz")])
+    def test_nan_rate_named(self, manifest_path, parent, key):
+        doc = json.loads(manifest_path.read_text())
+        doc[parent][key] = float("nan")  # written as NaN, which json parses
+        path = manifest_path.with_name(f"manifest_nan_{key}.json")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            SessionManifest.load(path)
+        assert str(info.value) == f"{path}: {parent}.{key} is nan; it must be finite and positive"
 
     @pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["not-json", "not-an-object"])
     def test_not_a_json_object_named(self, manifest_path, text):
