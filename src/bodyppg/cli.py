@@ -249,9 +249,8 @@ def cmd_grid_map(params: dict, stage: _OutputStage) -> None:
             write_csv(stage.path(f"frame_{frame.window_index:03d}_mae.csv"), [frame.mae_map])
             write_csv(stage.path(f"frame_{frame.window_index:03d}_snr.csv"), [frame.snr_map])
             up = upsample_frame(frame, grid.cell_px)
-            maps = np.stack([up["mae"], up["snr"]])
+            maps = up["maps"]
             maps[:, ~up["mask"]] = np.nan
-            del up  # the stack copied these maps; free them before the warp's temporaries
             if target is not None:
                 center = frame.window_start_s + plan.length_s / 2.0
                 nearest = min(poses, key=lambda p: abs(p.frame_time_s - center))

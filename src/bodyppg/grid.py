@@ -23,7 +23,7 @@ from .pulse_rate import DEFAULT_BAND_BPM, PulseRateSeries, spectral_peaks
 from .metrics import snr_harmonics  # noqa: F401
 from .pulse_rate import stft_pulse_rate  # noqa: F401
 from .rppg import MethodConfig, RGBTrace, pos
-from .signals import Waveform, WindowPlan, window_starts
+from .signals import WindowPlan, window_starts
 
 if TYPE_CHECKING:
     from .session import GridStore
@@ -48,6 +48,11 @@ DEFAULT_CELL_PX = 20
 # pixels are skin.
 SKIN_FRACTION_THRESHOLD = 0.5
 VISIBILITY_THRESHOLD = 0.5
+# Output pixels per band of rows that upsample_frame and warp_error_frame
+# compute at once. The warp's temporaries take about 160 bytes per pixel of a
+# two-map stack, so a band's 2.6 MB stays in cache; a 1080x1920 stack warps
+# in 8-row bands.
+_BAND_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -107,17 +112,46 @@ class SubregionGrid:
         for start in starts:
             yield self.at_frame(start, self.values[start : start + n])
 
-    def cell_trace(self, row: int, col: int) -> RGBTrace:
-        """RGB trace of one cell over all of this grid's frames."""
-        rgb = self.values[:, row, col, :]
-        # Waveform copies each strided column; rppg._overlap_add stacks the three
-        # into one (3, n) array before any sum, and that stack fixes their order.
-        return RGBTrace(
-            Waveform(rgb[:, 0], self.sample_rate_hz, self.start_time_s),
-            Waveform(rgb[:, 1], self.sample_rate_hz, self.start_time_s),
-            Waveform(rgb[:, 2], self.sample_rate_hz, self.start_time_s),
-            roi_label=f"cell-{row}-{col}",
-        )
+    def cell_traces(self, cells: np.ndarray) -> list[RGBTrace]:
+        """RGB traces over all of this grid's frames of the cells at the
+        (row, col) pairs ``cells``, in their order.
+
+        The cell means are copied once, channel-major, and checked once: each
+        trace's channels are read-only contiguous rows of that copy, the
+        (3, n) layout in which ``rppg._overlap_add`` stacks them.
+
+        Raises:
+            ValueError: naming the first of ``cells`` with a mean that is not
+                finite and non-negative.
+        """
+        rows, cols = np.asarray(cells, dtype=int).reshape(-1, 2).T
+        channel_major = np.ascontiguousarray(self.values.transpose(1, 2, 3, 0))
+        # Only a failing window is searched, and only the cells asked for count.
+        if first_bad_cell_mean(channel_major) is not None:
+            bad = first_bad_cell_mean(channel_major[rows, cols])
+            if bad is not None:
+                i, ch, f = bad
+                raise ValueError(
+                    f"cell ({rows[i]}, {cols[i]}) has a {'RGB'[ch]} mean of "
+                    f"{float(channel_major[rows[i], cols[i], ch, f])!r} at "
+                    f"{self.start_time_s + f / self.sample_rate_hz:.6g} s; "
+                    "cell means must be finite and non-negative"
+                )
+        channel_major.flags.writeable = False
+        return [
+            RGBTrace.of_rows(channel_major[row, col], self.sample_rate_hz, self.start_time_s,
+                             f"cell-{row}-{col}")
+            for row, col in zip(rows.tolist(), cols.tolist())
+        ]
+
+
+def first_bad_cell_mean(values: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first value of ``values`` that is not finite and
+    non-negative, as an average of pixel intensities is; None if there is none."""
+    # min() is NaN if any value is; only a failing array is searched.
+    if not values.size or (values.min() >= 0 and np.isfinite(values.max())):
+        return None
+    return tuple(np.argwhere(~(values >= 0) | np.isinf(values))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -213,8 +247,7 @@ def score_grid(
         ref_bpm = ref_rate.rate_at(window_start_s + plan.length_s / 2.0)
         pulses = np.zeros((len(cells), n_len))
         extracted = np.zeros(len(cells), dtype=bool)
-        for i, (row, col) in enumerate(cells.tolist()):
-            trace = window.cell_trace(row, col)
+        for i, trace in enumerate(window.cell_traces(cells)):
             try:
                 pulses[i] = pos(trace, cfg).samples
             except ValueError:
@@ -288,6 +321,9 @@ def upsample_frame(frame: ErrorFrame, factor: int) -> dict[str, np.ndarray]:
     Maps grow by ``factor`` along each axis on a corner-aligned grid; the
     skin mask is upsampled by nearest neighbor. NaN cells spread to the
     pixels they influence, keeping undefined regions undefined.
+
+    ``"maps"`` is the MAE and SNR maps as one (2, rows, cols) stack, and
+    ``"mae"`` and ``"snr"`` are its two maps, views that share its memory.
     """
     if factor < 1:
         raise ValueError("factor must be at least 1")
@@ -295,9 +331,15 @@ def upsample_frame(frame: ErrorFrame, factor: int) -> dict[str, np.ndarray]:
     out_rows, out_cols = rows * factor, cols * factor
     r = (np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1))[:, None]
     c = (np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1))[None, :]
+    cell_maps = np.stack([frame.mae_map, frame.snr_map])
+    maps = np.empty((2, out_rows, out_cols))
+    band_rows = max(1, _BAND_PIXELS // max(out_cols, 1))
+    for top in range(0, out_rows, band_rows):
+        maps[:, top : top + band_rows] = _bilinear(cell_maps, r[top : top + band_rows], c)
     return {
-        "mae": _bilinear(frame.mae_map, r, c),
-        "snr": _bilinear(frame.snr_map, r, c),
+        "maps": maps,
+        "mae": maps[0],
+        "snr": maps[1],
         "mask": frame.skin_mask[np.round(r).astype(int), np.round(c).astype(int)],
     }
 
@@ -407,19 +449,23 @@ def warp_error_frame(
     out_w, out_h = out_size
     src = np.asarray(pixel_map, dtype=np.float64)
     rows, cols = src.shape[-2:]
+    out = np.full(src.shape[:-2] + (out_h, out_w), np.nan)
     # A row and a column that broadcast: the same values as a meshgrid,
     # without two output-sized coordinate arrays.
     xs = np.arange(out_w, dtype=np.float64)[None, :]
-    ys = np.arange(out_h, dtype=np.float64)[:, None]
-    denom = h_inv[2, 0] * xs + h_inv[2, 1] * ys + h_inv[2, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sx = (h_inv[0, 0] * xs + h_inv[0, 1] * ys + h_inv[0, 2]) / denom
-        sy = (h_inv[1, 0] * xs + h_inv[1, 1] * ys + h_inv[1, 2]) / denom
-
-    out = np.full(src.shape[:-2] + (out_h, out_w), np.nan)
-    inside = np.isfinite(sx) & np.isfinite(sy)
-    inside &= (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
-    out[..., inside] = _bilinear(src, sy[inside], sx[inside])
+    all_ys = np.arange(out_h, dtype=np.float64)[:, None]
+    # Each output pixel depends on its own pre-image alone, so bands of rows
+    # give the bits of the whole frame with temporaries the size of a band.
+    band_rows = max(1, _BAND_PIXELS // max(out_w, 1))
+    for top in range(0, out_h, band_rows):
+        ys = all_ys[top : top + band_rows]
+        denom = h_inv[2, 0] * xs + h_inv[2, 1] * ys + h_inv[2, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sx = (h_inv[0, 0] * xs + h_inv[0, 1] * ys + h_inv[0, 2]) / denom
+            sy = (h_inv[1, 0] * xs + h_inv[1, 1] * ys + h_inv[1, 2]) / denom
+        inside = np.isfinite(sx) & np.isfinite(sy)
+        inside &= (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
+        out[..., top : top + band_rows, :][..., inside] = _bilinear(src, sy[inside], sx[inside])
     return out
 
 

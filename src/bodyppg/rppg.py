@@ -51,6 +51,19 @@ class RGBTrace:
             if ch.samples.min() < 0:
                 raise ValueError(f"channel {name} has negative intensities")
 
+    @classmethod
+    def of_rows(cls, rows: np.ndarray, sample_rate_hz: float, start_time_s: float,
+                roi_label: str) -> "RGBTrace":
+        """The trace whose R, G and B channels are the three rows of ``rows``,
+        a read-only (3, n) float64 array, as views that are neither copied
+        nor checked, the way :meth:`Waveform.slice` makes one: the caller has
+        found every value finite and non-negative."""
+        trace = object.__new__(cls)
+        for name, row in zip("rgb", rows):
+            object.__setattr__(trace, name, Waveform._view(row, sample_rate_hz, start_time_s))
+        object.__setattr__(trace, "roi_label", roi_label)
+        return trace
+
     def __len__(self) -> int:
         return len(self.r)
 

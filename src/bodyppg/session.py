@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .fusion import DELTA_Y_BPM_DEFAULT, OXIMETER_BAND_BPM, SensorBank, channel_conflict
-from .grid import DEFAULT_CELL_PX, PoseKeypoints, SubregionGrid, grid_geometry
+from .grid import (DEFAULT_CELL_PX, PoseKeypoints, SubregionGrid, first_bad_cell_mean,
+                   grid_geometry)
 from .pulse_rate import PulseRateSeries
 from .rppg import RGBTrace
 from .signals import Waveform
@@ -559,10 +560,10 @@ class GridStore(_BlockFile):
 def _check_cell_means(path: Path | str, block: np.ndarray, first_frame: int) -> None:
     """Cell means are averages of pixel intensities: each value of ``block``,
     frames ``first_frame`` onwards of ``path``, must be finite and non-negative."""
-    # min() is NaN if any value is; only a failing block is searched.
-    if not block.size or (block.min() >= 0 and np.isfinite(block.max())):
+    bad = first_bad_cell_mean(block)
+    if bad is None:
         return
-    f, row, col, ch = np.argwhere(~(block >= 0) | np.isinf(block))[0].tolist()
+    f, row, col, ch = bad
     raise ValueError(
         f"{path}: frame {first_frame + f}, cell ({row}, {col}) has a {'RGB'[ch]} mean of "
         f"{float(block[f, row, col, ch])!r}; cell means must be finite and non-negative"
@@ -759,6 +760,7 @@ class SessionManifest:
     """
 
     session_id: str
+    path: Path
     root: Path
     fps: float
     width: int
@@ -792,6 +794,7 @@ class SessionManifest:
             video, oximeter = doc["video"], doc["oximeter"]
             manifest = cls(
                 session_id=doc["session_id"],
+                path=path,
                 root=root,
                 fps=float(video["fps"]),
                 width=int(video["width"]),
@@ -878,6 +881,13 @@ class SessionManifest:
                 f"{self.frames_path}: frames are {width}x{height} pixels, the manifest "
                 f"declares {self.width}x{self.height}"
             )
+        for roi, mask in masks.items():
+            if mask.shape != (height, width):
+                raise ValueError(
+                    f"{self.mask_path(roi)}: the mask of ROI {roi!r} is "
+                    f"{mask.shape[1]}x{mask.shape[0]} pixels, the frames of "
+                    f"{self.frames_path} are {width}x{height}"
+                )
         return extract_traces(frames, fps, masks, grid_cell_px=grid_cell_px)
 
     def load_traces(self, rois: list[str]) -> dict[str, RGBTrace]:
@@ -918,10 +928,18 @@ class SessionManifest:
     def load_grid(self, roi: str) -> GridStore | SubregionGrid:
         """The ROI's grid store, checked but not read, or its grid extracted
         from the frame dump in cells of ``DEFAULT_CELL_PX``. Both read their
-        windows with ``windows()``."""
+        windows with ``windows()``. A store's sidecar rate must be within
+        ``RATE_TOLERANCE`` of ``video.fps``, as a frame dump's must."""
         if roi in self.grid_paths:
             self.files_read.extend(self.grid_paths[roi])
-            return open_grid_store(*self.grid_paths[roi])
+            store = open_grid_store(*self.grid_paths[roi])
+            if not abs(store.sample_rate_hz - self.fps) <= RATE_TOLERANCE * self.fps:
+                raise ValueError(
+                    f"{self.grid_paths[roi][1]}: sample_rate_hz {store.sample_rate_hz:.6g} Hz "
+                    f"deviates more than {RATE_TOLERANCE:.1%} from video.fps "
+                    f"{self.fps:.6g} of {self.path}"
+                )
+            return store
         masked = self._masked_rois()
         if roi not in masked:
             valid = sorted(set(self.grid_paths) | masked)

@@ -89,12 +89,20 @@ class Waveform:
         """
         if not 0 <= start_index < stop_index <= len(self):
             raise ValueError(f"bad slice [{start_index}, {stop_index}) for length {len(self)}")
-        view = object.__new__(Waveform)
-        object.__setattr__(view, "samples", self.samples[start_index:stop_index])
-        object.__setattr__(view, "sample_rate_hz", self.sample_rate_hz)
-        object.__setattr__(
-            view, "start_time_s", self.start_time_s + start_index / self.sample_rate_hz
+        return Waveform._view(
+            self.samples[start_index:stop_index],
+            self.sample_rate_hz,
+            self.start_time_s + start_index / self.sample_rate_hz,
         )
+
+    @staticmethod
+    def _view(samples: np.ndarray, sample_rate_hz: float, start_time_s: float) -> "Waveform":
+        """A waveform over ``samples`` itself, neither copied nor checked: the
+        caller gives a read-only, finite 1-D float64 array and a positive rate."""
+        view = object.__new__(Waveform)
+        object.__setattr__(view, "samples", samples)
+        object.__setattr__(view, "sample_rate_hz", sample_rate_hz)
+        object.__setattr__(view, "start_time_s", start_time_s)
         return view
 
 

@@ -18,7 +18,7 @@ from bodyppg.fusion import (
     FusionDiagnostics,
     _crop_to_common_span,
 )
-from bodyppg.grid import SKIN_FRACTION_THRESHOLD, ErrorFrame, SubregionGrid
+from bodyppg.grid import SKIN_FRACTION_THRESHOLD, ErrorFrame, SubregionGrid, _bilinear
 from bodyppg.metrics import NOISE_BAND_BPM, SNR_CAP_DB
 from bodyppg.pulse_rate import _fft_length
 from bodyppg.rppg import _NUMERICAL_FLOOR, DEFAULT_POST_FILTER, MethodConfig, RGBTrace
@@ -155,6 +155,18 @@ def window_starts(n: int, sample_rate_hz: float, plan: WindowPlan) -> list[int]:
         k += 1
 
 
+def cell_trace(grid: SubregionGrid, row: int, col: int) -> RGBTrace:
+    """RGB trace of one cell over all of the grid's frames, each channel
+    copied out of the strided values into a checked Waveform of its own."""
+    rgb = grid.values[:, row, col, :]
+    return RGBTrace(
+        Waveform(rgb[:, 0], grid.sample_rate_hz, grid.start_time_s),
+        Waveform(rgb[:, 1], grid.sample_rate_hz, grid.start_time_s),
+        Waveform(rgb[:, 2], grid.sample_rate_hz, grid.start_time_s),
+        roi_label=f"cell-{row}-{col}",
+    )
+
+
 def score_grid(grid, ref_rate, plan=None, band_bpm=(40.0, 180.0)) -> list[ErrorFrame]:
     """Per-cell, per-window grid scoring."""
     if plan is None:
@@ -174,7 +186,7 @@ def score_grid(grid, ref_rate, plan=None, band_bpm=(40.0, 180.0)) -> list[ErrorF
             for col in range(grid.cols):
                 if not skin_mask[row, col]:
                     continue
-                trace = grid.cell_trace(row, col).slice(start, start + n_len)
+                trace = cell_trace(grid, row, col).slice(start, start + n_len)
                 try:
                     pulse = extract_pulse(trace, cfg)
                     if not 0 < band_bpm[0] < band_bpm[1] < nyquist_bpm:
@@ -367,4 +379,24 @@ def warp_error_frame(pixel_map: np.ndarray, h: np.ndarray, out_size) -> np.ndarr
         + src[y1, x0] * (1 - fx) * fy
         + src[y1, x1] * fx * fy
     )
+    return out
+
+
+def whole_frame_warp_error_frame(pixel_map: np.ndarray, h: np.ndarray, out_size) -> np.ndarray:
+    """The warp over the whole output at once: the pre-images of every output
+    pixel, then one bilinear sample of every map at those inside the source."""
+    h_inv = np.linalg.inv(np.asarray(h, dtype=np.float64))
+    out_w, out_h = out_size
+    src = np.asarray(pixel_map, dtype=np.float64)
+    rows, cols = src.shape[-2:]
+    xs = np.arange(out_w, dtype=np.float64)[None, :]
+    ys = np.arange(out_h, dtype=np.float64)[:, None]
+    denom = h_inv[2, 0] * xs + h_inv[2, 1] * ys + h_inv[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sx = (h_inv[0, 0] * xs + h_inv[0, 1] * ys + h_inv[0, 2]) / denom
+        sy = (h_inv[1, 0] * xs + h_inv[1, 1] * ys + h_inv[1, 2]) / denom
+    out = np.full(src.shape[:-2] + (out_h, out_w), np.nan)
+    inside = np.isfinite(sx) & np.isfinite(sy)
+    inside &= (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
+    out[..., inside] = _bilinear(src, sy[inside], sx[inside])
     return out

@@ -267,6 +267,24 @@ class TestGridMapCommand:
         # Every window is scored before any output is written.
         assert not out.exists()
 
+    def test_sidecar_rate_other_than_the_video_fps_fails(self, session, tmp_path, capsys):
+        # Scored at 45 Hz, the 30 s store of a 90 fps video would read as 60 s
+        # and give frame_005_*.csv.
+        root = tmp_path / "session"
+        shutil.copytree(session, root)
+        sidecar = root / "grid_face.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "sample_rate_hz": 45.0}))
+        capsys.readouterr()
+        out = tmp_path / "gm"
+        assert main(["grid-map", "--manifest", str(root / "manifest.json"),
+                     "--out-dir", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": (
+            f"{sidecar}: sample_rate_hz 45 Hz deviates more than 0.1% from video.fps 90 "
+            f"of {root / 'manifest.json'}")}
+        assert not out.exists()
+
     def test_window_longer_than_the_grid_named_before_any_output(self, session, tmp_path,
                                                                  capsys):
         capsys.readouterr()

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyppg import (
     PoseKeypoints,
@@ -16,7 +18,7 @@ from bodyppg import (
     upsample_frame,
     warp_error_frame,
 )
-from bodyppg.grid import ErrorFrame, grid_geometry
+from bodyppg.grid import _BAND_PIXELS, ErrorFrame, grid_geometry
 from bodyppg.session import open_grid_store, read_grid, write_grid
 from bodyppg.signals import window_starts
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
@@ -125,6 +127,37 @@ class TestScoreGrid:
     def test_short_signal_empty(self):
         grid = make_grid(duration_s=8.0)
         assert score_grid(grid, flat_reference(72.0, 30.0)) == []
+
+
+class TestBadCellMeans:
+    """A grid built in memory is checked where its skin cells are scored."""
+
+    @staticmethod
+    def grid_with(value, cell=(1, 2), skin_fraction=None):
+        grid = make_grid(rows=2, cols=3, duration_s=20.0, skin_fraction=skin_fraction)
+        values = grid.values.copy()
+        values[1000, cell[0], cell[1], 1] = value  # frame 1000, in the second window
+        return replace(grid, values=values)
+
+    @pytest.mark.parametrize("value, cause", [(-0.1, "negative"), (np.nan, "finite")])
+    def test_a_bad_skin_cell_mean_fails(self, value, cause):
+        with pytest.raises(ValueError, match=cause):
+            score_grid(self.grid_with(value), flat_reference(72.0, 20.0))
+
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_the_error_names_the_cell_its_channel_and_time(self, value):
+        with pytest.raises(ValueError) as error:
+            score_grid(self.grid_with(value), flat_reference(72.0, 20.0))
+        assert str(error.value) == (f"cell (1, 2) has a G mean of {value!r} at 11.1111 s; "
+                                    "cell means must be finite and non-negative")
+
+    def test_a_cell_below_the_skin_threshold_is_not_read(self):
+        fraction = np.ones((2, 3))
+        fraction[1, 2] = 0.2
+        bad = self.grid_with(np.nan, skin_fraction=fraction)
+        good = replace(bad, values=make_grid(rows=2, cols=3, duration_s=20.0).values)
+        ref = flat_reference(72.0, 20.0)
+        TestScoreGridOracle.assert_frames_equal(score_grid(bad, ref), score_grid(good, ref))
 
 
 class TestScoreGridOracle:
@@ -407,6 +440,49 @@ class TestBilinearOracle:
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
             assert np.isfinite(got).sum() > 1000
+
+
+@st.composite
+def warp_cases(draw):
+    """A warp of 1 to 3 maps, or of one 2-D map, whose output is below, at or
+    above one band of rows; its pre-images may cross the line where the
+    homography's denominator changes sign."""
+    out_w = draw(st.integers(300, 1200))
+    band = _BAND_PIXELS // out_w
+    out_h = draw(st.sampled_from([1, band - 1, band, band + 1, 2 * band, 3 * band - 1])
+                 | st.integers(1, 3 * band))
+    src_h, src_w = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    nan_fraction = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.uniform(-30.0, 30.0, (src_h, src_w) if k is None else (k, src_h, src_w))
+    src[..., rng.random((src_h, src_w)) < nan_fraction] = np.nan
+    # The inverse map: output pixels onto the source, scaled, sheared and
+    # shifted, with a projective row.
+    m = np.diag([(src_w - 1) / out_w, (src_h - 1) / max(out_h, 1), 1.0])
+    m[:2, :2] += rng.normal(0.0, 0.05, (2, 2)) * m[:2, :2].diagonal()
+    m[:2, 2] = rng.normal(0.0, 0.1, 2) * (src_w, src_h)
+    if draw(st.booleans()):
+        # 1 at the origin and 0 at a pixel inside the output: the denominator
+        # changes sign on a line through that pixel.
+        px, py = rng.uniform(1, out_w), rng.uniform(0, out_h)
+        u, v = rng.uniform(0.0, 1.0, 2)
+        m[2, :2] = (u, v) / -(u * px + v * py)
+    else:
+        m[2, :2] = rng.normal(0.0, 1e-4, 2)
+    return src, np.linalg.inv(m), (out_w, out_h)
+
+
+class TestBandedWarpOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(warp_cases())
+    def test_equals_the_whole_frame_warp_bit_for_bit(self, case):
+        src, h, size = case
+        got = warp_error_frame(src, h, size)
+        want = loop_reference.whole_frame_warp_error_frame(src, h, size)
+        assert got.shape == want.shape == src.shape[:-2] + size[::-1]
+        # The int64 views compare every bit, NaN layout and payloads included.
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestAggregate:

@@ -10,7 +10,7 @@ import numpy as np
 
 from bodyppg import PulseRateSeries, SensorBank, Waveform, WindowPlan, fuse_ground_truth_report
 from bodyppg.cli import main
-from bodyppg.grid import aggregate_heatmap
+from bodyppg.grid import ErrorFrame, aggregate_heatmap, upsample_frame, warp_error_frame
 from bodyppg.pulse_rate import spectral_peaks
 from bodyppg.session import write_csv
 from bodyppg.synthetic_session import SyntheticSessionConfig, build_synthetic_session
@@ -128,3 +128,39 @@ def test_aggregate_step_holds_only_the_sums_counts_and_mask():
         tracemalloc.stop()
     assert np.array_equal(mean, np.where(np.isnan(frame), np.nan, 1.5), equal_nan=True)
     assert peaks[0] <= frame.size * (8 + 8 + 1) + 1 * MB
+
+
+def _full_hd_stack(rng) -> np.ndarray:
+    """A (2, 1080, 1920) stack of MAE and SNR maps, 33.2 MB, a tenth NaN."""
+    maps = rng.uniform(0.0, 30.0, (2, 1080, 1920))
+    maps[:, rng.random((1080, 1920)) < 0.1] = np.nan
+    return maps
+
+
+def test_warp_of_a_full_hd_stack_peaks_below_twice_its_output():
+    # Pre-images of the whole frame at once peaked at 9.9x the output
+    # (328 MB). In bands of rows only a band's temporaries join the output:
+    # about 1.07x.
+    src = _full_hd_stack(np.random.default_rng(0))
+    h = np.array([[1.01, 0.02, 3.0], [-0.015, 0.99, -2.0], [1e-5, -2e-5, 1.0]])
+    out = []
+    peak = traced_peak(lambda: out.append(warp_error_frame(src, h, (1920, 1080))))
+    assert out[0].shape == src.shape
+    assert peak <= 2 * out[0].nbytes, peak / out[0].nbytes
+
+
+def test_upsampling_a_window_to_full_hd_allocates_one_stack():
+    # 54 x 96 cells of 20 px. Each map upsampled alone, then np.stack'ed,
+    # held 2.5 stacks at the peak of the upsample and 2 after it; the stack
+    # upsampled in bands of rows holds one, its mask and a band, 1.07 stacks.
+    rng = np.random.default_rng(1)
+    cells = rng.uniform(0.0, 30.0, (2, 54, 96))
+    cells[:, rng.random((54, 96)) < 0.1] = np.nan
+    frame = ErrorFrame(0, 0.0, cells[0], cells[1], rng.random((54, 96)) < 0.8)
+    ups = []
+    peak = traced_peak(lambda: ups.append(upsample_frame(frame, 20)))
+    (up,) = ups
+    stack_bytes = 2 * 1080 * 1920 * 8
+    assert up["maps"].shape == (2, 1080, 1920) and up["maps"].nbytes == stack_bytes
+    assert np.shares_memory(up["mae"], up["maps"]) and np.shares_memory(up["snr"], up["maps"])
+    assert peak <= 1.15 * stack_bytes, peak / stack_bytes

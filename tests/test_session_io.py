@@ -1050,6 +1050,28 @@ class TestManifest:
         with pytest.raises(ValueError, match=expected):
             manifest.load_trace("face")
 
+    @pytest.mark.parametrize("load", ["load_trace", "load_grid"])
+    def test_mask_size_differs_from_the_frames(self, tmp_path, load):
+        import json
+
+        write_frame_dump(tmp_path / "frames.rfd", np.zeros((20, 3, 40, 48), dtype=np.uint8), 90.0)
+        write_pgm(tmp_path / "mask_face.pgm", np.ones((40, 47), dtype=bool))
+        write_oximeter_csv(tmp_path / "oximeter.csv", np.arange(60) / 60.0, np.full(60, 72.0))
+        doc = {
+            "session_id": "frames-only",
+            "video": {"fps": 90.0, "width": 48, "height": 40, "frames": "frames.rfd"},
+            "sensors": [],
+            "oximeter": {"path": "oximeter.csv", "rate_hz": 60.0},
+            "rois": [{"label": "face", "mask": "mask_face.pgm"}],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        manifest = SessionManifest.load(tmp_path / "manifest.json")
+        expected = (f"{tmp_path / 'mask_face.pgm'}: the mask of ROI 'face' is 47x40 pixels, "
+                    f"the frames of {tmp_path / 'frames.rfd'} are 48x40")
+        with pytest.raises(ValueError) as error:
+            getattr(manifest, load)("face")
+        assert str(error.value) == expected
+
     def test_unparsable_cell_names_file(self, tmp_path):
         manifest_path = build_synthetic_session(
             tmp_path, SyntheticSessionConfig(seed=3, duration_s=20.0)
