@@ -276,6 +276,13 @@ def score_grid(
     return frames
 
 
+def _neighbours(at: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two samples around each fractional position ``at`` along an axis of
+    ``size`` samples, and the weight of the second."""
+    i0 = np.clip(np.floor(at).astype(int), 0, size - 1)
+    return i0, np.minimum(i0 + 1, size - 1), at - i0
+
+
 def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Bilinear samples of ``src`` at fractional rows ``y`` and columns ``x``.
 
@@ -290,10 +297,8 @@ def _bilinear(src: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     src = np.asarray(src, dtype=np.float64)
     rows, cols = src.shape[-2:]
     flat = src.reshape(src.shape[:-2] + (rows * cols,))
-    y0 = np.clip(np.floor(y).astype(int), 0, rows - 1)
-    x0 = np.clip(np.floor(x).astype(int), 0, cols - 1)
-    y1, x1 = np.minimum(y0 + 1, rows - 1), np.minimum(x0 + 1, cols - 1)
-    fy, fx = y - y0, x - x0
+    y0, y1, fy = _neighbours(y, rows)
+    x0, x1, fx = _neighbours(x, cols)
 
     def weighted(yi, xi, weight):
         # A flat-index take along the last axis gathers several times faster
@@ -329,18 +334,31 @@ def upsample_frame(frame: ErrorFrame, factor: int) -> dict[str, np.ndarray]:
         raise ValueError("factor must be at least 1")
     rows, cols = frame.mae_map.shape
     out_rows, out_cols = rows * factor, cols * factor
-    r = (np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1))[:, None]
-    c = (np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1))[None, :]
-    cell_maps = np.stack([frame.mae_map, frame.snr_map])
+    r = np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1)
+    c = np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1)
+    cell_maps = np.asarray(np.stack([frame.mae_map, frame.snr_map]), dtype=np.float64)
+    # The grid is separable: each cell row is interpolated along x once, and
+    # each band of output rows then interpolates between two of those rows
+    # along y. These are _bilinear's operations in its order, so its bits.
+    x0, x1, fx = _neighbours(c, cols)
+    across = cell_maps[..., x0] * (1 - fx)
+    across += cell_maps[..., x1] * fx
+    y0, y1, fy = _neighbours(r, rows)
+    fy = fy[:, None]
     maps = np.empty((2, out_rows, out_cols))
     band_rows = max(1, _BAND_PIXELS // max(out_cols, 1))
     for top in range(0, out_rows, band_rows):
-        maps[:, top : top + band_rows] = _bilinear(cell_maps, r[top : top + band_rows], c)
+        band = slice(top, top + band_rows)
+        upper = across[:, y0[band]]
+        upper *= 1 - fy[band]
+        lower = across[:, y1[band]]
+        lower *= fy[band]
+        np.add(upper, lower, out=maps[:, band])
     return {
         "maps": maps,
         "mae": maps[0],
         "snr": maps[1],
-        "mask": frame.skin_mask[np.round(r).astype(int), np.round(c).astype(int)],
+        "mask": frame.skin_mask[np.ix_(np.round(r).astype(int), np.round(c).astype(int))],
     }
 
 

@@ -347,6 +347,27 @@ def upsample_frame(frame: ErrorFrame, factor: int) -> dict[str, np.ndarray]:
     }
 
 
+def scattered_upsample_frame(frame: ErrorFrame, factor: int, band_pixels: int) -> dict:
+    """The MAE and SNR maps upsampled as one stack in bands of rows of
+    ``band_pixels`` output pixels, each band through ``_bilinear`` at every
+    output pixel's four neighbours, without using that the grid is separable."""
+    rows, cols = frame.mae_map.shape
+    out_rows, out_cols = rows * factor, cols * factor
+    r = (np.linspace(0.0, rows - 1.0, out_rows) if out_rows > 1 else np.zeros(1))[:, None]
+    c = (np.linspace(0.0, cols - 1.0, out_cols) if out_cols > 1 else np.zeros(1))[None, :]
+    cell_maps = np.stack([frame.mae_map, frame.snr_map])
+    maps = np.empty((2, out_rows, out_cols))
+    band_rows = max(1, band_pixels // max(out_cols, 1))
+    for top in range(0, out_rows, band_rows):
+        maps[:, top : top + band_rows] = _bilinear(cell_maps, r[top : top + band_rows], c)
+    return {
+        "maps": maps,
+        "mae": maps[0],
+        "snr": maps[1],
+        "mask": frame.skin_mask[np.round(r).astype(int), np.round(c).astype(int)],
+    }
+
+
 def warp_error_frame(pixel_map: np.ndarray, h: np.ndarray, out_size) -> np.ndarray:
     """Inverse-mapped warp with the four corner weights summed in one expression."""
     h_inv = np.linalg.inv(np.asarray(h, dtype=np.float64))

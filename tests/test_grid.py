@@ -485,6 +485,32 @@ class TestBandedWarpOracle:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@st.composite
+def upsample_cases(draw):
+    """A grid of up to 20 x 25 cells, none, some or all of them NaN, and a
+    factor whose output is below, at or above one band of rows."""
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 25))
+    factor = draw(st.sampled_from([1, 2, 20]) | st.integers(1, 60))
+    nan_fraction = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mae, snr = nan_scattered_map(rng, (rows, cols), nan_fraction), nan_scattered_map(
+        rng, (rows, cols), nan_fraction)
+    return ErrorFrame(0, 0.0, mae, snr, rng.random((rows, cols)) < 0.7), factor
+
+
+class TestSeparableUpsampleOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(upsample_cases())
+    def test_equals_the_scattered_path_bit_for_bit(self, case):
+        frame, factor = case
+        got = upsample_frame(frame, factor)
+        want = loop_reference.scattered_upsample_frame(frame, factor, _BAND_PIXELS)
+        # The int64 views compare every bit, NaN layout and payloads included.
+        for key in ("maps", "mae", "snr"):
+            np.testing.assert_array_equal(got[key].view(np.int64), want[key].view(np.int64))
+        np.testing.assert_array_equal(got["mask"], want["mask"])
+
+
 class TestAggregate:
     def test_single_frame(self):
         m = np.arange(12.0).reshape(3, 4)

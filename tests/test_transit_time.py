@@ -1,4 +1,6 @@
 import logging
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +16,15 @@ from bodyppg import (
     ptt_matrix,
     xcorr_lag,
 )
-from bodyppg.transit_time import DEFAULT_MAX_LAG_S, DEFAULT_MIN_PEAK_CORR, DEFAULT_PTT_PLAN, PTTMatrix
-from bodyppg.signals import windows
+from bodyppg.transit_time import (
+    DEFAULT_MAX_LAG_S,
+    DEFAULT_MIN_PEAK_CORR,
+    DEFAULT_PTT_PLAN,
+    PTTMatrix,
+    _lag_kernel,
+    _scan_lags,
+)
+from bodyppg.signals import window_starts, windows
 from bodyppg.synth import PulseModel, constant_rate, synth_pulse
 
 FS = 400.0
@@ -294,6 +303,47 @@ class TestPttMatrixOracle:
         waves = self.sensor_like_waves(400.0, duration_s=600.0)
         self.assert_matches_brute_force(waves, WindowPlan(1.5, 50.0), 120)
 
+    @pytest.mark.parametrize("fs, max_lag, stride_s", [(400.0, 120, 0.01), (90.0, 27, 1 / 90)],
+                             ids=["400Hz", "90Hz"])
+    def test_dense_stride_matches_brute_force(self, fs, max_lag, stride_s):
+        # Three seconds at a stride of a few samples, which the sliding-sum
+        # kernel scans: the dropout covers whole windows from 1 s on, and the
+        # burst the last second.
+        waves = self.sensor_like_waves(fs, duration_s=3.0)
+        plan = WindowPlan(1.5, stride_s)
+        starts = window_starts(len(waves[0][1]), fs, plan)
+        assert _lag_kernel(3, starts, plan.length_samples(fs), max_lag) == "sliding-sum"
+        self.assert_matches_brute_force(waves, plan, max_lag)
+
+    def test_ten_minute_recording_at_a_dense_stride(self):
+        # Ten minutes on the 5000-count offset at a 0.02 s stride, scanned by
+        # the sliding sums, which restart in every chunk: every lag equals the
+        # FFT kernel's, and a sample of windows, with the dropout and the
+        # burst among them, equals the brute-force scan.
+        waves = self.sensor_like_waves(400.0, duration_s=600.0)
+        signals = np.stack([wave.samples for _, wave in waves])
+        starts = window_starts(signals.shape[1], 400.0, WindowPlan(1.5, 0.02))
+        lag, peak, kernel = _scan_lags(signals, starts, 600, 120)
+        with mock.patch("bodyppg.transit_time._SLIDING_UNIT_COST", math.inf):
+            fft_lag, fft_peak, fft_kernel = _scan_lags(signals, starts, 600, 120)
+        assert (kernel, fft_kernel) == ("sliding-sum", "fft")
+        np.testing.assert_array_equal(lag, fft_lag)
+        # The peaks agree to 1e-12; sums run over the whole recording from
+        # its first sample would part them by 1.6e-10.
+        np.testing.assert_allclose(peak, fft_peak, rtol=0, atol=1e-11)
+        assert np.isnan(lag).any() and (peak < 0.5).any()
+        flat, burst = np.searchsorted(starts, [200 * 400, 400 * 400 - 300])
+        sample = np.r_[flat - 2 : flat + 3, burst : burst + 3,
+                       np.random.default_rng(5).choice(starts.size, 8, replace=False)]
+        for w in sample:
+            for p, (i, j) in enumerate(zip(*np.triu_indices(3, 1))):
+                x, y = signals[i, starts[w] : starts[w] + 600], signals[j, starts[w] : starts[w] + 600]
+                k, c = brute_force_lag(x, y, 120)
+                if k is None:
+                    assert np.isnan(lag[p, w])
+                else:
+                    assert lag[p, w] == k and peak[p, w] == pytest.approx(c, abs=1e-9)
+
     @staticmethod
     def assert_matches_brute_force(waves, plan, max_lag):
         fs = waves[0][1].sample_rate_hz
@@ -327,6 +377,68 @@ class TestPttMatrixOracle:
         for (i, j), retained in peaks.items():
             assert mtx.peak_corr[i, j] == pytest.approx(np.mean(retained), abs=1e-9)
             assert mtx.peak_corr[j, i] == mtx.peak_corr[i, j]
+
+
+@pytest.mark.parametrize("fs, n_sites, stride_s, kernel", [
+    (400.0, 9, 0.25, "fft"),
+    (400.0, 9, 0.1, "fft"),
+    (400.0, 9, 0.05, "sliding-sum"),
+    (400.0, 9, DEFAULT_PTT_PLAN.stride_s, "sliding-sum"),
+    (90.0, 6, 0.1, "sliding-sum"),
+    (90.0, 6, 1 / 90.0, "sliding-sum"),
+    (400.0, 9, 0.5, "fft"),
+], ids=["sensors-0.25s", "sensors-0.1s", "sensors-0.05s", "sensors-default", "rppg-0.1s",
+        "rppg-default", "demo-0.5s"])
+def test_kernel_picked_for_each_shape(fs, n_sites, stride_s, kernel):
+    # A 60 s session with the CLI's window and max lag: 9 sensors at 400 Hz, 6
+    # ROI pulses at 90 Hz. The benchmark's sensors job (0.25 s) and demo 06
+    # (0.5 s) stay on the FFT scan, the benchmark's rppg job (0.1 s) and both
+    # CLI defaults (0.01 s, one frame) take the sliding sums; 0.1 s and
+    # 0.05 s at 400 Hz bracket the break-even.
+    plan = WindowPlan(DEFAULT_PTT_PLAN.length_s, stride_s)
+    starts = window_starts(int(60 * fs), fs, plan)
+    n_pairs = n_sites * (n_sites - 1) // 2
+    max_lag = round(DEFAULT_MAX_LAG_S * fs)
+    assert _lag_kernel(n_pairs, starts, plan.length_samples(fs), max_lag) == kernel
+
+
+class TestSlidingConstantOverlaps:
+    """The sliding sums find constant overlaps from counts of sample-to-sample
+    changes, not from a variance threshold."""
+
+    def test_flat_stretches_fail_as_in_the_fft_kernel(self):
+        # Flat stretches at 5000.1, whose running sums round, so that their
+        # prefix-sum variances are rounding noise rather than zero: one site
+        # flat for longer than a window, another for less than one.
+        signals = 5000.0 + 40.0 * np.stack([
+            noisy_pulse(8.0, seed=60 + i, delay_s=0.02 * i, noise=0.2).samples for i in range(3)])
+        signals[1, 800:1800] = 5000.1
+        signals[2, 2000:2400] = 5000.1
+        starts = window_starts(signals.shape[1], FS, WindowPlan(1.5, 0.01))
+        lag, peak, kernel = _scan_lags(signals, starts, 600, 120)
+        with mock.patch("bodyppg.transit_time._SLIDING_UNIT_COST", math.inf):
+            fft_lag, fft_peak, _ = _scan_lags(signals, starts, 600, 120)
+        assert kernel == "sliding-sum"
+        failed = np.isnan(lag)
+        assert failed[[0, 2]].any(axis=1).all() and not failed[1].any()
+        np.testing.assert_array_equal(lag, fft_lag)
+        np.testing.assert_allclose(peak, fft_peak, rtol=0, atol=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(delays=st.lists(st.integers(0, 27), min_size=2, max_size=4),
+           scale=st.sampled_from([1e-9, 1.0, 1e6]), offset=st.sampled_from([0.0, 5000.0]))
+    def test_dense_stride_shift_theorem_at_any_amplitude(self, delays, scale, offset):
+        # Sites cut from one pulse, scaled to any amplitude on any offset, at a
+        # one-frame stride: every window finds the injected delays exactly.
+        waves = [(site, Waveform(offset + scale * wave.samples, FS_PROP))
+                 for site, wave in delayed_sites(delays)]
+        plan = WindowPlan(3.0, 1.0 / FS_PROP)
+        starts = window_starts(len(waves[0][1]), FS_PROP, plan)
+        n_pairs = len(delays) * (len(delays) - 1) // 2
+        assert _lag_kernel(n_pairs, starts, plan.length_samples(FS_PROP), MAX_LAG_PROP) == "sliding-sum"
+        mtx = ptt_matrix(waves, plan)
+        expected = np.subtract.outer(delays, delays).T / FS_PROP
+        assert np.all(mtx.per_window_lag_s == expected)
 
 
 FS_PROP = 90.0
@@ -391,3 +503,13 @@ def test_ptt_matrix_logs_a_run_summary(caplog):
     assert f"{2 * n_windows} zero-variance" in message
     empty = int(np.isnan(mtx.mean_lag_s[np.triu_indices(3, 1)]).sum())
     assert empty >= 2 and f"{empty} pairs with no retained window" in message
+    assert "(fft kernel)" in message
+    # A dense stride runs the sliding sums, and the line names them.
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="bodyppg.transit_time"):
+        dense = ptt_matrix(waves, WindowPlan(5.0, 0.05))
+    records = [r for r in caplog.records if r.name == "bodyppg.transit_time"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    assert f"3 pairs x {dense.per_window_lag_s.shape[0]} windows (sliding-sum kernel)" in message
+    assert f"{2 * dense.per_window_lag_s.shape[0]} zero-variance" in message
