@@ -6,29 +6,30 @@ scan over integer-sample lags, assembled into a skew-symmetric site-by-site
 matrix, and summarized with boxplot statistics.
 
 ``_scan_lags`` scans all site pairs over all windows with one of two kernels,
-which find the same lags:
+which find the same lags. Both scan a :class:`_Chunk` of windows at a time,
+with its overlaps' means and variances, its exact test for constant overlaps
+and its running best over the lags in the tie-break order; they differ in
+how they sum x[t] * y[t + k] over each overlap (the normalized
+cross-correlation of Lewis, 1995):
 
-- The FFT kernel takes a chunk of windows at once. Each window is centred
-  and scaled; the overlap sums at every lag come from per-window prefix sums,
-  and the cross products from one zero-padded real FFT per site and window
-  and one inverse FFT per pair, of which only the lags -L..L are read (the
-  normalized cross-correlation of Lewis, 1995). Chunks hold at most
-  ``_CHUNK_SAMPLES`` pair-window samples.
-- The sliding-sum kernel takes one lag at a time over a chunk of windows
-  spanning a bounded stretch of samples. Every window's overlap sums of x,
-  x², y, y² and x[t] * y[t + k] come from prefix sums over that stretch,
-  which adjacent windows share (the sliding dot products of Zhu et al. 2016,
-  "Matrix Profile II"); constant overlaps are found from integer counts of
-  sample-to-sample changes.
+- The block-FFT kernel cuts the span at every window start and end into
+  blocks of at most L samples, so that overlapping windows share each
+  block's cross-spectrum (Stockham 1966, "High-speed convolution and
+  correlation"). A window's spectrum is a difference of prefix sums of its
+  blocks' spectra, less the terms that reach past its edges, and one inverse
+  FFT of about 3L samples per pair-window gives its sums at every lag.
+- The sliding-sum kernel takes one lag at a time, with prefix sums of the
+  lagged products over the span, which adjacent windows share (the sliding
+  dot products of Zhu et al. 2016, "Matrix Profile II").
 
-The FFT kernel costs about ``pairs * windows * n_fft * log2(n_fft)`` and the
-sliding one about ``(2L+1) * pairs * samples``, so the sliding sums win
+The block FFTs cost about ``pairs * windows * n_fft * log2(n_fft)`` and the
+sliding sums about ``(2L+1) * pairs * samples``, so the sliding sums win
 where windows overlap densely. ``_lag_kernel`` weighs the two costs with one
 constant, ``_SLIDING_UNIT_COST``, and the INFO line of :func:`ptt_matrix`
-names the kernel that ran. The FFTs are numpy.fft's, the package's only one
-(scipy stays for ``lfilter``, ``freqz`` and ``synth.motion_burst_noise``);
-``TestScanFftEqualsScipy`` and ``test_smooth_length_equals_scipy_next_fast_len``
-pin them to scipy's bits.
+names the kernel that ran (``fft`` or ``sliding-sum``). The FFTs are
+numpy.fft's, the package's only one (scipy stays for ``lfilter``, ``freqz``
+and ``synth.motion_burst_noise``); ``TestScanFftEqualsScipy`` and
+``test_smooth_length_equals_scipy_next_fast_len`` pin them to scipy's bits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Waveform, WindowPlan, deviations, smooth_length, windows
+from .signals import Waveform, WindowPlan, smooth_length, windows
 
 __all__ = [
     "LagEstimate",
@@ -58,21 +59,20 @@ DEFAULT_MAX_LAG_S = 0.300
 # Waveform pairs correlating below this in a window are too unreliable for a
 # lag estimate and are excluded from aggregation (counts are reported).
 DEFAULT_MIN_PEAK_CORR = 0.5
-# The FFT lag scan takes windows in chunks of at most this many pair-window
-# samples (one window at the least), which bounds its working set whatever
-# the stride, duration or number of sites.
-_CHUNK_SAMPLES = 1 << 17
-# The sliding lag scan takes windows in chunks spanning at most this many
-# pair-samples and at most this many window lengths (two at the least), which
-# bound its working set and the cancellation in its prefix sums.
+# Lag-scan chunks span at most _SPAN_WINDOWS window lengths, which bounds the
+# cancellation in their prefix sums. A sliding-sum chunk also spans at most
+# _SLIDING_SPAN_PAIR_SAMPLES pair-samples, and a block chunk holds at most
+# _BLOCK_CHUNK_BYTES of cross sums, one float per pair, window and lag, which
+# bound their working sets.
+_SPAN_WINDOWS = 16
 _SLIDING_SPAN_PAIR_SAMPLES = 1 << 19
-_SLIDING_SPAN_WINDOWS = 16
+_BLOCK_CHUNK_BYTES = 1 << 20
 # The cost of one sliding-sum unit (one lag of one pair at one sample) in FFT
-# units (one sample of one pair-window's transform, times log2(n_fft)). The
-# break-even table of BENCH_ptt_sliding.json puts it between 2.1 (0.1 s
-# stride at 400 Hz, where the FFT is faster) and 4.2 (0.05 s, where the
-# sliding sums are).
-_SLIDING_UNIT_COST = 3.0
+# units (one sample of one pair-window's inverse transform, times
+# log2(n_fft)). The break-even table of BENCH_ptt_block.json puts it between
+# 0.54 (a 0.05 s stride at 400 Hz, where the block FFTs are faster) and 0.95
+# (0.1 s at 90 Hz, where the sliding sums are).
+_SLIDING_UNIT_COST = 0.7
 
 logger = logging.getLogger(__name__)
 
@@ -157,9 +157,9 @@ def _scan_lags(
     evaluated; the highest wins, ties going to the smaller |k| and then to
     the smaller k.
 
-    :func:`_lag_kernel` picks the kernel from the shape: :func:`_fft_scan`
-    over chunks of at most ``_CHUNK_SAMPLES`` pair-window samples, or
-    :func:`_sliding_scan` over the chunks of :func:`_sliding_chunks`.
+    :func:`_lag_kernel` picks the kernel from the shape, :func:`_block_sums`
+    or :func:`_sliding_sums`, which each scan a :class:`_Chunk` of the
+    windows of :func:`_chunks` at a time.
 
     Returns the lag in samples and the peak correlation, each of shape
     (pairs, windows), both NaN where every overlap has zero variance on one
@@ -169,16 +169,12 @@ def _scan_lags(
     lag = np.empty((first.size, starts.size))
     peak = np.empty((first.size, starts.size))
     kernel = _lag_kernel(first.size, starts, n_len, max_lag)
-    if kernel == "sliding-sum":
-        for lo, hi in _sliding_chunks(starts, n_len, first.size):
-            lag[:, lo:hi], peak[:, lo:hi] = _sliding_scan(
-                signals, starts[lo:hi], n_len, max_lag, first, second)
-        return lag, peak, kernel
-    chunk = max(1, _CHUNK_SAMPLES // (first.size * n_len))
-    offsets = np.arange(n_len)
-    for c in range(0, starts.size, chunk):
-        segs = signals[:, starts[c : c + chunk, None] + offsets]
-        lag[:, c : c + chunk], peak[:, c : c + chunk] = _fft_scan(segs, first, second, max_lag)
+    sums = _sliding_sums if kernel == "sliding-sum" else _block_sums
+    for lo, hi in _chunks(kernel, starts, n_len, max_lag, first.size):
+        chunk = _Chunk(signals, starts[lo:hi], n_len, max_lag, first.size)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sums(chunk, first, second)
+        lag[:, lo:hi], peak[:, lo:hi] = chunk.result()
     return lag, peak, kernel
 
 
@@ -186,137 +182,191 @@ def _lag_kernel(n_pairs: int, starts: np.ndarray, n_len: int, max_lag: int) -> s
     """The lag-scan kernel for this shape: ``"sliding-sum"`` or ``"fft"``.
 
     The sliding sums cost about ``(2L+1) * pairs * samples``, the samples
-    being those the sliding chunks span, and the FFT about
-    ``pairs * windows * n_fft * log2(n_fft)``. The sliding kernel runs when
-    ``_SLIDING_UNIT_COST`` times its cost is the lower, which it is where the
-    windows overlap densely.
+    being those the sliding chunks span. The block FFTs cost about
+    ``pairs * windows * n_fft * log2(n_fft)``, one inverse FFT of about 3L
+    samples per pair-window (adjacent windows share the per-block work). The
+    sliding kernel runs when ``_SLIDING_UNIT_COST`` times its cost is the
+    lower, which it is where the windows overlap densely.
     """
     samples = sum(int(starts[hi - 1] - starts[lo]) + n_len
-                  for lo, hi in _sliding_chunks(starts, n_len, n_pairs))
-    n_fft = smooth_length(n_len + max_lag)
+                  for lo, hi in _chunks("sliding-sum", starts, n_len, max_lag, n_pairs))
+    n_fft = smooth_length(max(max_lag, 1) + 2 * max_lag)
     sliding = _SLIDING_UNIT_COST * (2 * max_lag + 1) * n_pairs * samples
     return "sliding-sum" if sliding < n_pairs * starts.size * n_fft * np.log2(n_fft) else "fft"
 
 
-def _fft_scan(
-    segs: np.ndarray, first: np.ndarray, second: np.ndarray, max_lag: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_scan_lags` over the windows ``segs``, shape (sites, windows, n).
+def _chunks(kernel: str, starts: np.ndarray, n_len: int, max_lag: int,
+            n_pairs: int) -> list[tuple[int, int]]:
+    """Index ranges of the windows ``kernel`` takes at once.
 
-    Each window is centred and scaled; the overlap sums at every lag come
-    from per-window prefix sums, and the cross products from one zero-padded
-    real FFT per site and window and one inverse FFT per pair, of which only
-    the lags -L..L are read (the normalized cross-correlation of Lewis, 1995).
+    Each chunk spans at most ``_SPAN_WINDOWS`` window lengths. A sliding-sum
+    chunk also spans at most ``_SLIDING_SPAN_PAIR_SAMPLES // n_pairs``
+    samples, rounded down to whole window lengths but two at the least; a
+    block chunk holds at most ``_BLOCK_CHUNK_BYTES`` of cross sums, one window
+    at the least.
     """
-    n = segs.shape[-1]
-    ks = np.arange(-max_lag, max_lag + 1)
-    abs_ks = np.abs(ks)
-    leads = ks >= 0
-    m = (n - abs_ks).astype(np.float64)
-
-    # Pearson is invariant to shifting and scaling each window as a whole;
-    # conditioning every window this way keeps the cancellation error of the
-    # prefix-sum variances negligible, whatever DC offset the signal carries.
-    dev, std = deviations(segs)
-    z = dev / np.where(std == 0.0, 1.0, std)[..., None]
-
-    def overlap_sums(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Per-window prefix sums give the sum over the overlap at every lag:
-        # the first n - |k| samples of x and the last n - |k| of y for k >= 0,
-        # the other way round for k < 0. Returns the sums for the x and the y
-        # role of each site.
-        cum = np.zeros(v.shape[:-1] + (n + 1,))
-        np.cumsum(v, axis=-1, out=cum[..., 1:])
-        head = cum[..., n - abs_ks]
-        tail = cum[..., n:] - cum[..., abs_ks]
-        return np.where(leads, head, tail), np.where(leads, tail, head)
-
-    s_x, s_y = overlap_sums(z)
-    q_x, q_y = overlap_sums(z * z)
-    sx, sy = s_x[first], s_y[second]
-    var_x = (q_x - s_x * s_x / m)[first]
-    var_y = (q_y - s_y * s_y / m)[second]
-
-    # Sum of x[i] * y[i + k] over the overlap, from one spectrum per site and
-    # window. Zero-padding to at least n + max_lag keeps the circular
-    # correlation free of wrap-around at the lags that are read.
-    n_fft = smooth_length(n + max_lag)
-    spec = np.fft.rfft(z, n_fft, axis=-1)
-    cross = spec[first]
-    np.conjugate(cross, out=cross)
-    cross *= spec[second]
-    sxy = np.fft.irfft(cross, n_fft, axis=-1)[..., ks % n_fft]
-
-    cov = sxy - sx * sy / m
-    eps = 1e-12 * m
-    valid = (var_x > eps) & (var_y > eps)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(valid, cov / np.sqrt(var_x * var_y), -np.inf)
-
-    order = np.lexsort((ks, abs_ks))
-    best = order[np.argmax(corr[..., order], axis=-1)]
-    peak = np.take_along_axis(corr, best[..., None], axis=-1)[..., 0]
-    lag = ks[best].astype(np.float64)
-
-    failed = ~valid.any(axis=-1)
-    lag[failed] = np.nan
-    peak = np.where(failed, np.nan, np.clip(peak, -1.0, 1.0))
-    return lag, peak
-
-
-def _sliding_chunks(starts: np.ndarray, n_len: int, n_pairs: int) -> list[tuple[int, int]]:
-    """Index ranges of the windows :func:`_sliding_scan` takes at once.
-
-    Each chunk spans at most ``_SLIDING_SPAN_PAIR_SAMPLES // n_pairs``
-    samples, rounded down to whole window lengths, and at most
-    ``_SLIDING_SPAN_WINDOWS`` and at least two window lengths.
-    """
-    span = n_len * max(2, min(_SLIDING_SPAN_WINDOWS,
-                              _SLIDING_SPAN_PAIR_SAMPLES // (n_pairs * n_len)))
+    if kernel == "sliding-sum":
+        count = starts.size
+        span = n_len * max(2, min(_SPAN_WINDOWS, _SLIDING_SPAN_PAIR_SAMPLES // (n_pairs * n_len)))
+    else:
+        count = max(1, _BLOCK_CHUNK_BYTES // (8 * (2 * max_lag + 1) * n_pairs))
+        span = n_len * _SPAN_WINDOWS
     chunks, lo = [], 0
     while lo < starts.size:
         hi = int(np.searchsorted(starts, starts[lo] + span - n_len, side="right"))
-        chunks.append((lo, hi))
-        lo = hi
+        chunks.append((lo, min(hi, lo + count)))
+        lo = chunks[-1][1]
     return chunks
 
 
-def _sliding_scan(
-    signals: np.ndarray, starts: np.ndarray, n: int, max_lag: int,
-    first: np.ndarray, second: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_scan_lags` over windows of n samples at ``starts``, by sliding
-    sums over the samples they span (Zhu et al. 2016, "Matrix Profile II").
+def _prefix(v: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=dtype)
+    np.cumsum(v, axis=-1, out=out[..., 1:])
+    return out
 
-    The lags are taken one at a time in the tie-break order (|k|, then k),
-    keeping a running best. Each window's sums of x, x², y and y² over the
-    overlap come from per-site prefix sums, and its sum of x[t] * y[t + k]
-    from a prefix sum of the lagged products. The sums start at the first
-    window and run over each site's deviations from its mean over the span,
-    so their cancellation stays as small as the span is short, whatever the
-    offset or the length of the recording. An overlap is constant when it
-    holds no sample-to-sample change, which integer prefix counts find
-    exactly; a constant overlap, and one whose variance does not come out
-    positive, is never the best.
+
+class _Chunk:
+    """A chunk of windows of n samples at ``starts``, as both kernels scan it:
+    the samples they span as each site's deviations from its mean there, so
+    that the cancellation in their prefix sums stays as small as the span is
+    short, whatever the offset or the length of the recording, and the
+    running best (``best``, ``best_k``) of every pair-window."""
+
+    def __init__(self, signals: np.ndarray, starts: np.ndarray, n: int, max_lag: int,
+                 n_pairs: int):
+        a = int(starts[0])
+        seg = signals[:, a : int(starts[-1]) + n]
+        self.z = seg - seg.mean(axis=1, keepdims=True)
+        self.r, self.n, self.max_lag = starts - a, n, max_lag
+        self.c1, self.c2 = _prefix(self.z), _prefix(self.z * self.z)
+        # changes[:, i] counts the sample-to-sample changes before sample i; the
+        # samples [p, q) are all equal when changes[:, q - 1] == changes[:, p].
+        self.changes = _prefix(seg[:, 1:] != seg[:, :-1], np.intp)
+        m_min, span = n - max_lag, seg.shape[1]
+        self.flats = bool((self.changes[:, m_min - 1 :]
+                           == self.changes[:, : span - m_min + 1]).any())
+        self.best = np.full((n_pairs, starts.size), -np.inf)
+        self.best_k = np.zeros((n_pairs, starts.size))
+
+    def overlap(self, j, m) -> tuple[np.ndarray, np.ndarray]:
+        """Per site, 1 / the standard deviation and the mean of the samples
+        [r + j, r + j + m) of every window start r, j and m numbers or arrays
+        of shape (lags, 1). An overlap is constant when it holds no
+        sample-to-sample change, which integer counts find exactly; a
+        constant one, or one whose variance is not positive, gets NaN, which
+        is never the best."""
+        lo, hi = self.r + j, self.r + j + m
+        s1 = self.c1[:, hi] - self.c1[:, lo]
+        var = self.c2[:, hi] - self.c2[:, lo] - s1 * s1 / m
+        if self.flats:
+            var[self.changes[:, hi - 1] == self.changes[:, lo]] = np.nan
+        return 1.0 / np.sqrt(np.where(var > 0.0, var, np.nan)), s1 / m
+
+    @staticmethod
+    def correlate(cross: np.ndarray, m, x: tuple, y: tuple, x_at=..., y_at=...) -> None:
+        """Turn the sums of x[t] * y[t + k] over overlaps of m samples into
+        Pearson correlations, in place, from the overlaps' (1 / standard
+        deviation, mean) of x and of y, taken at ``x_at`` and ``y_at``."""
+        (ix, mx), (iy, my) = x, y
+        cross -= mx[x_at] * (my[y_at] * m)
+        cross *= ix[x_at]
+        cross *= iy[y_at]
+
+    def keep_best(self, corrs, ks) -> None:
+        """Fold the correlations ``corrs[q]`` at the lags ``ks[q]``, given in
+        the tie-break order (|k|, then k), into the running best."""
+        for corr, k in zip(corrs, ks):
+            better = corr > self.best
+            np.copyto(self.best, corr, where=better)
+            np.copyto(self.best_k, k, where=better)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        failed = self.best == -np.inf
+        self.best_k[failed] = np.nan
+        return self.best_k, np.where(failed, np.nan, np.clip(self.best, -1.0, 1.0))
+
+
+def _block_sums(chunk: _Chunk, first: np.ndarray, second: np.ndarray) -> None:
+    """Scan a chunk by block FFTs, all lags of a pair-window at once.
+
+    A block's sums of x[t] * y[t + k] over its t come from the spectra of x
+    on the block and of y on the block widened by L on either side, of
+    ``n_fft`` >= 3L samples, which keeps the lags -L..L free of wrap-around.
+    A window's spectrum is a difference of prefix sums of its blocks' ones,
+    less the terms whose y lies outside the window: x on the L samples before
+    its end times y on the L after it (k > 0), and the mirror terms at its
+    start (k < 0), from spectra of the L samples on either side of the edge.
     """
-    a = int(starts[0])
-    seg = signals[:, a : int(starts[-1]) + n]
-    n_sites, span = seg.shape
-    z = seg - seg.mean(axis=1, keepdims=True)
-    r = starts - a
+    z, r, n, L = chunk.z, chunk.r, chunk.n, chunk.max_lag
+    n_sites, span = z.shape
+    ks = np.arange(-L, L + 1)
+    m = n - np.abs(ks)
+    # Every site's overlaps as the x side, shape (sites, windows, lags); the y
+    # side at lag k is the x side at -k.
+    inv, mean = (np.ascontiguousarray(v.transpose(0, 2, 1)) for v in
+                 chunk.overlap(np.where(ks < 0, -ks, 0)[:, None], m[:, None]))
 
-    def prefix(v: np.ndarray, dtype=np.float64) -> np.ndarray:
-        out = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=dtype)
-        np.cumsum(v, axis=-1, out=out[..., 1:])
-        return out
+    # The span cut at every window start and end, and into blocks of at most
+    # `longest` samples; window w is the covered blocks [lo[w], hi[w]).
+    longest = max(L, 1)
+    bounds = np.unique(np.concatenate([r, r + n]))
+    pieces = -(-np.diff(bounds) // longest)
+    offsets = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    cuts = np.append(np.repeat(bounds[:-1], pieces) + longest * offsets, bounds[-1])
+    covered = (np.searchsorted(r, cuts[:-1], side="right")
+               > np.searchsorted(r + n, cuts[:-1], side="right"))
+    before = np.concatenate(([0], np.cumsum(covered)))
+    lo, hi = before[np.searchsorted(cuts, r)], before[np.searchsorted(cuts, r + n)]
+    b0, width = cuts[:-1][covered], np.diff(cuts)[covered]
 
-    c1, c2 = prefix(z), prefix(z * z)
-    # changes[:, i] counts the sample-to-sample changes before sample i; the
-    # samples [p, q) are all equal when changes[:, q - 1] == changes[:, p].
-    changes = prefix(seg[:, 1:] != seg[:, :-1], np.intp)
-    m_min = n - max_lag
-    flats = bool((changes[:, m_min - 1 :] == changes[:, : span - m_min + 1]).any())
+    n_fft = smooth_length(longest + 2 * L)
+    padded = np.zeros((n_sites, L + span + n_fft))
+    padded[:, L : L + span] = z
+    # frames[:, o] holds the samples [o - L, o - L + n_fft).
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft, axis=-1)
+    t = np.arange(n_fft)
+    head, tail = t < L, (t >= L) & (t < 2 * L)
 
+    def spectra(v: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(v.reshape(-1, n_fft), axis=-1).reshape(v.shape[:-1] + (-1,))
+
+    # The y side of sites 1 onwards, the x side of one site at a time.
+    ys = np.arange(1, n_sites)[:, None]
+    y_blocks = spectra(frames[ys, b0])
+    y_ends, y_starts = spectra(frames[ys, r + n] * tail), spectra(frames[ys, r] * head)
+    x_mask = (t >= L) & (t < L + width[:, None])
+    acc = np.zeros((b0.size + 1, y_blocks.shape[-1]), dtype=complex)
+    sums = np.empty((first.size, r.size, ks.size))
+    for p, (i, j) in enumerate(zip(first, second)):
+        if j == i + 1:
+            x_blocks = np.conj(spectra(frames[i, b0] * x_mask))
+            x_ends = np.conj(spectra(frames[i, r + n] * head))
+            x_starts = np.conj(spectra(frames[i, r] * tail))
+        np.multiply(x_blocks, y_blocks[j - 1], out=acc[1:])
+        np.cumsum(acc, axis=0, out=acc)
+        spec = acc[hi]
+        spec -= acc[lo]
+        spec -= x_ends * y_ends[j - 1]
+        spec -= x_starts * y_starts[j - 1]
+        lagged = np.fft.irfft(spec, n_fft, axis=-1)
+        sums[p, :, :L], sums[p, :, L:] = lagged[:, n_fft - L :], lagged[:, : L + 1]
+    rows = np.concatenate(([0], np.cumsum(np.arange(n_sites - 1, 0, -1))))
+    for i in range(n_sites - 1):
+        chunk.correlate(sums[rows[i] : rows[i + 1]], m, (inv[i], mean[i]),
+                        (inv[i + 1 :, :, ::-1], mean[i + 1 :, :, ::-1]))
+    order = np.argsort(np.abs(ks), kind="stable")
+    chunk.keep_best((sums[..., q] for q in order), ks[order])
+
+
+def _sliding_sums(chunk: _Chunk, first: np.ndarray, second: np.ndarray) -> None:
+    """Scan a chunk by sliding sums over the samples it spans (Zhu et al.
+    2016, "Matrix Profile II"), one lag at a time in the tie-break order.
+
+    Each window's sum of x[t] * y[t + k] over the overlap comes from a prefix
+    sum of the lagged products, which adjacent windows share.
+    """
+    z, r, n, max_lag = chunk.z, chunk.r, chunk.n, chunk.max_lag
+    n_sites, span = z.shape
     # The lagged products of each pair run as two lanes of one complex prefix
     # sum, the first and the second half of the span, which halves the
     # sequential additions. halves[:, u, h] is sample h * half + u, zero past
@@ -335,46 +385,25 @@ def _sliding_scan(
         # half it is the second lane's, plus the whole first half.
         return np.where(t <= half, 2 * t, 2 * (t - half) + 1)
 
-    def overlap(j: int, m: int):
-        # Per site: 1 / the standard deviation (NaN where constant or not
-        # positive) and the mean of the samples [r + j, r + j + m).
-        s1 = c1[:, r + j + m] - c1[:, r + j]
-        var = c2[:, r + j + m] - c2[:, r + j] - s1 * s1 / m
-        if flats:
-            var[changes[:, r + j + m - 1] == changes[:, r + j]] = np.nan
-        inv = 1.0 / np.sqrt(np.where(var > 0.0, var, np.nan))
-        return inv, s1 / m
-
-    best = np.full((first.size, starts.size), -np.inf)
-    best_k = np.zeros((first.size, starts.size))
     low = lane_index(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(max_lag + 1):
-            m = n - j
-            head, tail = overlap(0, m), overlap(j, m)
-            high = lane_index(r + m)
-            # Windows that start in the first half and end in the second.
-            straddle = slice(np.searchsorted(r + m, half, side="right"),
-                             np.searchsorted(r, half, side="right"))
-            for k in ((0,) if j == 0 else (-j, j)):
-                (ix, mx), (iy, my) = (head, tail) if k >= 0 else (tail, head)
-                for i in range(n_sites - 1):
-                    x, y = (halves[i, :half], halves[i + 1 :, j : j + half]) if k >= 0 else (
-                        halves[i, j : j + half], halves[i + 1 :, :half])
-                    np.multiply(x, y, out=lanes[rows[i] : rows[i + 1], 1:])
-                np.cumsum(cum, axis=1, out=cum)
-                corr = flat[:, high] - flat[:, low]
-                corr[:, straddle] += lanes[:, half, :1]
-                corr -= mx[first] * (my[second] * m)
-                corr *= ix[first]
-                corr *= iy[second]
-                better = corr > best
-                np.copyto(best, corr, where=better)
-                np.copyto(best_k, k, where=better)
-
-    failed = best == -np.inf
-    best_k[failed] = np.nan
-    return best_k, np.where(failed, np.nan, np.clip(best, -1.0, 1.0))
+    for j in range(max_lag + 1):
+        m = n - j
+        head, tail = chunk.overlap(0, m), chunk.overlap(j, m)
+        high = lane_index(r + m)
+        # Windows that start in the first half and end in the second.
+        straddle = slice(np.searchsorted(r + m, half, side="right"),
+                         np.searchsorted(r, half, side="right"))
+        for k in ((0,) if j == 0 else (-j, j)):
+            x_y = (head, tail) if k >= 0 else (tail, head)
+            for i in range(n_sites - 1):
+                x, y = (halves[i, :half], halves[i + 1 :, j : j + half]) if k >= 0 else (
+                    halves[i, j : j + half], halves[i + 1 :, :half])
+                np.multiply(x, y, out=lanes[rows[i] : rows[i + 1], 1:])
+            np.cumsum(cum, axis=1, out=cum)
+            corr = flat[:, high] - flat[:, low]
+            corr[:, straddle] += lanes[:, half, :1]
+            chunk.correlate(corr, m, *x_y, first, second)
+            chunk.keep_best((corr,), (k,))
 
 
 def xcorr_lag(x: Waveform, y: Waveform, max_lag_s: float) -> LagEstimate:
@@ -387,9 +416,9 @@ def xcorr_lag(x: Waveform, y: Waveform, max_lag_s: float) -> LagEstimate:
 
     This is the scan of :func:`ptt_matrix` run on one window and one pair,
     with the same rule for the kernel (see the module docstring). On one
-    window that is the FFT kernel unless the max lag is a sample or two: the
-    overlap sums come from prefix sums and the cross products from one
-    zero-padded FFT per waveform, and only the lags -L..L are read off.
+    window that is the block-FFT kernel unless the max lag is a sample or
+    two: the window's blocks of at most L samples sum to its cross-spectrum,
+    and one inverse FFT of about 3L samples gives its sums at every lag.
 
     Raises:
         ValueError: on mismatched rates/lengths, a max lag of at least half
@@ -431,9 +460,9 @@ def ptt_matrix(
     pair only, with counts reported and logged. Waveforms shorter than one
     window are a ValueError.
 
-    All pairs are scanned together by the FFT or the sliding-sum kernel,
-    whichever the shape makes cheaper (see the module docstring); the INFO
-    line names it.
+    All pairs are scanned together by the block-FFT or the sliding-sum
+    kernel, whichever the shape makes cheaper (see the module docstring); the
+    INFO line names it.
     """
     if plan is None:
         plan = DEFAULT_PTT_PLAN

@@ -268,6 +268,18 @@ class TestScanFftEqualsScipy:
                                       sp_fft.irfft(cross, n_fft, axis=-1))
 
 
+@pytest.mark.parametrize("rows, n_fft", [(36 * 15, 360), (15 * 120, 81)], ids=["sensors", "rppg"])
+def test_block_transforms_equal_scipy(rows, n_fft):
+    # The block-FFT lag scan's transforms: frames of 3L samples (L = 120 at
+    # 400 Hz, 27 at 90 Hz), one pair-window per inverse transform.
+    frames = np.random.default_rng(n_fft).standard_normal((rows, n_fft))
+    spec = np.fft.rfft(frames, axis=-1)
+    np.testing.assert_array_equal(spec, sp_fft.rfft(frames, axis=-1))
+    cross = np.conjugate(spec[::-1]) * spec
+    np.testing.assert_array_equal(np.fft.irfft(cross, n_fft, axis=-1),
+                                  sp_fft.irfft(cross, n_fft, axis=-1))
+
+
 class TestPttMatrixOracle:
     """ptt_matrix against a brute-force scan of every window slice."""
 
@@ -344,6 +356,23 @@ class TestPttMatrixOracle:
                 else:
                     assert lag[p, w] == k and peak[p, w] == pytest.approx(c, abs=1e-9)
 
+    def test_ten_minute_recording_at_the_benchmark_stride(self):
+        # Ten minutes on the 5000-count offset at a 0.25 s stride, scanned by
+        # the block FFTs, whose prefix sums restart in every chunk: a sample
+        # of windows, with the dropout and the burst among them, equals the
+        # brute-force scan.
+        waves = self.sensor_like_waves(400.0, duration_s=600.0)
+        signals = np.stack([wave.samples for _, wave in waves])
+        starts = window_starts(signals.shape[1], 400.0, WindowPlan(1.5, 0.25))
+        lag, peak, kernel = _scan_lags(signals, starts, 600, 120)
+        assert kernel == "fft"
+        assert np.isnan(lag).any() and (peak < 0.5).any()
+        flat, burst = np.searchsorted(starts, [200 * 400, 400 * 400 - 300])
+        sample = np.r_[flat - 2 : flat + 3, burst : burst + 3, starts.size - 1,
+                       np.random.default_rng(6).choice(starts.size, 8, replace=False)]
+        assert_windows_match_brute_force(signals, starts[sample], 600, 120,
+                                         lag[:, sample], peak[:, sample])
+
     @staticmethod
     def assert_matches_brute_force(waves, plan, max_lag):
         fs = waves[0][1].sample_rate_hz
@@ -382,7 +411,7 @@ class TestPttMatrixOracle:
 @pytest.mark.parametrize("fs, n_sites, stride_s, kernel", [
     (400.0, 9, 0.25, "fft"),
     (400.0, 9, 0.1, "fft"),
-    (400.0, 9, 0.05, "sliding-sum"),
+    (400.0, 9, 0.05, "fft"),
     (400.0, 9, DEFAULT_PTT_PLAN.stride_s, "sliding-sum"),
     (90.0, 6, 0.1, "sliding-sum"),
     (90.0, 6, 1 / 90.0, "sliding-sum"),
@@ -392,9 +421,10 @@ class TestPttMatrixOracle:
 def test_kernel_picked_for_each_shape(fs, n_sites, stride_s, kernel):
     # A 60 s session with the CLI's window and max lag: 9 sensors at 400 Hz, 6
     # ROI pulses at 90 Hz. The benchmark's sensors job (0.25 s) and demo 06
-    # (0.5 s) stay on the FFT scan, the benchmark's rppg job (0.1 s) and both
-    # CLI defaults (0.01 s, one frame) take the sliding sums; 0.1 s and
-    # 0.05 s at 400 Hz bracket the break-even.
+    # (0.5 s) take the block FFTs, the benchmark's rppg job (0.1 s) and both
+    # CLI defaults (0.01 s, one frame) the sliding sums. In the break-even
+    # table of BENCH_ptt_block.json the block FFTs are faster down to 0.05 s
+    # at 400 Hz, and the sliding sums from 0.1 s at 90 Hz.
     plan = WindowPlan(DEFAULT_PTT_PLAN.length_s, stride_s)
     starts = window_starts(int(60 * fs), fs, plan)
     n_pairs = n_sites * (n_sites - 1) // 2
@@ -439,6 +469,96 @@ class TestSlidingConstantOverlaps:
         mtx = ptt_matrix(waves, plan)
         expected = np.subtract.outer(delays, delays).T / FS_PROP
         assert np.all(mtx.per_window_lag_s == expected)
+
+
+def assert_windows_match_brute_force(signals, starts, n, max_lag, lag, peak, atol=1e-9):
+    """Every pair-window of the scan equals the brute-force scan of its slice."""
+    for w, start in enumerate(starts):
+        for p, (i, j) in enumerate(zip(*np.triu_indices(signals.shape[0], 1))):
+            k, c = brute_force_lag(signals[i, start : start + n], signals[j, start : start + n],
+                                   max_lag)
+            if k is None:
+                assert np.isnan(lag[p, w]) and np.isnan(peak[p, w])
+            else:
+                assert lag[p, w] == k and peak[p, w] == pytest.approx(c, abs=atol)
+
+
+def scan_with_each_kernel(signals, starts, n, max_lag):
+    """``_scan_lags`` forced onto the sliding sums and onto the block FFTs in
+    turn: both must find the same lags, and peaks within 1e-11."""
+    with mock.patch("bodyppg.transit_time._SLIDING_UNIT_COST", 0.0):
+        lag, peak, kernel = _scan_lags(signals, starts, n, max_lag)
+    with mock.patch("bodyppg.transit_time._SLIDING_UNIT_COST", math.inf):
+        fft_lag, fft_peak, fft_kernel = _scan_lags(signals, starts, n, max_lag)
+    assert (kernel, fft_kernel) == ("sliding-sum", "fft")
+    np.testing.assert_array_equal(lag, fft_lag)
+    np.testing.assert_allclose(peak, fft_peak, rtol=0, atol=1e-11)
+    return lag, peak
+
+
+class TestScanEveryShape:
+    """Both kernels against the brute-force scan on every pair-window, over
+    the window plans that cut the block FFTs' spans differently."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_sites=st.integers(2, 9), n_len=st.integers(24, 60), n_windows=st.integers(1, 6),
+           plan=st.sampled_from(["uneven", "not-whole", "longer", "single"]), data=st.data())
+    def test_both_kernels_equal_brute_force(self, n_sites, n_len, n_windows, plan, data):
+        # Uneven starts (a fractional step), windows that are not a whole
+        # number of strides long, strides longer than the window, and a single
+        # window, as xcorr_lag scans; sites share a pulse at random delays, on
+        # the 5000-count offset, one of them with a flat stretch.
+        max_lag = data.draw(st.integers(1, n_len // 2 - 1))
+        step = {"uneven": data.draw(st.floats(1.05, n_len - 1.0)),
+                "not-whole": float(data.draw(st.integers(1, n_len - 1).filter(
+                    lambda k: n_len % k))),
+                "longer": data.draw(st.floats(n_len + 1.0, 3.0 * n_len)),
+                "single": float(n_len)}[plan]
+        n_windows = 1 if plan == "single" else n_windows
+        total = n_len + int((n_windows - 1) * step) + data.draw(st.integers(0, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = noisy_pulse(total / 90.0 + 1.0, seed=int(rng.integers(1000)), fs=90.0,
+                           noise=0.3).samples
+        delays = rng.integers(0, max_lag + 1, n_sites)
+        signals = 5000.0 + 40.0 * np.stack([base[d : d + total] for d in delays])
+        a = int(rng.integers(total))
+        signals[-1, a : a + int(rng.integers(1, n_len))] = 5000.0
+        starts = window_starts(total, 1.0, WindowPlan(float(n_len), step))
+        if plan == "single":
+            assert starts.size == 1
+        # A budget of one byte makes every window a block chunk of its own.
+        with mock.patch("bodyppg.transit_time._BLOCK_CHUNK_BYTES",
+                        data.draw(st.sampled_from([1, 1 << 20]))):
+            lag, peak = scan_with_each_kernel(signals, starts, n_len, max_lag)
+        assert_windows_match_brute_force(signals, starts, n_len, max_lag, lag, peak)
+
+
+class TestPrefixSumCancellation:
+    """Both kernels take overlap sums from prefix sums, whose cancellation
+    grows with a step beside a small fluctuation. Up to steps of 1e3 times
+    the fluctuation the kernels equal the brute-force scan."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walks_with_flat_stretches(self, seed):
+        # 1e-6 steps of a random walk on a 1000 offset, with flat stretches
+        # up to 1e-3 away from the walk; the levels are multiples of 2**-20,
+        # which the oracle's np.std finds exactly constant.
+        rng = np.random.default_rng(seed)
+        n_sites, n_len = int(rng.integers(2, 6)), int(rng.integers(40, 200))
+        max_lag, step = int(rng.integers(1, n_len // 2)), float(rng.uniform(1.0, 1.5 * n_len))
+        total = n_len + int(int(rng.integers(1, 12)) * step)
+        signals = 1000.0 + np.cumsum(1e-6 * rng.standard_normal((n_sites, total)), axis=1)
+        for s in range(n_sites):
+            for _ in range(int(rng.integers(0, 3))):
+                a = int(rng.integers(total))
+                level = signals[s, a] + rng.uniform(-1e-3, 1e-3)
+                signals[s, a : a + int(rng.integers(5, n_len))] = np.round(level * 2**20) / 2**20
+        starts = window_starts(total, 1.0, WindowPlan(float(n_len), step))
+        for cost, name in ((0.0, "sliding-sum"), (math.inf, "fft")):
+            with mock.patch("bodyppg.transit_time._SLIDING_UNIT_COST", cost):
+                lag, peak, kernel = _scan_lags(signals, starts, n_len, max_lag)
+            assert kernel == name
+            assert_windows_match_brute_force(signals, starts, n_len, max_lag, lag, peak)
 
 
 FS_PROP = 90.0
@@ -507,7 +627,7 @@ def test_ptt_matrix_logs_a_run_summary(caplog):
     # A dense stride runs the sliding sums, and the line names them.
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="bodyppg.transit_time"):
-        dense = ptt_matrix(waves, WindowPlan(5.0, 0.05))
+        dense = ptt_matrix(waves, WindowPlan(5.0, 0.02))
     records = [r for r in caplog.records if r.name == "bodyppg.transit_time"]
     assert len(records) == 1
     message = records[0].getMessage()
