@@ -32,6 +32,7 @@ included; frame dumps are not hashed (see the README).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -86,16 +87,69 @@ _CHUNK_FRAMES = 16
 
 # Every float this package writes to CSV uses this format, every integer %d.
 _FLOAT_FMT = "%.12g"
-# Rows that write_csv formats with one % operation. A block's text is held in
-# memory while it is written, so the block stays small.
-_CSV_BLOCK_ROWS = 1024
+# write_csv spells a block of at most _CSV_BLOCK_ROWS rows and at most
+# _CSV_BLOCK_VALUES values at a time (ten rows of a 400-column map). Its
+# temporaries peak at up to 170 bytes a float and 125 an integer, so a block
+# stays under 1 MB however wide the table.
+_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_VALUES = 4096
+
+
+def _digit_table() -> np.ndarray:
+    """write_csv's spelling table: one 4-byte word a row, with NUL bytes in
+    place of the zeros a number does not write.
+
+    For a group g of four digits, _FULL + g spells all four ("0042"),
+    _LEAD + g drops leading zeros ("42", nothing for 0), _ONES + g too but
+    spells 0 as "0", and _TRAIL + g drops trailing zeros ("42" for 4200,
+    nothing for 0). For the first three digits g after the point, _POINT + g
+    is "." and all three, _POINT_LAST + g drops their trailing zeros and is
+    nothing for 0. Then "nan", "inf" and, at _SEP, the text before a value:
+    ",", "\\n" or nothing, each also with "-"."""
+    g = np.arange(10_000, dtype=np.int16)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int16)  # of each of the four digits
+    full = (g // place % 10 + ord("0")).astype(np.uint8)
+    ones = np.where(g // place > 0, full, 0)
+    ones[0, 3] = ord("0")
+    lead = ones.copy()
+    lead[0] = 0
+    trail = np.where(g % (10 * place) > 0, full, 0)
+    point = full[:1000].copy()
+    point[:, 0] = ord(".")
+    point_last = trail[:1000].copy()
+    point_last[1:, 0] = ord(".")
+    words = np.frombuffer(b"nan\0inf\0,\0\0\0,-\0\0\n\0\0\0\n-\0\0\0\0\0\0-\0\0\0", np.uint8)
+    table = [full, lead, ones, trail, point, point_last, words.reshape(-1, 4)]
+    return np.concatenate(table).view(np.uint32).ravel()
+
+
+_FULL, _LEAD, _ONES, _TRAIL, _POINT, _POINT_LAST, _NAN, _INF, _SEP = (
+    0, 10_000, 20_000, 30_000, 40_000, 41_000, 42_000, 42_001, 42_002)
+_DIGITS = _digit_table()
+# 10**(11 - e) for decimal exponents e = -5 .. 12: it scales a value of
+# exponent e to its 12-digit mantissa, exactly in float64 for each e of fixed
+# notation (-4 to 11); the two ends only tell the values next to those apart.
+_MANTISSA_SCALE = np.array([float(10 ** (11 - e)) for e in range(-5, 13)])
+# The scaled products are below 2**40, so each is within 2**-14 of the exact
+# product, and rint rounds it as '%' would unless its fraction is this near 1/2.
+_NEAR_TIE = 0.5 - 2.0**-13
 
 # Every key of a grid store's sidecar: the writer writes each, the reader needs each.
 _GRID_META_KEYS = ("rows", "cols", "cell_px", "origin_px", "sample_rate_hz", "start_time_s",
                    "skin_fraction")
 
 
+def _data_lines(fh):
+    """The numbers of the data lines of an open CSV (line 1 is the header),
+    as :func:`_load_csv` counts rows, skipping blank and comment lines."""
+    fh.readline()
+    return (n for n, line in enumerate(fh, start=2) if line.split("#", 1)[0].strip())
+
+
 def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
+    with open(path) as fh:
+        if next(_data_lines(fh), None) is None:
+            raise ValueError(f"{path}: no data rows below the header")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, comments="#", ndmin=2)
     except ValueError as exc:
@@ -108,12 +162,9 @@ def _load_csv(path: Path | str, expected_columns: int) -> np.ndarray:
 
 
 def _line_of_row(path: Path | str, row: int) -> int:
-    """The file line (line 1 is the header) of data row ``row`` as
-    :func:`_load_csv` counts rows, skipping blank and comment lines."""
+    """The file line of data row ``row``."""
     with open(path) as fh:
-        fh.readline()
-        data_lines = [n for n, line in enumerate(fh, start=2) if line.split("#", 1)[0].strip()]
-    return data_lines[row]
+        return next(itertools.islice(_data_lines(fh), row, None))
 
 
 def _load_uniform_csv(
@@ -160,33 +211,159 @@ def _load_uniform_csv(
     return data, declared
 
 
+def _whole_digits(u: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (G, n) the _DIGITS rows that spell each of the n
+    integers ``u`` (at most 4G digits) right-aligned in G groups of four."""
+    for i in range(len(out) - 1, -1, -1):
+        higher = u // 10_000
+        np.subtract(u, higher * 10_000, out=out[i])
+        out[i] += (higher == 0) * (_ONES if i == len(out) - 1 else _LEAD)
+        u = higher
+
+
+def _n_groups(top) -> int:
+    """Groups of four digits that spell the integers up to ``top``."""
+    return max(1, (len(str(int(top))) + 3) // 4)
+
+
+def _int_digits(parts: list[np.ndarray]) -> tuple:
+    """Signs, _DIGITS rows (row 0 left free) and ``%`` fallbacks (none) that
+    spell the integers of ``parts``, side by side, as ``'%d' % abs(v)``."""
+    neg = np.concatenate([p < 0 for p in parts], axis=1).ravel()
+    # A negative value wraps, and negating it gives |v|.
+    u = np.concatenate(parts, axis=1, dtype=np.uint64, casting="unsafe").ravel()
+    np.negative(u, out=u, where=neg)
+    rows = np.empty((1 + _n_groups(u.max()), u.size), np.intp)
+    _whole_digits(u, rows[1:])
+    return neg, rows, (np.empty(0, np.intp), [])
+
+
+def _float_digits(parts: list[np.ndarray]) -> tuple:
+    """Signs, _DIGITS rows (row 0 left free) and ``%`` fallbacks (the
+    positions and the text) that spell the floats of ``parts``, side by side,
+    as ``'%.12g' % abs(v)``.
+
+    A finite nonzero value whose decimal exponent e, after rounding to 12
+    digits, is -4 to 11 is spelled in fixed notation from m = rint(|v| *
+    10**(11 - e)), the 12-digit mantissa: G groups for its whole part, then
+    "." and the first three fraction digits, then three groups, the last
+    fraction group the last nonzero one. NaN, inf and 0 are whole words.
+    The values in exponent notation and the near ties, whose product rint
+    might round the other way, are left to ``%``; their rows spell "0"."""
+    x = np.concatenate(parts, axis=1, dtype=np.float64).ravel()
+    ax = np.abs(x)
+    nonzero = (ax > 0) & (ax < np.inf)  # finite and not 0: NaN fails both
+    ax = np.where(nonzero, ax, 1.0)
+    e = np.clip(np.floor(np.log10(ax)), -5, 12).astype(np.intp)
+    scale = _MANTISSA_SCALE[e + 5]
+    scaled = ax * scale
+    m = np.rint(scaled)
+    near_tie = np.abs(scaled - m) >= _NEAR_TIE
+    # log10 may be off at a power of ten and rounding may carry into a 13th
+    # digit: those values are moved one decade and scaled again. A near tie
+    # in either product stays near one, as that product set the decade.
+    off = np.flatnonzero((m < 1e11) | (m >= 1e12))
+    if off.size:
+        e[off] = np.clip(e[off] + np.where(m[off] < 1e11, -1, 1), -5, 12)
+        scale[off] = _MANTISSA_SCALE[e[off] + 5]
+        scaled[off] = ax[off] * scale[off]
+        m[off] = np.rint(scaled[off])
+        near_tie[off] |= np.abs(scaled[off] - m[off]) >= _NEAR_TIE
+    fast = nonzero & (e >= -4) & (e <= 11) & (m >= 1e11) & (m < 1e12) & ~near_tie
+    m *= fast
+    whole = np.floor(m / scale)
+    fraction = ((m - whole * scale) * (1e15 / scale)).astype(np.int64)  # 15 digits
+    n_whole = _n_groups(whole.max())
+    rows = np.empty((5 + n_whole, x.size), np.intp)
+    _whole_digits(whole.astype(np.int64), rows[1 : 1 + n_whole])
+    later = np.zeros(x.size, bool)  # whether a nonzero digit follows the group
+    for i in range(4 + n_whole, 1 + n_whole, -1):
+        higher = fraction // 10_000
+        np.subtract(fraction, higher * 10_000, out=rows[i])
+        digits = rows[i] > 0
+        rows[i] += ~later * _TRAIL
+        later |= digits
+        fraction = higher
+    np.add(fraction, np.where(later, _POINT, _POINT_LAST), out=rows[1 + n_whole])
+    neg = np.signbit(x)
+    if not nonzero.all():
+        nan = np.isnan(x)
+        neg &= ~nan
+        rows[n_whole, nan] = _NAN
+        rows[n_whole, np.isinf(x)] = _INF
+    at = np.flatnonzero(nonzero & ~fast)
+    return neg, rows, (at, [_FLOAT_FMT % v for v in np.abs(x[at]).tolist()])
+
+
+def _csv_text(parts: list[np.ndarray], integer: list[bool]) -> bytes:
+    """The CSV lines of one block: ``parts`` are (rows, k) blocks of columns,
+    ``integer`` says which are written with ``%d``.
+
+    Each value is one record of words from _DIGITS: the separator before it
+    (and its "-"), then its digits. The text is the records' bytes with the
+    NUL bytes dropped."""
+    n_rows = len(parts[0])
+    starts = np.cumsum([0] + [p.shape[1] for p in parts])
+    spelled = []  # (columns, signs, rows, fallbacks) of each kind
+    for kind, digits in ((False, _float_digits), (True, _int_digits)):
+        picked = [i for i, k in enumerate(integer) if k == kind and parts[i].shape[1]]
+        if picked:
+            cols = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in picked])
+            spelled.append((cols, *digits([parts[i] for i in picked])))
+    if len(spelled) == 1:  # every table but ptt_windows.csv: no copy of its rows
+        _, neg, rows, _ = spelled[0]
+        records = rows.reshape(-1, n_rows, starts[-1])
+        neg = neg.reshape(n_rows, -1)
+    else:
+        records = np.full((max(len(s[2]) for s in spelled), n_rows, starts[-1]), _LEAD)
+        neg = np.empty((n_rows, starts[-1]), bool)
+        for cols, kneg, rows, _ in spelled:
+            records[: len(rows), :, cols] = rows.reshape(len(rows), n_rows, -1)
+            neg[:, cols] = kneg.reshape(n_rows, -1)
+    separator = np.zeros(starts[-1], np.intp)
+    separator[0] = 2
+    np.add(_SEP + separator, neg, out=records[0])
+    records[0, 0, 0] += 2  # nothing before the block's first value
+    words = _DIGITS[records.transpose(1, 2, 0)]
+    width = len(records) - 1
+    for cols, _, _, (at, texts) in spelled:
+        if texts:
+            text = b"".join(t.encode().ljust(4 * width, b"\0") for t in texts)
+            words[at // len(cols), cols[at % len(cols)], 1:] = (
+                np.frombuffer(text, np.uint32).reshape(-1, width))
+    return words.tobytes().translate(None, b"\0") + b"\n"
+
+
 def write_csv(path: Path | str, columns: list, header: str = "") -> None:
     """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV;
     no header line when ``header`` is empty.
 
     Integer columns are written with ``%d`` and the others with
-    ``_FLOAT_FMT``. The bytes are those numpy's ``savetxt`` writes with these
-    formats, ``delimiter=","`` and ``comments=""``, but each block of
-    ``_CSV_BLOCK_ROWS`` rows is stacked and formatted by one ``%`` over the
-    block's values rather than one call per row, so the whole table is never
-    held as one array.
+    ``_FLOAT_FMT``, with the bytes numpy's ``savetxt`` writes with these
+    formats, ``delimiter=","`` and ``comments=""``. Blocks of at most
+    ``_CSV_BLOCK_ROWS`` rows and ``_CSV_BLOCK_VALUES`` values are spelled by
+    array operations over the block (see :func:`_float_digits`), so the
+    whole table is never held as one array and ``%`` formats only the values
+    in exponent notation and the near ties.
     """
     columns = [np.asarray(c) for c in columns]
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    fmts = []
-    for c in columns:
-        fmt = "%d" if np.issubdtype(c.dtype, np.integer) else _FLOAT_FMT
-        fmts += [fmt] * (c.shape[1] if c.ndim == 2 else 1)
-    row_fmt = ",".join(fmts) + "\n"
-    with open(path, "w") as fh:
+    integer = [bool(np.issubdtype(c.dtype, np.integer)) for c in columns]
+    n_cols = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    block_rows = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_VALUES // max(n_cols, 1)))
+    with open(path, "wb") as fh:
         if header:
-            fh.write(header + "\n")
-        for i in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i : i + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(header.encode() + b"\n")
+        if not n_cols:  # blocks of no columns: savetxt writes an empty line a row
+            fh.write(b"\n" * n_rows)
+            return
+        for i in range(0, n_rows, block_rows):
+            parts = [c[i : i + block_rows].reshape(min(block_rows, n_rows - i), -1)
+                     for c in columns]
+            fh.write(_csv_text(parts, integer))
 
 
 def write_json(path: Path | str, doc: dict) -> None:

@@ -367,6 +367,8 @@ def z_normalize(w: Waveform) -> Waveform:
 def smooth_length(n: int) -> int:
     """Smallest product of powers of 2, 3 and 5 that is at least ``n``, as
     scipy's ``next_fast_len(n, real=True)``: a length the FFT does fast."""
+    if n < 1:
+        raise ValueError(f"smooth_length needs a length of at least 1, got {n}")
     while True:
         k = n
         for factor in (2, 3, 5):

@@ -4,7 +4,8 @@ Each function is the loop form of a batched computation in ``bodyppg``, kept
 as the oracle for tests that require the batched results to be exactly equal.
 The rPPG functions are the per-segment loop with ``np.std`` and ``np.mean``
 that ``bodyppg.rppg`` ran before it took a one-segment shortcut and did those
-operations itself.
+operations itself. ``write_csv`` formats every value with Python's ``%``, the
+writer that ``bodyppg.session.write_csv`` replaced with digit tables.
 """
 
 from __future__ import annotations
@@ -421,3 +422,25 @@ def whole_frame_warp_error_frame(pixel_map: np.ndarray, h: np.ndarray, out_size)
     inside &= (sx >= 0) & (sy >= 0) & (sx <= cols - 1) & (sy <= rows - 1)
     out[..., inside] = _bilinear(src, sy[inside], sx[inside])
     return out
+
+
+def write_csv(path, columns: list, header: str = "") -> None:
+    """Columns (1-D arrays, or 2-D blocks of columns) side by side as CSV,
+    ``%d`` for integer columns and ``%.12g`` for the others: each block of
+    1,024 rows is stacked and formatted by one ``%`` over its values."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    fmts = []
+    for c in columns:
+        fmt = "%d" if np.issubdtype(c.dtype, np.integer) else "%.12g"
+        fmts += [fmt] * (c.shape[1] if c.ndim == 2 else 1)
+    row_fmt = ",".join(fmts) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write(header + "\n")
+        for i in range(0, n_rows, 1024):
+            block = np.column_stack([c[i : i + 1024] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

@@ -997,6 +997,19 @@ class TestDamagedSensorTimes:
         )
 
 
+def test_score_names_a_header_only_prediction(tmp_path, capsys):
+    pred, ref = tmp_path / "hdr.csv", tmp_path / "ref.csv"
+    pred.write_text("time_s,bpm\n# window_length_s=10 band_bpm=40:180 n_skipped=0\n")
+    write_rate_csv(ref, PulseRateSeries(np.arange(20.0), np.full(20, 70.0), 10.0, (40.0, 180.0)))
+    capsys.readouterr()
+    assert main(["score", "--pred", str(pred), "--ref", str(ref),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValueError", "message": f"{pred}: no data rows below the header"}
+
+
 class TestEchoKeys:
     """No two inputs share a key in the config echo, whatever their base names."""
 

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,28 @@ _UNIFORM_READERS = {
 }
 
 
+class TestHeaderOnlyCsv:
+    """A CSV with no data rows is a ValueError naming the file, raised before
+    numpy's loadtxt warns of empty input and finds one column."""
+
+    @pytest.mark.parametrize("read, text", [
+        (read_sensor_csv, "time_s,red,ir\n"),
+        (read_trace_csv, "time_s,r,g,b\n"),
+        (read_oximeter_csv, "time_s,bpm,spo2\n\n"),
+        (read_rate_csv, "time_s,bpm\n# window_length_s=10 band_bpm=40:180 n_skipped=0\n"),
+        (read_waveform_csv, "time_s,value\n"),
+        (read_waveform_csv, ""),
+    ], ids=["sensor", "trace", "oximeter", "rate", "waveform", "empty"])
+    def test_rejected_without_a_warning(self, tmp_path, read, text):
+        path = tmp_path / "hdr.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows below "
+                                                 "the header$"):
+                read(path)
+
+
 class TestTimeColumn:
     """Every interval of a uniform stream is checked on its first parse; the
     error names the file and the first bad line, the header being line 1."""
@@ -294,6 +317,125 @@ class TestWriteCsvOracle:
         monkeypatch.setattr(session, "_CSV_BLOCK_ROWS", block_rows)
         values = np.random.default_rng(block_rows).standard_normal((20, 2))
         self._assert_savetxt_bytes(tmp_path, [values], "x,y")
+
+
+def _float_from_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+def _ulps_away(x: float, k: int) -> float:
+    return float((np.array(x).view(np.int64) + k).view(np.float64))
+
+
+# Decades of fixed notation (-4 to 11) and their neighbours.
+_DECADES = st.integers(-6, 13)
+_NEARBY = st.integers(-3, 3)
+_FLOAT_CASES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_from_bits),  # any bit pattern
+    st.integers(1, 2**52 - 1).map(lambda m: _float_from_bits(0x7FF0_0000_0000_0000 | m)),  # NaNs
+    st.integers(1, 2**52 - 1).map(_float_from_bits),  # subnormals
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]),
+    # Values that round to 12 digits across a power of ten, and those next to them.
+    st.tuples(_DECADES, st.integers(-2**20, 2**20)).map(lambda t: _ulps_away(10.0 ** t[0], t[1])),
+    # The nearest floats to ties at the 13th significant digit, 999999999999.5
+    # (which rounds into the next decade) among them.
+    st.tuples(st.just(10**12 - 1) | st.integers(10**11, 10**12 - 1), _DECADES, _NEARBY).map(
+        lambda t: _ulps_away((t[0] + 0.5) * 10.0 ** (t[1] - 11), t[2])),
+    st.floats(-1e15, 1e15),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Columns of floats, float32s, int64s and uint8s, 1-D or 2-D blocks of
+    columns, in any order, with any number of rows (none too)."""
+    n = draw(st.integers(0, 24))
+    kinds = draw(st.lists(st.sampled_from(["float", "float32", "int64", "uint8"]), min_size=1,
+                          max_size=4))
+    # Stacked beside floats, the loop's integers pass through float64, so
+    # only those within 2**53 are written exactly there.
+    low, high = (-2**53, 2**53) if {"float", "float32"} & set(kinds) else (-2**63, 2**63 - 1)
+    columns = []
+    for kind in kinds:
+        shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(0, 3)))
+        size = int(np.prod(shape))
+        if kind == "float":
+            values = draw(st.lists(_FLOAT_CASES, min_size=size, max_size=size))
+            columns.append(np.array(values, np.float64).reshape(shape))
+        elif kind == "float32":
+            values = draw(st.lists(st.floats(width=32), min_size=size, max_size=size))
+            columns.append(np.array(values, np.float32).reshape(shape))
+        elif kind == "int64":
+            values = draw(st.lists(st.integers(low, high), min_size=size, max_size=size))
+            columns.append(np.array(values, np.int64).reshape(shape))
+        else:
+            values = draw(st.lists(st.integers(0, 255), min_size=size, max_size=size))
+            columns.append(np.array(values, np.uint8).reshape(shape))
+    return columns
+
+
+class TestWriteCsvLoopOracle:
+    """The digit tables write the bytes that one ``%`` per value writes
+    (``loop_reference.write_csv``), over any float64 bit pattern, integer
+    columns, mixed tables and block boundaries."""
+
+    @staticmethod
+    def _assert_loop_bytes(directory, columns, header=""):
+        write_csv(directory / "tables.csv", columns, header)
+        loop_reference.write_csv(directory / "loop.csv", columns, header)
+        assert (directory / "tables.csv").read_bytes() == (directory / "loop.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_FLOAT_CASES, min_size=1, max_size=64), width=st.integers(1, 4))
+    def test_float_bit_patterns(self, tmp_path_factory, values, width):
+        values = np.array(values + [0.0] * (-len(values) % width)).reshape(-1, width)
+        self._assert_loop_bytes(tmp_path_factory.mktemp("csv"), [values], "x")
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=_tables(), header=st.sampled_from(["", "a,b", "h\n# note=1"]),
+           block_values=st.integers(1, 9), block_rows=st.integers(1, 9))
+    def test_tables_across_block_boundaries(self, tmp_path_factory, columns, header,
+                                            block_values, block_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "_CSV_BLOCK_VALUES", block_values)
+            mp.setattr(session, "_CSV_BLOCK_ROWS", block_rows)
+            self._assert_loop_bytes(tmp_path_factory.mktemp("csv"), columns, header)
+
+    def test_extreme_integers(self, tmp_path):
+        ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 10**4, -10**16])
+        self._assert_loop_bytes(tmp_path, [ints, ints[::-1].reshape(-1, 1)], "i,j")
+
+    def test_columns_of_no_width(self, tmp_path):
+        self._assert_loop_bytes(tmp_path, [np.empty((3, 0))], "none")
+
+    def test_wide_map_blocks_hold_a_bounded_number_of_values(self, tmp_path, monkeypatch):
+        # A 400-column map is spelled ten rows at a time, not 1,024.
+        sizes = []
+        spell = session._csv_text
+
+        def counted(parts, integer):
+            sizes.append(sum(p.size for p in parts))
+            return spell(parts, integer)
+
+        monkeypatch.setattr(session, "_csv_text", counted)
+        rng = np.random.default_rng(4)
+        values = rng.uniform(0.0, 30.0, (300, 400))
+        values[rng.random(values.shape) < 0.3] = np.nan
+        self._assert_loop_bytes(tmp_path, [values])
+        assert max(sizes) <= session._CSV_BLOCK_VALUES and sum(sizes) == values.size
+
+    def test_session_files_equal_those_of_the_loop(self, tmp_path, monkeypatch):
+        cfg = SyntheticSessionConfig(seed=3, duration_s=12.0, grid_rows=3, grid_cols=4)
+        build_synthetic_session(tmp_path / "tables", cfg)
+        monkeypatch.setattr(session, "write_csv", loop_reference.write_csv)
+        build_synthetic_session(tmp_path / "loop", cfg)
+        files = sorted(p.relative_to(tmp_path / "tables")
+                       for p in (tmp_path / "tables").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "loop")
+                               for p in (tmp_path / "loop").rglob("*") if p.is_file())
+        assert len([f for f in files if f.suffix == ".csv"]) >= 10
+        for f in files:
+            assert (tmp_path / "tables" / f).read_bytes() == (tmp_path / "loop" / f).read_bytes(), f
 
 
 def _bits(values) -> list[int]:

@@ -270,6 +270,12 @@ def test_smooth_length_equals_scipy_next_fast_len():
     assert [smooth_length(k) for k in n] == [next_fast_len(k, real=True) for k in n]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_smooth_length_rejects_lengths_below_one(n):
+    with pytest.raises(ValueError, match=f"at least 1, got {n}$"):
+        smooth_length(n)
+
+
 class TestHilbertEnvelope:
     def test_pure_tone_flat(self):
         fs = 400.0
