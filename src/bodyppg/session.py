@@ -89,8 +89,8 @@ _CHUNK_FRAMES = 16
 _FLOAT_FMT = "%.12g"
 # write_csv spells a block of at most _CSV_BLOCK_ROWS rows and at most
 # _CSV_BLOCK_VALUES values at a time (ten rows of a 400-column map). Its
-# temporaries peak at up to 170 bytes a float and 125 an integer, so a block
-# stays under 1 MB however wide the table.
+# temporaries peak at up to 170 bytes a value, so a block stays under 1 MB
+# however wide the table.
 _CSV_BLOCK_ROWS = 4096
 _CSV_BLOCK_VALUES = 4096
 
@@ -227,21 +227,22 @@ def _n_groups(top) -> int:
 
 
 def _int_digits(parts: list[np.ndarray]) -> tuple:
-    """Signs, _DIGITS rows (row 0 left free) and ``%`` fallbacks (none) that
-    spell the integers of ``parts``, side by side, as ``'%d' % abs(v)``."""
+    """Signs, _DIGITS rows (row 0 left free) and the values left to ``%``
+    (none) that spell the integers of ``parts``, side by side, as
+    ``'%d' % abs(v)``."""
     neg = np.concatenate([p < 0 for p in parts], axis=1).ravel()
     # A negative value wraps, and negating it gives |v|.
     u = np.concatenate(parts, axis=1, dtype=np.uint64, casting="unsafe").ravel()
     np.negative(u, out=u, where=neg)
     rows = np.empty((1 + _n_groups(u.max()), u.size), np.intp)
     _whole_digits(u, rows[1:])
-    return neg, rows, (np.empty(0, np.intp), [])
+    return neg, rows, np.empty(0, np.intp), np.empty(0)
 
 
 def _float_digits(parts: list[np.ndarray]) -> tuple:
-    """Signs, _DIGITS rows (row 0 left free) and ``%`` fallbacks (the
-    positions and the text) that spell the floats of ``parts``, side by side,
-    as ``'%.12g' % abs(v)``.
+    """Signs, _DIGITS rows (row 0 left free) and the values left to ``%``
+    (their positions and magnitudes) that spell the floats of ``parts``, side
+    by side, as ``'%.12g' % abs(v)``.
 
     A finite nonzero value whose decimal exponent e, after rounding to 12
     digits, is -4 to 11 is spelled in fixed notation from m = rint(|v| *
@@ -292,7 +293,7 @@ def _float_digits(parts: list[np.ndarray]) -> tuple:
         rows[n_whole, nan] = _NAN
         rows[n_whole, np.isinf(x)] = _INF
     at = np.flatnonzero(nonzero & ~fast)
-    return neg, rows, (at, [_FLOAT_FMT % v for v in np.abs(x[at]).tolist()])
+    return neg, rows, at, np.abs(x[at])
 
 
 def _csv_text(parts: list[np.ndarray], integer: list[bool]) -> bytes:
@@ -304,33 +305,34 @@ def _csv_text(parts: list[np.ndarray], integer: list[bool]) -> bytes:
     NUL bytes dropped."""
     n_rows = len(parts[0])
     starts = np.cumsum([0] + [p.shape[1] for p in parts])
-    spelled = []  # (columns, signs, rows, fallbacks) of each kind
+    spelled = []  # (columns, signs, rows) of each kind
+    left = []  # (columns, positions, magnitudes) of the values each kind leaves to %
     for kind, digits in ((False, _float_digits), (True, _int_digits)):
         picked = [i for i, k in enumerate(integer) if k == kind and parts[i].shape[1]]
         if picked:
             cols = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in picked])
-            spelled.append((cols, *digits([parts[i] for i in picked])))
-    if len(spelled) == 1:  # every table but ptt_windows.csv: no copy of its rows
-        _, neg, rows, _ = spelled[0]
-        records = rows.reshape(-1, n_rows, starts[-1])
-        neg = neg.reshape(n_rows, -1)
-    else:
-        records = np.full((max(len(s[2]) for s in spelled), n_rows, starts[-1]), _LEAD)
-        neg = np.empty((n_rows, starts[-1]), bool)
-        for cols, kneg, rows, _ in spelled:
-            records[: len(rows), :, cols] = rows.reshape(len(rows), n_rows, -1)
-            neg[:, cols] = kneg.reshape(n_rows, -1)
+            kneg, rows, at, values = digits([parts[i] for i in picked])
+            spelled.append((cols, kneg, rows))
+            left.append((cols, at, values))
+    depth = max(len(rows) for _, _, rows in spelled)
+    records = np.full((n_rows, starts[-1], depth), _LEAD)
+    neg = np.empty((n_rows, starts[-1]), bool)
+    for cols, kneg, rows in spelled:
+        records[:, cols, : len(rows)] = rows.reshape(len(rows), n_rows, -1).transpose(1, 2, 0)
+        neg[:, cols] = kneg.reshape(n_rows, -1)
+    # Dropping each array once it is copied keeps a block's digits in memory once.
+    del spelled, kneg, rows
     separator = np.zeros(starts[-1], np.intp)
     separator[0] = 2
-    np.add(_SEP + separator, neg, out=records[0])
+    np.add(_SEP + separator, neg, out=records[:, :, 0])
     records[0, 0, 0] += 2  # nothing before the block's first value
-    words = _DIGITS[records.transpose(1, 2, 0)]
-    width = len(records) - 1
-    for cols, _, _, (at, texts) in spelled:
-        if texts:
-            text = b"".join(t.encode().ljust(4 * width, b"\0") for t in texts)
-            words[at // len(cols), cols[at % len(cols)], 1:] = (
-                np.frombuffer(text, np.uint32).reshape(-1, width))
+    words = _DIGITS[records]
+    del records
+    for cols, at, values in left:
+        # Fixed-width bytes pad each text with NUL bytes to the record's digit words.
+        text = np.fromiter((_FLOAT_FMT % v for v in values.tolist()), f"S{4 * depth - 4}", at.size)
+        digits = text.view(np.uint32).reshape(at.size, depth - 1)
+        words[at // len(cols), cols[at % len(cols)], 1:] = digits
     return words.tobytes().translate(None, b"\0") + b"\n"
 
 
@@ -340,7 +342,10 @@ def write_csv(path: Path | str, columns: list, header: str = "") -> None:
 
     Integer columns are written with ``%d`` and the others with
     ``_FLOAT_FMT``, with the bytes numpy's ``savetxt`` writes with these
-    formats, ``delimiter=","`` and ``comments=""``. Blocks of at most
+    formats, ``delimiter=","`` and ``comments=""``, but for one case: an
+    integer column is always written exactly, where ``savetxt`` would stack
+    it with float columns as float64, so the two differ for an integer of
+    magnitude above 2**53 beside float columns. Blocks of at most
     ``_CSV_BLOCK_ROWS`` rows and ``_CSV_BLOCK_VALUES`` values are spelled by
     array operations over the block (see :func:`_float_digits`), so the
     whole table is never held as one array and ``%`` formats only the values
